@@ -319,10 +319,9 @@ Result<OpLocation> AuditContext::CheckOp(RequestId rid, uint32_t opnum,
   return loc;
 }
 
-Result<std::shared_ptr<const StmtResult>> AuditContext::RunSelect(const std::string& sql,
-                                                                  uint64_t ts,
-                                                                  AuditWorkerState* ws) {
-  using R = Result<std::shared_ptr<const StmtResult>>;
+Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
+                                      AuditWorkerState* ws) {
+  using R = Result<Value>;
   QueryCacheShard& shard = query_cache_[std::hash<std::string>{}(sql) % kQueryCacheShards];
 
   // Parse cache. Parsing happens outside the shard lock; if two workers race on the same
@@ -381,17 +380,17 @@ Result<std::shared_ptr<const StmtResult>> AuditContext::RunSelect(const std::str
   if (!r.ok()) {
     return R::Error(r.error());
   }
-  auto shared = std::make_shared<const StmtResult>(std::move(r).value());
+  Value value = StmtResultToValue(r.value());
   if (options_.enable_query_dedup) {
     std::lock_guard<std::mutex> lock(shard.mu);
     std::vector<DedupEntry>& entries = shard.dedup[sql];
     auto pos = std::lower_bound(entries.begin(), entries.end(), ts,
                                 [](const DedupEntry& e, uint64_t t) { return e.ts < t; });
     if (pos == entries.end() || pos->ts != ts) {
-      entries.insert(pos, {ts, shared});
+      entries.insert(pos, {ts, value});
     }
   }
-  return R(shared);
+  return R(std::move(value));
 }
 
 Result<Value> AuditContext::SimDbOp(const StateOpRequest& op, OpLocation loc,
@@ -399,32 +398,30 @@ Result<Value> AuditContext::SimDbOp(const StateOpRequest& op, OpLocation loc,
   using R = Result<Value>;
   const DbContents& dc = db_log_parsed_[loc.seqnum - 1];
   if (!dc.success) {
-    return op.db_is_txn ? DbTxnResultToValue(false, {}) : DbQueryFailureValue();
+    return op.db_is_txn ? DbTxnResultToValue(false, std::vector<Value>{})
+                        : DbQueryFailureValue();
   }
-  std::vector<StmtResult> results;
+  std::vector<Value> results;
   results.reserve(dc.sql.size());
   for (size_t q = 1; q <= dc.sql.size(); q++) {
     uint64_t ts = VersionedDatabase::MakeTimestamp(loc.seqnum, q);
     auto affected = redo_affected_.find(ts);
     if (affected != redo_affected_.end()) {
-      StmtResult sr;
-      sr.is_rows = false;
-      sr.affected = affected->second;
-      results.push_back(std::move(sr));
+      results.push_back(Value::Int(affected->second));
       continue;
     }
     // A read (or a CREATE, which records affected = 0 and is handled above).
-    Result<std::shared_ptr<const StmtResult>> r = RunSelect(dc.sql[q - 1], ts, ws);
+    Result<Value> r = RunSelect(dc.sql[q - 1], ts, ws);
     if (!r.ok()) {
       return R::Error("db op " + std::to_string(loc.seqnum) +
                       " claims success but read fails on replay: " + r.error());
     }
-    results.push_back(*r.value());
+    results.push_back(std::move(r).value());
   }
   if (op.db_is_txn) {
-    return DbTxnResultToValue(true, results);
+    return DbTxnResultToValue(true, std::move(results));
   }
-  return StmtResultToValue(results[0]);
+  return std::move(results[0]);
 }
 
 Result<Value> AuditContext::SimOp(const StateOpRequest& op, OpLocation loc,

@@ -217,9 +217,8 @@ class AuditContext {
   Status BuildVersionedDb();
 
   Result<Value> SimDbOp(const StateOpRequest& op, OpLocation loc, AuditWorkerState* ws);
-  // Executes (or dedups) one SELECT at timestamp ts.
-  Result<std::shared_ptr<const StmtResult>> RunSelect(const std::string& sql, uint64_t ts,
-                                                      AuditWorkerState* ws);
+  // Executes (or dedups) one SELECT at timestamp ts; returns its script-level Value.
+  Result<Value> RunSelect(const std::string& sql, uint64_t ts, AuditWorkerState* ws);
 
   const Trace* trace_;
   const Reports* reports_;
@@ -244,10 +243,14 @@ class AuditContext {
 
   // SELECT parse + dedup caches, striped so dedup works across audit workers: a shard's
   // mutex guards its parse and dedup maps; the (expensive) SELECT itself runs outside any
-  // lock against the frozen versioned store.
+  // lock against the frozen versioned store. An entry keeps the SELECT's script-level
+  // Value, built once when the SELECT runs: every request a hit serves receives the same
+  // storage, so a control-flow group's reads collapse at the pointer-equality check instead
+  // of a deep compare. The entry's own reference means copy-on-write never writes that
+  // storage in place, so each request's mutations stay private.
   struct DedupEntry {
     uint64_t ts;
-    std::shared_ptr<const StmtResult> result;
+    Value result;
   };
   struct QueryCacheShard {
     std::mutex mu;

@@ -102,6 +102,8 @@ Status RunGroupChunk(const Application* app, const InterpreterOptions& interp_op
           if (Status st = ctx->CheckNondetConsumed(rids[j]); !st.ok()) {
             return st;
           }
+          // Copied, not moved: the copy is sized to fit, while the append buffer can hold
+          // up to twice its size, resident until the pass-3 compare.
           std::string body = acc.outputs()[j];
           if (step.kind == AccStepResult::Kind::kError) {
             body += "\n[error] " + step.error;

@@ -125,6 +125,32 @@ AccStepResult AccInterpreter::Execute() {
         frame.slots[static_cast<size_t>(in.a)] = std::move(stack_.back());
         stack_.pop_back();
         break;
+      case Op::kAppendVar: {
+        Value suffix = std::move(stack_.back());
+        stack_.pop_back();
+        Value& slot = frame.slots[static_cast<size_t>(in.a)];
+        if (!ContainsMulti(slot) && !ContainsMulti(suffix)) {
+          ScalarAppend(&slot, suffix);
+          break;
+        }
+        // Componentwise, in place on the multivalue the slot owns; a univalue slot (or an
+        // array holding multivalue cells) first expands into per-request components.
+        multivalent_++;
+        if (!slot.is_multi()) {
+          std::vector<Value> components;
+          components.reserve(n);
+          for (size_t j = 0; j < n; j++) {
+            components.push_back(ProjectComponent(slot, j));
+          }
+          slot = Value::Multi(std::move(components));
+        }
+        std::vector<Value>& items = slot.MutableMulti().items;
+        for (size_t j = 0; j < n; j++) {
+          ScalarAppend(&items[j], ProjectComponent(suffix, j));
+        }
+        CollapseIfUniform(&slot);
+        break;
+      }
       case Op::kDup:
         stack_.push_back(stack_.back());
         break;
@@ -618,15 +644,14 @@ AccStepResult AccInterpreter::Execute() {
         Value v = std::move(stack_.back());
         stack_.pop_back();
         if (!ContainsMulti(v)) {
-          std::string s = v.ToString();
           for (std::string& out : outputs_) {
-            out += s;
+            v.AppendTo(&out);
           }
           break;
         }
         multivalent_++;
         for (size_t j = 0; j < n; j++) {
-          outputs_[j] += ProjectComponent(v, j).ToString();
+          ProjectComponent(v, j).AppendTo(&outputs_[j]);
         }
         break;
       }

@@ -10,6 +10,7 @@ const char* OpName(Op op) {
     case Op::kLoadFalse: return "LoadFalse";
     case Op::kLoadVar: return "LoadVar";
     case Op::kStoreVar: return "StoreVar";
+    case Op::kAppendVar: return "AppendVar";
     case Op::kDup: return "Dup";
     case Op::kPop: return "Pop";
     case Op::kAdd: return "Add";

@@ -21,6 +21,7 @@ enum class Op : uint8_t {
   kLoadFalse,
   kLoadVar,       // a = slot
   kStoreVar,      // a = slot (pops)
+  kAppendVar,     // a = slot (pops suffix; slot = slot . suffix, in place when owned)
   kDup,
   kPop,
   kAdd, kSub, kMul, kDiv, kMod, kConcat,

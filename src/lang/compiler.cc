@@ -1,5 +1,6 @@
 #include "src/lang/compiler.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -11,6 +12,50 @@ namespace orochi {
 namespace {
 
 constexpr int kNoSlot = -1;
+
+// True if `e` reads or writes the variable `name` anywhere inside it.
+bool MentionsVar(const Expr& e, const std::string& name) {
+  if ((e.kind == ExprKind::kVar || e.kind == ExprKind::kAssign ||
+       e.kind == ExprKind::kIncDec) &&
+      e.str_val == name) {
+    return true;
+  }
+  for (const Expr* child : {e.a.get(), e.b.get(), e.c.get()}) {
+    if (child != nullptr && MentionsVar(*child, name)) {
+      return true;
+    }
+  }
+  for (const std::vector<ExprPtr>* children : {&e.list, &e.keys}) {
+    for (const ExprPtr& child : *children) {
+      if (child != nullptr && MentionsVar(*child, name)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// The suffixes e1..ek when the right-hand side of `$name = rhs` has the shape
+// `$name . e1 . … . ek` and no ei mentions $name; empty otherwise. Appending them one by
+// one in place then computes the same string in the same order as the concatenation.
+std::vector<const Expr*> SelfConcatSuffixes(const Expr& rhs, const std::string& name) {
+  std::vector<const Expr*> suffixes;
+  const Expr* node = &rhs;
+  while (node->kind == ExprKind::kBinary && node->bin_op == BinOp::kConcat) {
+    suffixes.push_back(node->b.get());
+    node = node->a.get();
+  }
+  if (node->kind != ExprKind::kVar || node->str_val != name) {
+    return {};
+  }
+  for (const Expr* suffix : suffixes) {
+    if (MentionsVar(*suffix, name)) {
+      return {};
+    }
+  }
+  std::reverse(suffixes.begin(), suffixes.end());
+  return suffixes;
+}
 
 // Per-chunk compilation state: slot allocation, loop patch lists.
 class ChunkCompiler {
@@ -335,6 +380,24 @@ class ChunkCompiler {
       case ExprKind::kAssign: {
         int slot = SlotFor(e.str_val);
         if (e.list.empty()) {
+          // `$v .= e` and `$v = $v . e1 . … . ek` append in place when the suffixes leave
+          // $v alone (otherwise loading $v first, as below, is observable).
+          std::vector<const Expr*> suffixes;
+          if (e.assign_op == AssignOp::kConcatAssign && !MentionsVar(*e.b, e.str_val)) {
+            suffixes.push_back(e.b.get());
+          } else if (e.assign_op == AssignOp::kPlain) {
+            suffixes = SelfConcatSuffixes(*e.b, e.str_val);
+          }
+          if (!suffixes.empty()) {
+            for (const Expr* suffix : suffixes) {
+              if (Status st = CompileExpr(*suffix); !st.ok()) {
+                return st;
+              }
+              Emit(Op::kAppendVar, slot);
+            }
+            Emit(Op::kLoadVar, slot);
+            return Status::Ok();
+          }
           // Plain variable assignment, possibly compound.
           if (e.assign_op != AssignOp::kPlain) {
             Emit(Op::kLoadVar, slot);

@@ -76,6 +76,10 @@ StepResult Interpreter::Execute() {
         frame.slots[static_cast<size_t>(in.a)] = std::move(stack_.back());
         stack_.pop_back();
         break;
+      case Op::kAppendVar:
+        ScalarAppend(&frame.slots[static_cast<size_t>(in.a)], stack_.back());
+        stack_.pop_back();
+        break;
       case Op::kDup:
         stack_.push_back(stack_.back());
         break;
@@ -330,12 +334,10 @@ StepResult Interpreter::Execute() {
       case Op::kIterDispose:
         iters_.pop_back();
         break;
-      case Op::kEcho: {
-        Value v = std::move(stack_.back());
+      case Op::kEcho:
+        stack_.back().AppendTo(&output_);
         stack_.pop_back();
-        output_ += v.ToString();
         break;
-      }
     }
   }
 }

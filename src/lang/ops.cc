@@ -67,8 +67,11 @@ bool LooseEquals(const Value& a, const Value& b) {
 
 Result<Value> ScalarBinary(Op op, const Value& a, const Value& b) {
   switch (op) {
-    case Op::kConcat:
-      return Value::Str(a.ToString() + b.ToString());
+    case Op::kConcat: {
+      std::string s = a.ToString();
+      b.AppendTo(&s);
+      return Value::Str(std::move(s));
+    }
     case Op::kEq:
       return Value::Bool(LooseEquals(a, b));
     case Op::kNe:
@@ -165,6 +168,17 @@ Result<Value> ScalarBinary(Op op, const Value& a, const Value& b) {
     }
     default:
       return Err("internal: not a binary opcode");
+  }
+}
+
+void ScalarAppend(Value* target, const Value& suffix) {
+  if (!target->is_string()) {
+    *target = Value::Str(target->ToString());
+  }
+  if (suffix.is_string()) {
+    target->AppendString(suffix.as_string());
+  } else {
+    target->AppendString(suffix.ToString());
   }
 }
 

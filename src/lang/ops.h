@@ -14,6 +14,10 @@ namespace orochi {
 // non-numeric strings trap deterministically.
 Result<Value> ScalarBinary(Op op, const Value& a, const Value& b);
 
+// kAppendVar: *target = *target . suffix, appending in place when *target is a string it
+// owns alone (Value::AppendString). Never fails.
+void ScalarAppend(Value* target, const Value& suffix);
+
 // kNot / kNeg.
 Result<Value> ScalarUnary(Op op, const Value& v);
 

@@ -135,6 +135,26 @@ ArrayObject& Value::MutableArray() {
   return *ptr;
 }
 
+MultiValue& Value::MutableMulti() {
+  auto& ptr = std::get<MultiPtr>(rep_);
+  if (ptr.use_count() > 1) {
+    ptr = std::make_shared<MultiValue>(*ptr);
+  }
+  return *ptr;
+}
+
+void Value::AppendString(std::string_view s) {
+  auto& ptr = std::get<StringPtr>(rep_);
+  if (ptr.use_count() > 1) {
+    auto fresh = std::make_shared<std::string>();
+    fresh->reserve(ptr->size() + s.size());
+    fresh->append(*ptr).append(s);
+    ptr = std::move(fresh);
+    return;
+  }
+  ptr->append(s);
+}
+
 bool Value::Truthy() const {
   switch (type()) {
     case ValueType::kNull:
@@ -159,36 +179,48 @@ bool Value::Truthy() const {
 }
 
 std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
   switch (type()) {
     case ValueType::kNull:
-      return "";
+      return;
     case ValueType::kBool:
-      return as_bool() ? "1" : "";
+      if (as_bool()) {
+        out->push_back('1');
+      }
+      return;
     case ValueType::kInt:
-      return std::to_string(as_int());
+      out->append(std::to_string(as_int()));
+      return;
     case ValueType::kFloat:
-      return FloatToString(as_float());
+      out->append(FloatToString(as_float()));
+      return;
     case ValueType::kString:
-      return as_string();
+      out->append(as_string());
+      return;
     case ValueType::kArray: {
-      std::string out = "Array(";
+      out->append("Array(");
       bool first = true;
       for (const auto& [k, v] : array().entries()) {
         if (!first) {
-          out += ",";
+          out->push_back(',');
         }
         first = false;
-        out += k.ToString();
-        out += "=>";
-        out += v.ToString();
+        out->append(k.ToString());
+        out->append("=>");
+        v.AppendTo(out);
       }
-      out += ")";
-      return out;
+      out->push_back(')');
+      return;
     }
     case ValueType::kMulti:
-      return "<multi>";
+      out->append("<multi>");
+      return;
   }
-  return "";
 }
 
 int64_t Value::ToInt() const {
@@ -262,7 +294,7 @@ bool Value::DeepEquals(const Value& a, const Value& b) {
     case ValueType::kFloat:
       return a.as_float() == b.as_float();
     case ValueType::kString:
-      return a.string_ptr() == b.string_ptr() || a.as_string() == b.as_string();
+      return &a.as_string() == &b.as_string() || a.as_string() == b.as_string();
     case ValueType::kArray: {
       if (a.array_ptr() == b.array_ptr()) {
         return true;
@@ -587,21 +619,35 @@ Value ProjectComponent(const Value& v, size_t j) {
   return v;
 }
 
+namespace {
+
+bool AllDeepEqual(const std::vector<Value>& items) {
+  for (size_t i = 1; i < items.size(); i++) {
+    if (!Value::DeepEquals(items[0], items[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Value MakeMultiCollapsed(std::vector<Value> items) {
   if (items.empty()) {
     return Value::Null();
   }
-  bool all_equal = true;
-  for (size_t i = 1; i < items.size(); i++) {
-    if (!Value::DeepEquals(items[0], items[i])) {
-      all_equal = false;
-      break;
-    }
-  }
-  if (all_equal) {
+  if (AllDeepEqual(items)) {
     return items[0];
   }
   return Value::Multi(std::move(items));
+}
+
+void CollapseIfUniform(Value* v) {
+  if (!v->is_multi() || !AllDeepEqual(v->multi().items)) {
+    return;
+  }
+  Value first = v->multi().items[0];
+  *v = std::move(first);
 }
 
 }  // namespace orochi

@@ -102,9 +102,12 @@ enum class ValueType : uint8_t {
   kMulti,
 };
 
+// Strings, arrays and multivalues share their storage between copies. The shared storage
+// is written in place only while this Value is its sole owner (use_count() == 1); a
+// shared one is copied first. Long-lived holders — chunk constants, frozen audit stores,
+// cached query results — keep a reference of their own, so their storage is never written.
 class Value {
  public:
-  using StringPtr = std::shared_ptr<const std::string>;
   using ArrayPtr = std::shared_ptr<ArrayObject>;
   using MultiPtr = std::shared_ptr<MultiValue>;
 
@@ -115,9 +118,8 @@ class Value {
   static Value Int(int64_t i) { return Value(Rep(i)); }
   static Value Float(double d) { return Value(Rep(d)); }
   static Value Str(std::string s) {
-    return Value(Rep(std::make_shared<const std::string>(std::move(s))));
+    return Value(Rep(std::make_shared<std::string>(std::move(s))));
   }
-  static Value Str(StringPtr s) { return Value(Rep(std::move(s))); }
   static Value Array() { return Value(Rep(std::make_shared<ArrayObject>())); }
   static Value Array(ArrayPtr a) { return Value(Rep(std::move(a))); }
   static Value Multi(std::vector<Value> items) {
@@ -140,7 +142,8 @@ class Value {
   int64_t as_int() const { return std::get<int64_t>(rep_); }
   double as_float() const { return std::get<double>(rep_); }
   const std::string& as_string() const { return *std::get<StringPtr>(rep_); }
-  StringPtr string_ptr() const { return std::get<StringPtr>(rep_); }
+  // Copy-on-write append to a string value (is_string() must hold).
+  void AppendString(std::string_view s);
 
   const ArrayObject& array() const { return *std::get<ArrayPtr>(rep_); }
   ArrayPtr array_ptr() const { return std::get<ArrayPtr>(rep_); }
@@ -149,6 +152,8 @@ class Value {
 
   const MultiValue& multi() const { return *std::get<MultiPtr>(rep_); }
   MultiPtr multi_ptr() const { return std::get<MultiPtr>(rep_); }
+  // Copy-on-write: returns a uniquely-owned MultiValue for in-place mutation.
+  MultiValue& MutableMulti();
 
   // PHP-style truthiness: null/false/0/0.0/""/"0"/empty-array are false.
   bool Truthy() const;
@@ -157,6 +162,8 @@ class Value {
   // dump of entries so that responses depend on array contents (unlike PHP's bare "Array",
   // which would hide differences that matter for auditing tests).
   std::string ToString() const;
+  // Appends the ToString() rendering to *out without building a temporary.
+  void AppendTo(std::string* out) const;
 
   // Numeric coercions; non-coercible inputs yield 0 like PHP's (int)/(float) casts on
   // non-numeric strings.
@@ -171,6 +178,7 @@ class Value {
   void SerializeTo(std::string* out) const;
 
  private:
+  using StringPtr = std::shared_ptr<std::string>;
   using Rep = std::variant<std::monostate, bool, int64_t, double, StringPtr, ArrayPtr, MultiPtr>;
   explicit Value(Rep rep) : rep_(std::move(rep)) {}
 
@@ -191,6 +199,10 @@ Value ProjectComponent(const Value& v, size_t j);
 // Builds a multivalue from per-request components, collapsing to a scalar when all
 // components are deeply equal (the "on-demand" part of SIMD-on-demand, §4.3).
 Value MakeMultiCollapsed(std::vector<Value> items);
+
+// The same collapse for a multivalue mutated in place: replaces *v by its first component
+// when all components are deeply equal. Non-multivalues are left unchanged.
+void CollapseIfUniform(Value* v);
 
 }  // namespace orochi
 

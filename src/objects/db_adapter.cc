@@ -1,5 +1,7 @@
 #include "src/objects/db_adapter.h"
 
+#include <utility>
+
 namespace orochi {
 
 Value SqlValueToValue(const SqlValue& v) {
@@ -35,13 +37,22 @@ Value StmtResultToValue(const StmtResult& r) {
 Value DbQueryFailureValue() { return Value::Null(); }
 
 Value DbTxnResultToValue(bool committed, const std::vector<StmtResult>& results) {
+  std::vector<Value> values;
+  values.reserve(results.size());
+  for (const StmtResult& r : results) {
+    values.push_back(StmtResultToValue(r));
+  }
+  return DbTxnResultToValue(committed, std::move(values));
+}
+
+Value DbTxnResultToValue(bool committed, std::vector<Value> results) {
   Value out = Value::Array();
   ArrayObject& arr = out.MutableArray();
   arr.Append(Value::Bool(committed));
   Value result_list = Value::Array();
   ArrayObject& list_arr = result_list.MutableArray();
-  for (const StmtResult& r : results) {
-    list_arr.Append(StmtResultToValue(r));
+  for (Value& r : results) {
+    list_arr.Append(std::move(r));
   }
   arr.Append(std::move(result_list));
   return out;

@@ -22,6 +22,8 @@ Value DbQueryFailureValue();
 
 // db_txn: [committed, [per-statement results...]].
 Value DbTxnResultToValue(bool committed, const std::vector<StmtResult>& results);
+// The same shape from per-statement values already converted by StmtResultToValue.
+Value DbTxnResultToValue(bool committed, std::vector<Value> results);
 
 }  // namespace orochi
 

@@ -223,6 +223,24 @@ echo $tail;
   EXPECT_LT(run.multivalent, 10u);
 }
 
+TEST(Acc, InPlaceAppendCollapsesWhenComponentsReconverge) {
+  // Int 5 and float 5.0 differ as values but render alike: the first append makes the
+  // components equal, so the slot collapses and the loop runs univalently.
+  Program prog = Compile(R"WS(
+$v = input("x") * 1;
+$v .= "!";
+for ($i = 0; $i < 50; $i++) { $v = $v . "-" . $i; }
+echo $v;
+)WS");
+  std::vector<RequestParams> params = {{{"x", "5"}}, {{"x", "5.0"}}};
+  AccRun run = RunAcc(prog, params);
+  ASSERT_EQ(run.final_kind, AccStepResult::Kind::kFinished);
+  EXPECT_EQ(run.outputs[0], RunScalar(prog, params[0]));
+  EXPECT_EQ(run.outputs[1], RunScalar(prog, params[1]));
+  EXPECT_EQ(run.outputs[0].substr(0, 6), "5!-0-1");
+  EXPECT_EQ(run.multivalent, 2u);  // The multiplication and the first append.
+}
+
 // Property: acc group execution == per-request scalar execution, across scripts x random
 // input sets (with state/nondet fed identically).
 class AccEquivalence : public ::testing::TestWithParam<int> {};
@@ -265,6 +283,24 @@ $r = array();
 $r["a"]["b"] = classify($x * 3);
 $r["a"]["c"] = classify(6);
 echo $r["a"]["b"] . "," . $r["a"]["c"];
+)WS",
+      // Page strings built by in-place appends (`.=` and `$v = $v . …`) over univalue and
+      // multivalue slots, with univalue and multivalue suffixes; $same reconverges.
+      R"WS(
+$html = "<h1>" . input("x") . "</h1>";
+$html .= "<ul>";
+$same = "";
+for ($i = 0; $i < 4; $i++) {
+  $html = $html . "<li>" . $i . ":" . intval(input("n")) * $i . "</li>";
+  $html .= input("mode");
+  $same .= input("n");
+  $same = $same . intval(input("n")) * 0;
+  $same = substr($same, 0, 0) . "s" . $i;
+}
+$html .= "</ul>";
+$cells = array("k" => input("x"));
+$cells .= "|";
+echo $html . $same . $cells;
 )WS",
   };
   Rng rng(1234 + static_cast<uint64_t>(GetParam()));

@@ -313,6 +313,92 @@ echo $x . $s;
   EXPECT_EQ(RunWs(src), "12ab");
 }
 
+// --- In-place string append (`$v .= e`, `$v = $v . e1 . … . ek` compile to AppendVar) ---
+
+TEST(Append, AliasesKeepTheirOriginal) {
+  // Each original is built at run time, so its storage is uniquely owned until aliased.
+  EXPECT_EQ(RunWs(R"($a = "x" . "z"; $b = $a; $b .= "y"; $a .= "1"; echo $a . "," . $b;)"),
+            "xz1,xzy");
+  // The left operand already loaded onto the stack keeps the value before the append.
+  EXPECT_EQ(RunWs(R"($v = "a" . "b"; echo $v . ($v .= "c") . $v;)"), "ababcabc");
+  EXPECT_EQ(RunWs(R"(
+function f($s) { $s .= "y"; $s = $s . "!"; return $s; }
+$a = "x" . "z";
+$r = f($a);
+echo $a . "," . $r;
+)"),
+            "xz,xzy!");
+  EXPECT_EQ(RunWs(R"(
+$arr = array("p" . "1", "q" . "2");
+foreach ($arr as $v) { $v .= "!"; echo $v; }
+echo "/" . implode(",", $arr);
+)"),
+            "p1!q2!/p1,q2");
+  EXPECT_EQ(RunWs(R"(
+$arr = array("c" => "v" . "w");
+$x = $arr["c"];
+$x = $x . "+" . "y";
+$arr["d"] = $x;
+$x .= "z";
+echo $arr["c"] . "," . $arr["d"] . "," . $x;
+)"),
+            "vw,vw+y,vw+yz");
+}
+
+TEST(Append, ConstantsAreNeverWrittenInPlace) {
+  // The loop appends to a copy of the same chunk constant on every iteration.
+  EXPECT_EQ(RunWs(R"(for ($i = 0; $i < 3; $i++) { $s = "k"; $s .= $i; echo $s; })"), "k0k1k2");
+}
+
+TEST(Append, SelfMentioningSuffixKeepsLoadFirstOrder) {
+  EXPECT_EQ(RunWs(R"($v = "a"; $v .= ($v = "x"); echo $v;)"), "ax");
+  EXPECT_EQ(RunWs(R"($v = "b"; $v = $v . "a" . $v; echo $v;)"), "bab");
+  EXPECT_EQ(RunWs(R"($v = "c"; $v .= $v; echo $v;)"), "cc");
+  EXPECT_EQ(RunWs(R"($v = 1; $v = $v . "-" . $v++; echo $v;)"), "1-1");
+}
+
+TEST(Append, NonStringStartValues) {
+  EXPECT_EQ(RunWs(R"($v .= "a"; echo $v;)"), "a");  // Unassigned: null.
+  EXPECT_EQ(RunWs(R"($v = null; $v .= "a"; echo $v;)"), "a");
+  EXPECT_EQ(RunWs(R"($v = 5; $v .= "a"; echo $v;)"), "5a");
+  EXPECT_EQ(RunWs(R"($v = 1.5; $v = $v . "x" . 2; echo $v;)"), "1.5x2");
+  EXPECT_EQ(RunWs(R"($v = array(1, "b"); $v .= "x"; echo $v;)"), "Array(0=>1,1=>b)x");
+  EXPECT_EQ(RunWs(R"($v = "s"; $v .= 7; $v .= 0.5; $v .= true; $v .= null; echo $v;)"),
+            "s70.51");
+}
+
+TEST(Append, ExpressionValueIsTheNewString) {
+  EXPECT_EQ(RunWs(R"($v = "a"; $w = ($v .= "b"); $w .= "c"; echo $v . "," . $w;)"), "ab,abc");
+  EXPECT_EQ(RunWs(R"($v = "a"; echo $v = $v . "b" . "c"; echo $v;)"), "abcabc");
+}
+
+int CountOccurrences(const std::string& haystack, const std::string& needle) {
+  int n = 0;
+  for (size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + 1)) {
+    n++;
+  }
+  return n;
+}
+
+int AppendVarCount(const std::string& src) {
+  Result<Program> prog = CompileSource(src, "/t");
+  EXPECT_TRUE(prog.ok()) << prog.error();
+  return prog.ok() ? CountOccurrences(Disassemble(prog.value()), "AppendVar") : -1;
+}
+
+TEST(Compiler, AppendVarOnlyForSelfAppends) {
+  EXPECT_EQ(AppendVarCount(R"($s = "a"; $s .= "b"; $s = $s . "c" . "d";)"), 3);
+  EXPECT_EQ(AppendVarCount(R"($s = $s . ($t . "u");)"), 1);  // One suffix: ($t . "u").
+  EXPECT_EQ(AppendVarCount(R"($v .= ($v = "x");)"), 0);
+  EXPECT_EQ(AppendVarCount(R"($v = $v . "a" . $v;)"), 0);
+  EXPECT_EQ(AppendVarCount(R"($v .= f($v); function f($x) { return $x; })"), 0);
+  EXPECT_EQ(AppendVarCount(R"($v = $w . "a";)"), 0);
+  EXPECT_EQ(AppendVarCount(R"($v = "a" . $v;)"), 0);
+  EXPECT_EQ(AppendVarCount(R"($v = $v + 1 . "a";)"), 0);
+  EXPECT_EQ(AppendVarCount(R"($v[0] = $v[0] . "a";)"), 0);
+}
+
 TEST(Interp, StringIndexing) {
   EXPECT_EQ(RunWs("$s = \"hello\"; echo $s[1];"), "e");
   EXPECT_EQ(RunWs("$s = \"hi\"; echo isset($s[9]) ? \"y\" : \"n\";"), "n");

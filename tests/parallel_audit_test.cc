@@ -127,13 +127,66 @@ TEST(ParallelAudit, TamperedForumRejectedWithSameReasonAcrossThreadCounts) {
 
 TEST(ParallelAudit, TamperedLogRejectedWithSameReasonAcrossThreadCounts) {
   Workload w = SmallCounterWorkload(120);
-  ServedWorkload served = ServeWorkload(w);
+  // One server worker: entries 0 and 1 are then the first request's kv_get and kv_set of
+  // one key, which do not commute. With concurrent workers they can be two requests' gets
+  // of different keys, whose swap is a consistent log and rightly accepted.
+  ServedWorkload served = ServeWorkload(w, /*num_workers=*/1);
   int kv_object = served.reports.FindObject(ObjectKind::kKv, "");
   ASSERT_GE(kv_object, 0);
   size_t log_size = served.reports.op_logs[static_cast<size_t>(kv_object)].size();
   ASSERT_GE(log_size, 2u);
   ASSERT_TRUE(SwapLogEntries(&served.reports, static_cast<size_t>(kv_object), 0, 1));
   ExpectSameVerdictAcrossThreadCounts(w, served, /*expect_accept=*/false);
+}
+
+// Every request a deduplicated SELECT serves receives the same result Value. A request
+// that mutates its copy of the rows must leave its group mates' (and the dedup cache's)
+// rows untouched: the grouped audit accepts with the sequential baseline's final state at
+// every thread count.
+TEST(ParallelAudit, MutatedSharedSelectRowsStayPrivateToTheirRequest) {
+  Workload w = SmallCounterWorkload(0);
+  ASSERT_TRUE(w.app.AddScript("/counter/mutate", R"WS(
+$who = input("who");
+$rows = db_query("SELECT who, n FROM hits WHERE key = 'k0'");
+$rows[0]["who"] = $rows[0]["who"] . "-" . $who;
+$rows[0]["x"] = $who;
+$rows[] = array("who" => $who);
+echo count($rows) . "|" . $rows[0]["who"] . "|" . $rows[0]["x"];
+)WS").ok());
+  ASSERT_TRUE(
+      w.initial.db.ExecuteText("INSERT INTO hits (key, who, n) VALUES ('k0', 'seed', 1)").ok());
+  for (size_t i = 0; i < 160; i++) {
+    WorkItem item;
+    item.script = (i % 8 == 7) ? "/counter/hit" : "/counter/mutate";
+    item.params["key"] = "k0";
+    item.params["who"] = "w" + std::to_string(i % 5);
+    w.items.push_back(std::move(item));
+  }
+  ServedWorkload served = ServeWorkload(w);
+  size_t mutate_bodies = 0;
+  for (const TraceEvent& e : served.trace.events) {
+    const WorkItem& item = w.items[e.rid - 1];
+    if (e.kind == TraceEvent::Kind::kResponse && item.script == "/counter/mutate") {
+      const std::string& who = item.params.at("who");
+      std::string tail = "|seed-" + who + "|" + who;
+      ASSERT_GE(e.body.size(), tail.size()) << e.body;
+      EXPECT_EQ(e.body.substr(e.body.size() - tail.size()), tail) << e.body;
+      mutate_bodies++;
+    }
+  }
+  EXPECT_EQ(mutate_bodies, 140u);
+
+  AuditResult seq = Auditor(&w.app).AuditSequential(served.trace, served.reports,
+                                                    served.initial);
+  ASSERT_TRUE(seq.accepted) << seq.reason;
+  std::string seq_fp = InitialStateFingerprint(seq.final_state);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    AuditResult r = AuditAt(w, served, threads);
+    ASSERT_TRUE(r.accepted) << threads << " threads: " << r.reason;
+    EXPECT_EQ(InitialStateFingerprint(r.final_state), seq_fp) << threads << " threads";
+    EXPECT_GT(r.stats.groups_multi, 0u) << threads << " threads";
+    EXPECT_GT(r.stats.db_selects_deduped, 0u) << threads << " threads";
+  }
 }
 
 // A rid listed in two control-flow groups is adversarial input: re-execution is
