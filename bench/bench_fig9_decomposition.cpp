@@ -4,6 +4,11 @@
 // "ProcOpRep" (Figures 5/6 logic), "DB redo" (versioned-store build), "Other".
 // The shape under reproduction: OROCHI's PHP + DB-query bars shrink several-fold vs the
 // baseline (SIMD-on-demand + query dedup), while ProcOpRep/DB-redo add small fixed costs.
+//
+// Columns are the audit's phase breakdown (AuditStats::phases) in thread-seconds, summed
+// over audit workers, so they stay comparable at any OROCHI_AUDIT_THREADS. "other" is
+// every remaining phase (output compare); "unattrib" is process CPU minus the sum of all
+// phases (planning, pool start-up, scheduler noise), reported rather than hidden.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -14,11 +19,17 @@ using namespace orochi;
 namespace {
 
 void PrintRow(const char* config, const AuditStats& s, double total) {
-  double php = s.reexec_seconds - s.db_query_seconds;
+  auto secs = [&](obs::Phase p) { return s.phases.seconds[static_cast<int>(p)]; };
+  const double php = secs(obs::Phase::kPass2Execute);
+  const double query = secs(obs::Phase::kDbQuery);
+  const double procop = secs(obs::Phase::kProcOpReports);
+  const double redo = secs(obs::Phase::kDbRedo);
+  const double phases = s.phases.total_seconds();
   std::printf("  %-9s total %6.2fs | PHP %6.2fs | DBquery %6.2fs | ProcOpRep %5.2fs | "
-              "DBredo %5.2fs | other %5.2fs | instr %lluk (%lluk multi)\n",
-              config, total, php, s.db_query_seconds, s.proc_op_reports_seconds,
-              s.db_redo_seconds, s.other_seconds,
+              "DBredo %5.2fs | other %5.2fs | unattrib %5.2fs | "
+              "instr %lluk (%lluk multi)\n",
+              config, total, php, query, procop, redo,
+              phases - php - query - procop - redo, total - phases,
               static_cast<unsigned long long>(s.total_instructions / 1000),
               static_cast<unsigned long long>(s.multivalent_instructions / 1000));
 }

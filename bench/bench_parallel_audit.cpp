@@ -20,7 +20,6 @@ struct Sweep {
   size_t requests = 0;
   struct Point {
     size_t threads;
-    double reexec_seconds;
     double total_seconds;
     bool accepted;
     bool matches_single_thread;
@@ -51,10 +50,10 @@ Sweep RunSweep(const char* name, const Workload& w) {
       base_fp = fp;
       base_accepted = r.accepted;
     }
-    sweep.points.push_back({threads, r.stats.reexec_seconds, total, r.accepted,
+    sweep.points.push_back({threads, total, r.accepted,
                             r.accepted == base_accepted && fp == base_fp});
-    std::fprintf(stderr, "  %-6s threads=%zu reexec=%.3fs total=%.3fs %s\n", name, threads,
-                 r.stats.reexec_seconds, total, r.accepted ? "ACCEPT" : "REJECT");
+    std::fprintf(stderr, "  %-6s threads=%zu total=%.3fs %s\n", name, threads, total,
+                 r.accepted ? "ACCEPT" : "REJECT");
   }
   return sweep;
 }
@@ -75,10 +74,10 @@ void EmitJson(const std::vector<Sweep>& sweeps) {
     for (size_t j = 0; j < s.points.size(); j++) {
       const Sweep::Point& p = s.points[j];
       std::fprintf(f,
-                   "      {\"threads\": %zu, \"reexec_seconds\": %.6f, "
-                   "\"total_seconds\": %.6f, \"speedup_vs_1\": %.3f, \"accepted\": %s, "
+                   "      {\"threads\": %zu, \"total_seconds\": %.6f, "
+                   "\"speedup_vs_1\": %.3f, \"accepted\": %s, "
                    "\"matches_single_thread\": %s}%s\n",
-                   p.threads, p.reexec_seconds, p.total_seconds,
+                   p.threads, p.total_seconds,
                    p.total_seconds > 0 ? base / p.total_seconds : 0.0,
                    p.accepted ? "true" : "false",
                    p.matches_single_thread ? "true" : "false",

@@ -42,7 +42,8 @@ int main() {
                 static_cast<unsigned long long>(total),
                 static_cast<unsigned long long>(on.stats.db_selects_issued),
                 static_cast<unsigned long long>(on.stats.db_selects_deduped),
-                on.stats.db_query_seconds, off.stats.db_query_seconds,
+                on.stats.phases.seconds[static_cast<int>(obs::Phase::kDbQuery)],
+                off.stats.phases.seconds[static_cast<int>(obs::Phase::kDbQuery)],
                 100.0 * (1.0 - on_cpu / off_cpu));
   }
   std::printf("\npaper shape: dedup's win is largest on the read-dominated wiki workload\n");

@@ -52,10 +52,12 @@ int main() {
   }
   std::printf("verifier speedup: %.1fx\n", baseline_seconds / grouped_seconds);
   const AuditStats& gs = grouped.stats;
-  std::printf("grouped audit breakdown: procOpRep %.3fs, db redo %.3fs, reexec %.3fs "
-              "(db query %.3fs), other %.3fs\n",
-              gs.proc_op_reports_seconds, gs.db_redo_seconds, gs.reexec_seconds,
-              gs.db_query_seconds, gs.other_seconds);
+  auto phase = [&](obs::Phase p) { return gs.phases.seconds[static_cast<int>(p)]; };
+  std::printf("grouped audit breakdown (thread-seconds): procOpRep %.3fs, db redo %.3fs, "
+              "reexec %.3fs, db query %.3fs, compare %.3fs\n",
+              phase(obs::Phase::kProcOpReports), phase(obs::Phase::kDbRedo),
+              phase(obs::Phase::kPass2Execute), phase(obs::Phase::kDbQuery),
+              phase(obs::Phase::kPass3Compare));
   std::printf("grouped instructions: %llu total, %llu multivalent; baseline instructions: "
               "%llu\n",
               static_cast<unsigned long long>(gs.total_instructions),

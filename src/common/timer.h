@@ -38,22 +38,6 @@ inline double ProcessCpuSeconds() {
   return to_sec(ru.ru_utime) + to_sec(ru.ru_stime);
 }
 
-// Scoped accumulator: adds the wall time spent in a scope to a counter. Audit phases are
-// single-threaded, so wall time equals CPU time for them up to scheduler noise; the macro
-// benchmarks use ProcessCpuSeconds for cross-checks.
-class ScopedAccumulator {
- public:
-  explicit ScopedAccumulator(double* sink) : sink_(sink) {}
-  ~ScopedAccumulator() { *sink_ += timer_.Seconds(); }
-
-  ScopedAccumulator(const ScopedAccumulator&) = delete;
-  ScopedAccumulator& operator=(const ScopedAccumulator&) = delete;
-
- private:
-  double* sink_;
-  WallTimer timer_;
-};
-
 }  // namespace orochi
 
 #endif  // SRC_COMMON_TIMER_H_

@@ -11,11 +11,7 @@ namespace orochi {
 const std::vector<NondetRecord> AuditContext::kNoNondet;
 
 void AuditStats::MergeFrom(const AuditStats& o) {
-  proc_op_reports_seconds += o.proc_op_reports_seconds;
-  db_redo_seconds += o.db_redo_seconds;
-  reexec_seconds += o.reexec_seconds;
-  db_query_seconds += o.db_query_seconds;
-  other_seconds += o.other_seconds;
+  phases.MergeFrom(o.phases);
   total_instructions += o.total_instructions;
   multivalent_instructions += o.multivalent_instructions;
   num_groups += o.num_groups;
@@ -25,7 +21,6 @@ void AuditStats::MergeFrom(const AuditStats& o) {
   db_selects_issued += o.db_selects_issued;
   db_selects_deduped += o.db_selects_deduped;
   checkpoint_chunks_reused += o.checkpoint_chunks_reused;
-  prepare_watermarks_reused += o.prepare_watermarks_reused;
   compare_records_resumed += o.compare_records_resumed;
   pass1_transient_peak_bytes = std::max(pass1_transient_peak_bytes,
                                         o.pass1_transient_peak_bytes);
@@ -39,7 +34,7 @@ AuditContext::AuditContext(const Trace* trace, const Reports* reports, const App
 
 Status AuditContext::Prepare() {
   {
-    ScopedAccumulator t(&stats_.other_seconds);
+    obs::TraceSpan span(&stats_.phases, obs::Phase::kProcOpReports);
     if (Status st = CheckTraceBalanced(*trace_); !st.ok()) {
       return st;
     }
@@ -57,9 +52,6 @@ Status AuditContext::Prepare() {
       nondet_cursors_.emplace(rid, NondetCursor{});
       outputs_.emplace(rid, OutputSlot{});
     }
-  }
-  {
-    ScopedAccumulator t(&stats_.proc_op_reports_seconds);
     Result<ProcessedReports> processed = ProcessOpReports(*trace_, *reports_);
     if (!processed.ok()) {
       return Status::Error(processed.error());
@@ -67,7 +59,7 @@ Status AuditContext::Prepare() {
     processed_ = std::move(processed).value();
   }
   {
-    ScopedAccumulator t(&stats_.db_redo_seconds);
+    obs::TraceSpan span(&stats_.phases, obs::Phase::kDbRedo);
     kv_object_ = reports_->FindObject(ObjectKind::kKv, "");
     db_object_ = reports_->FindObject(ObjectKind::kDb, "");
     if (Status st = BuildRegisterIndexes(); !st.ok()) {
@@ -373,10 +365,11 @@ Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
   // workers may both miss the same (sql, window) concurrently; both charge an issued
   // SELECT, so issued + deduped always equals the number of logical SELECTs simulated.
   ws->stats->db_selects_issued++;
-  Result<StmtResult> r = [&] {
-    ScopedAccumulator t(&ws->stats->db_query_seconds);
-    return versioned_db_.Select(*stmt, ts);
-  }();
+  WallTimer select_timer;
+  Result<StmtResult> r = versioned_db_.Select(*stmt, ts);
+  // Quiet record: the enclosing pass2_execute span subtracts it and forwards it to the
+  // process tracer once per chunk.
+  ws->stats->phases.Add(obs::Phase::kDbQuery, select_timer.Seconds());
   if (!r.ok()) {
     return R::Error(r.error());
   }
@@ -551,7 +544,6 @@ std::string AuditContext::CheckResponseOutput(RequestId rid, const std::string& 
 }
 
 Status AuditContext::CompareOutputs() {
-  ScopedAccumulator t(&stats_.other_seconds);
   for (const TraceEvent& e : trace_->events) {
     if (e.kind != TraceEvent::Kind::kResponse) {
       continue;

@@ -63,19 +63,14 @@ struct AuditOptions {
   // sidecar file and, on a later run over the same epoch, resumes without re-executing
   // them. Removed once a verdict (accept or reject) is reached.
   std::string checkpoint_path;
-  // Phase tracer the audit's TraceSpans record into. nullptr = the process-wide
-  // obs::PhaseTracer::Default(); concurrent sessions that want isolated per-epoch
-  // attribution install private tracers here. Not owned.
-  obs::PhaseTracer* tracer = nullptr;
   InterpreterOptions interp;
 };
 
 struct AuditStats {
-  double proc_op_reports_seconds = 0;  // Figures 5/6 logic.
-  double db_redo_seconds = 0;          // Versioned-storage build.
-  double reexec_seconds = 0;           // SIMD-on-demand / per-request replay ("PHP").
-  double db_query_seconds = 0;         // SELECTs against versioned storage (inside reexec).
-  double other_seconds = 0;            // Init + output comparison + bookkeeping.
+  // Thread-seconds per audit phase (src/obs/trace.h): this epoch's Figure 9
+  // decomposition. Per-worker blocks merge through MergeFrom like every other field;
+  // checkpoint journals do not persist it, so a replayed chunk counts only its replay.
+  obs::PhaseBreakdown phases;
 
   uint64_t total_instructions = 0;
   uint64_t multivalent_instructions = 0;
@@ -88,10 +83,6 @@ struct AuditStats {
   // Pass-2 chunk tasks replayed from a checkpoint journal instead of re-executed (only
   // nonzero on a resumed streamed audit; see src/stream/checkpoint.h).
   uint64_t checkpoint_chunks_reused = 0;
-  // Per-object Prepare scans a prior (killed) run had already journaled as complete
-  // (only nonzero on a streamed resume; the scans still rerun — the stores are in-memory
-  // — this counts the journal's coverage of the Prepare phase).
-  uint64_t prepare_watermarks_reused = 0;
   // Pass-3 response compares skipped on resume because they sit below the prior run's
   // journaled compare watermark.
   uint64_t compare_records_resumed = 0;
@@ -151,9 +142,10 @@ class AuditContext {
   // Must be called before Prepare(); null (the default) scans the resident reports.
   void set_oplog_scanner(OpLogScanner* scanner) { oplog_scanner_ = scanner; }
 
-  // Balanced-trace check, ProcessOpReports, and the versioned-storage builds. An error
-  // means the audit REJECTs with that reason. On success the versioned stores are frozen:
-  // everything the re-execution phase reads is immutable from here on.
+  // Balanced-trace check, ProcessOpReports, and the versioned-storage builds, timed as
+  // the proc_op_reports and db_redo phases. An error means the audit REJECTs with that
+  // reason. On success the versioned stores are frozen: everything the re-execution phase
+  // reads is immutable from here on.
   Status Prepare();
 
   // CheckOp (Figure 12 lines 10-15): validates that the program-generated op matches the

@@ -5,7 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/common/timer.h"
 #include "src/common/work_steal_pool.h"
 #include "src/core/auditor.h"
 #include "src/core/reexec.h"
@@ -135,7 +134,6 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
   std::vector<uint8_t> task_gate_failed(tasks.size(), 0);
   std::atomic<size_t> first_fail{plan.fail_order};
   {
-    ScopedAccumulator t(&ctx->stats().reexec_seconds);
     auto record_failure = [&](size_t task_order) {
       size_t cur = first_fail.load(std::memory_order_relaxed);
       while (task_order < cur &&
@@ -150,10 +148,11 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
       if (journal != nullptr) {
         if (const AuditTaskRecord* rec = journal->Lookup(task.order); rec != nullptr) {
           // Replay the journaled contribution: no gate (nothing is paged in), no
-          // re-execution — the recorded stats and outputs stand in for both.
-          obs::TraceSpan span(options.tracer, obs::Phase::kCheckpointReplay);
+          // re-execution — the recorded stats and outputs stand in for both. Journaled
+          // stats carry no phases, so the replay span is the chunk's only time.
           task_stats[i] = rec->stats;
           task_stats[i].checkpoint_chunks_reused += 1;
+          obs::TraceSpan span(&task_stats[i].phases, obs::Phase::kCheckpointReplay);
           for (const auto& [rid, body] : rec->outputs) {
             ctx->SetOutput(rid, body);
           }
@@ -163,7 +162,7 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
       if (gate != nullptr) {
         // Budget waits + whatever preads the prefetcher did not hide: the span that
         // shrinks when read-ahead works.
-        obs::TraceSpan span(options.tracer, obs::Phase::kPass2IoWait);
+        obs::TraceSpan span(&task_stats[i].phases, obs::Phase::kPass2IoWait);
         if (Status st = gate->Acquire(task); !st.ok()) {
           task_error[i] = st.error();
           task_gate_failed[i] = 1;
@@ -174,7 +173,9 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
       AuditWorkerState ws(&task_stats[i]);
       Status run;
       {
-        obs::TraceSpan span(options.tracer, obs::Phase::kPass2Execute);
+        // The chunk's SELECTs record db_query into the same block; the span subtracts
+        // them, so pass2_execute is the re-execution alone (Figure 9's PHP).
+        obs::TraceSpan span(&task_stats[i].phases, obs::Phase::kPass2Execute);
         run = RunGroupChunk(app, options.interp, ctx, task.prog, task.rids, &ws);
       }
       if (!run.ok()) {

@@ -65,40 +65,29 @@ AuditResult AuditSession::FeedEpoch(const Trace& trace, const Reports& reports) 
     return out;
   }
   epochs_fed_++;
-  obs::PhaseTracer* tracer = obs::ResolveTracer(options_.tracer);
-  const obs::PhaseBreakdown phase_mark = tracer->totals();
   AuditContext ctx(&trace, &reports, app_, &state_, options_);
-  Status prepared;
-  {
-    obs::TraceSpan span(tracer, obs::Phase::kPrepare);
-    prepared = ctx.Prepare();
-  }
-  out.phases = tracer->totals().DiffSince(phase_mark);
-  if (!prepared.ok()) {
-    out.reason = prepared.error();
+  auto reject = [&](std::string reason) {
+    out.reason = std::move(reason);
     out.stats = ctx.stats();
     return out;
+  };
+  if (Status prepared = ctx.Prepare(); !prepared.ok()) {
+    return reject(prepared.error());
   }
 
   AuditPlan plan = PlanAuditTasks(&ctx, reports, app_, options_);
   AuditExecOutcome exec = ExecuteAuditPlan(&ctx, app_, options_, plan);
-  out.phases = tracer->totals().DiffSince(phase_mark);
   if (exec.fail_order != kNoAuditFailure) {
-    out.reason = exec.fail_reason;
-    out.stats = ctx.stats();
-    return out;
+    return reject(exec.fail_reason);
   }
 
   Status compared;
   {
-    obs::TraceSpan span(tracer, obs::Phase::kPass3Compare);
+    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kPass3Compare);
     compared = ctx.CompareOutputs();
   }
-  out.phases = tracer->totals().DiffSince(phase_mark);
   if (!compared.ok()) {
-    out.reason = compared.error();
-    out.stats = ctx.stats();
-    return out;
+    return reject(compared.error());
   }
   CommitAccepted(&ctx, &out);
   return out;

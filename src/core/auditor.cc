@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/strings.h"
-#include "src/common/timer.h"
 #include "src/core/audit_session.h"
 #include "src/core/reexec.h"
 
@@ -88,29 +87,38 @@ AuditResult Auditor::AuditSequential(const Trace& trace, const Reports& reports,
   AuditOptions opts = options_;
   opts.enable_query_dedup = false;  // The baseline reissues every read (§5.2).
   AuditContext ctx(&trace, &reports, app_, &initial, opts);
-  if (Status st = ctx.Prepare(); !st.ok()) {
-    out.reason = st.error();
+  auto reject = [&](std::string reason) {
+    out.reason = std::move(reason);
     out.stats = ctx.stats();
     return out;
+  };
+  if (Status st = ctx.Prepare(); !st.ok()) {
+    return reject(st.error());
   }
+  Status replayed;
   {
-    ScopedAccumulator t(&ctx.stats().reexec_seconds);
+    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kPass2Execute);
     AuditWorkerState ws(&ctx.stats());
     for (const TraceEvent& e : trace.events) {
       if (e.kind != TraceEvent::Kind::kRequest) {
         continue;
       }
-      if (Status st = ReplaySingleRequest(app_, opts.interp, &ctx, e.rid, &ws); !st.ok()) {
-        out.reason = st.error();
-        out.stats = ctx.stats();
-        return out;
+      replayed = ReplaySingleRequest(app_, opts.interp, &ctx, e.rid, &ws);
+      if (!replayed.ok()) {
+        break;
       }
     }
   }
-  if (Status st = ctx.CompareOutputs(); !st.ok()) {
-    out.reason = st.error();
-    out.stats = ctx.stats();
-    return out;
+  if (!replayed.ok()) {
+    return reject(replayed.error());
+  }
+  Status compared;
+  {
+    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kPass3Compare);
+    compared = ctx.CompareOutputs();
+  }
+  if (!compared.ok()) {
+    return reject(compared.error());
   }
   out.accepted = true;
   out.final_state = ctx.ExtractFinalState();

@@ -18,11 +18,7 @@ namespace orochi {
 struct AuditResult {
   bool accepted = false;
   std::string reason;  // Set on rejection.
-  AuditStats stats;
-  // Wall-time decomposition of this epoch's audit into pipeline phases (the runtime twin
-  // of the paper's Figure 9). Unlike AuditStats this is NOT serialized into checkpoint
-  // journals — it is computed fresh per Feed* call from the session's PhaseTracer.
-  obs::PhaseBreakdown phases;
+  AuditStats stats;  // stats.phases: this epoch's phase decomposition (Figure 9).
   // Valid only when accepted: the end-of-period object state, which seeds the next
   // audit's InitialState (§4.5). AuditSession does this chaining automatically.
   InitialState final_state;

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "src/common/rng.h"
-#include "src/common/timer.h"
 
 namespace orochi {
 
@@ -136,7 +135,8 @@ AuditResult OOOAudit(const Application* app, const Trace& trace, const Reports& 
   };
 
   {
-    ScopedAccumulator timer(&ctx.stats().reexec_seconds);
+    // A rejection returns from inside this span, so its stats miss the partial pass.
+    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kPass2Execute);
     for (const OpScheduleEntry& entry : schedule) {
       if (entry.opnum == 0) {
         // Read inputs, allocate program structures (Figure 13 lines 6-8).

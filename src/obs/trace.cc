@@ -1,5 +1,6 @@
 #include "src/obs/trace.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -12,8 +13,8 @@ namespace {
 
 // Chrome-trace (and the metric-name suffixes) want stable lowercase identifiers.
 constexpr const char* kPhaseNames[kNumPhases] = {
-    "shard_merge",    "pass1_skeleton",    "prepare",       "pass2_io_wait",
-    "pass2_execute",  "checkpoint_replay", "pass3_compare",
+    "shard_merge",   "pass1_skeleton", "proc_op_reports",   "db_redo", "pass2_io_wait",
+    "pass2_execute", "db_query",       "checkpoint_replay", "pass3_compare",
 };
 
 // Stable small integer per thread for chrome-trace "tid" fields.
@@ -27,21 +28,24 @@ uint32_t ChromeTid() {
 
 const char* PhaseName(Phase phase) { return kPhaseNames[static_cast<int>(phase)]; }
 
+void PhaseBreakdown::Add(Phase phase, double secs) {
+  seconds[static_cast<int>(phase)] += secs;
+  spans[static_cast<int>(phase)]++;
+}
+
+void PhaseBreakdown::MergeFrom(const PhaseBreakdown& o) {
+  for (int p = 0; p < kNumPhases; p++) {
+    seconds[p] += o.seconds[p];
+    spans[p] += o.spans[p];
+  }
+}
+
 double PhaseBreakdown::total_seconds() const {
   double total = 0;
   for (double s : seconds) {
     total += s;
   }
   return total;
-}
-
-PhaseBreakdown PhaseBreakdown::DiffSince(const PhaseBreakdown& earlier) const {
-  PhaseBreakdown out;
-  for (int p = 0; p < kNumPhases; p++) {
-    out.seconds[p] = seconds[p] - earlier.seconds[p];
-    out.spans[p] = spans[p] - earlier.spans[p];
-  }
-  return out;
 }
 
 std::string PhaseBreakdown::Json() const {
@@ -66,7 +70,7 @@ PhaseTracer::PhaseTracer(MetricsRegistry* registry)
       const std::string stem = std::string("orochi_phase_") + kPhaseNames[p];
       phase_micros_[p] = registry_->GetCounter(
           stem + "_micros_total",
-          std::string("wall microseconds spent in the ") + kPhaseNames[p] +
+          std::string("thread microseconds spent in the ") + kPhaseNames[p] +
               " audit phase");
       phase_spans_[p] = registry_->GetCounter(
           stem + "_spans_total",
@@ -96,17 +100,20 @@ void PhaseTracer::EnableChromeTrace(std::string path, size_t max_events) {
   chrome_enabled_.store(true, std::memory_order_release);
 }
 
-void PhaseTracer::Record(Phase phase, double start_seconds, double duration_seconds) {
+void PhaseTracer::Record(Phase phase, double start_seconds, double duration_seconds,
+                         uint64_t spans) {
   const int p = static_cast<int>(phase);
   const uint64_t nanos =
       duration_seconds > 0 ? static_cast<uint64_t>(std::llround(duration_seconds * 1e9))
                            : 0;
-  Shard& shard = shards_[internal::ShardIndex()];
-  shard.nanos[p].fetch_add(nanos, std::memory_order_relaxed);
-  shard.spans[p].fetch_add(1, std::memory_order_relaxed);
+  const uint64_t before = nanos_[p].fetch_add(nanos, std::memory_order_relaxed);
+  spans_[p].fetch_add(spans, std::memory_order_relaxed);
   if (phase_micros_[p] != nullptr) {
-    phase_micros_[p]->Inc(nanos / 1000);
-    phase_spans_[p]->Inc();
+    // Each record adds the micros its nanos carry the running total across; the deltas
+    // telescope, so the counter is exactly floor(total nanos / 1000) at any quiescent
+    // point, whatever order concurrent records land in.
+    phase_micros_[p]->Inc((before + nanos) / 1000 - before / 1000);
+    phase_spans_[p]->Inc(spans);
   }
   if (chrome_enabled_.load(std::memory_order_acquire)) {
     ChromeEvent event;
@@ -126,12 +133,10 @@ void PhaseTracer::Record(Phase phase, double start_seconds, double duration_seco
 
 PhaseBreakdown PhaseTracer::totals() const {
   PhaseBreakdown out;
-  for (const Shard& shard : shards_) {
-    for (int p = 0; p < kNumPhases; p++) {
-      out.seconds[p] +=
-          static_cast<double>(shard.nanos[p].load(std::memory_order_acquire)) * 1e-9;
-      out.spans[p] += shard.spans[p].load(std::memory_order_acquire);
-    }
+  for (int p = 0; p < kNumPhases; p++) {
+    out.seconds[p] =
+        static_cast<double>(nanos_[p].load(std::memory_order_acquire)) * 1e-9;
+    out.spans[p] = spans_[p].load(std::memory_order_acquire);
   }
   return out;
 }
@@ -177,6 +182,24 @@ Status PhaseTracer::FlushChromeTrace() {
     return Status::Error("obs: short write flushing trace file " + path);
   }
   return Status::Ok();
+}
+
+TraceSpan::~TraceSpan() {
+  PhaseTracer* tracer = PhaseTracer::Default();
+  const double elapsed = tracer->NowSeconds() - start_;
+  double nested = 0;
+  for (int p = 0; p < kNumPhases; p++) {
+    const uint64_t spans = sink_->spans[p] - at_open_.spans[p];
+    if (spans == 0) {
+      continue;
+    }
+    const double secs = sink_->seconds[p] - at_open_.seconds[p];
+    nested += secs;
+    tracer->Record(static_cast<Phase>(p), start_, secs, spans);
+  }
+  const double own = std::max(0.0, elapsed - nested);
+  sink_->Add(phase_, own);
+  tracer->Record(phase_, start_, own);
 }
 
 }  // namespace obs

@@ -1,20 +1,22 @@
-// Audit-phase tracing: scoped TraceSpans emitted by the audit pipeline aggregate into a
-// per-epoch phase-decomposition record — the runtime twin of the paper's Figure 9 (audit
-// cost split into report processing / storage build / re-execution / comparison), extended
-// with the phases the grown system added (pass-1 skeleton streaming, shard merge,
-// checkpoint replay).
+// Audit-phase tracing: the one timing model of the audit. Scoped TraceSpans add
+// thread-seconds per pipeline phase to the audit's own PhaseBreakdown — the runtime twin
+// of the paper's Figure 9 (ProcOpRep / DB redo / PHP re-execution / DB query / compare),
+// extended with the phases the grown system added (pass-1 skeleton streaming, shard
+// merge, pass-2 I/O wait, checkpoint replay).
 //
 //   {
-//     obs::TraceSpan span(tracer, obs::Phase::kPrepare);
-//     ctx.Prepare();
-//   }  // records wall time + one chrome-trace event (when enabled) on destruction
+//     obs::TraceSpan span(&stats.phases, obs::Phase::kPass3Compare);
+//     ctx.CompareOutputs();
+//   }  // adds the scope's time to stats.phases, mirrors it into PhaseTracer::Default()
 //
-// A PhaseTracer accumulates into cache-line-padded per-thread shards (same discipline as
-// obs::Counter — hot paths never contend) and mirrors totals into the default
-// MetricsRegistry as orochi_phase_<name>_micros_total / _spans_total counters. When
-// OROCHI_TRACE_FILE is set, the default tracer additionally buffers one event per span
-// and dumps Chrome-trace JSON (load it in chrome://tracing or https://ui.perfetto.dev)
-// at process exit or on FlushChromeTrace().
+// Phases are disjoint: no span encloses another on the same breakdown, and time recorded
+// quietly inside an open span (the db_query seconds of a chunk's SELECTs) is subtracted
+// from it. Parallel workers each own a breakdown, merged by the caller, so a breakdown
+// sums thread-seconds, not wall time. Every span is also mirrored into the process-wide
+// PhaseTracer, which feeds orochi_phase_<name>_micros_total / _spans_total counters and,
+// when OROCHI_TRACE_FILE is set, buffers one event per span and dumps Chrome-trace JSON
+// (load it in chrome://tracing or https://ui.perfetto.dev) at process exit or on
+// FlushChromeTrace().
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -31,41 +33,44 @@
 namespace orochi {
 namespace obs {
 
-// The audit pipeline's phases, in pipeline order. Keep PhaseName in sync.
+// The audit pipeline's phases, in pipeline order. Keep kPhaseNames in sync.
 enum class Phase : int {
-  kShardMerge = 0,       // Merge-join of shard spill pairs (FeedShardedEpoch).
-  kPass1Skeleton,        // Streaming trace/reports files into skeletons + offset indexes.
-  kPrepare,              // Report processing + versioned-store builds (Figure 9's first two).
-  kPass2IoWait,          // Worker time blocked in the chunk gate paging bytes in (budget
-                         // waits + preads the prefetcher did not hide).
-  kPass2Execute,         // One span per re-executed group chunk (grouped re-execution).
-  kCheckpointReplay,     // Journaled chunks replayed instead of re-executed on resume.
-  kPass3Compare,         // Produced-output vs. trace comparison.
+  kShardMerge = 0,    // Sequential fold of per-shard skeletons into one epoch.
+  kPass1Skeleton,     // Streaming one trace/reports pair into skeletons + offset indexes.
+  kProcOpReports,     // Balanced-trace check, per-rid slot pre-build, ProcessOpReports.
+  kDbRedo,            // Versioned-store builds (register / KV / DB redo).
+  kPass2IoWait,       // Worker time blocked in the chunk gate paging bytes in (budget
+                      // waits + preads the prefetcher did not hide).
+  kPass2Execute,      // Re-executing one group chunk, its db_query time excluded (PHP).
+  kDbQuery,           // SELECTs run against versioned storage; a span per SELECT issued.
+  kCheckpointReplay,  // Journaled chunks replayed instead of re-executed on resume.
+  kPass3Compare,      // Produced-output vs. trace comparison.
 };
-inline constexpr int kNumPhases = 7;
+inline constexpr int kNumPhases = 9;
 const char* PhaseName(Phase phase);
 
-// Per-phase wall seconds + span counts. For one epoch this is the phase-decomposition
-// record; the tracer's totals() is the same shape accumulated over the process lifetime.
+// Per-phase thread-seconds + span counts. One per audited epoch (AuditStats::phases);
+// the tracer's totals() is the same shape accumulated over the process lifetime.
 struct PhaseBreakdown {
   double seconds[kNumPhases] = {};
   uint64_t spans[kNumPhases] = {};
 
+  // Records one span of `phase` lasting `secs` without mirroring it anywhere; an
+  // enclosing TraceSpan on this breakdown subtracts and forwards it when it closes.
+  void Add(Phase phase, double secs);
+  void MergeFrom(const PhaseBreakdown& o);
   double total_seconds() const;
-  // The per-epoch record: this snapshot minus an `earlier` snapshot of the same tracer.
-  PhaseBreakdown DiffSince(const PhaseBreakdown& earlier) const;
-  // Renders {"prepare": {"seconds": s, "spans": n}, ...} for the /epochs endpoint.
+  // Renders {"pass2_execute": {"seconds": s, "spans": n}, ...} for the /epochs endpoint.
   std::string Json() const;
 };
 
 class PhaseTracer {
  public:
-  // A private tracer (tests, concurrent sessions that want isolated attribution).
-  // `registry` nullptr = do not mirror into any registry.
+  // A private tracer (tests). `registry` nullptr = do not mirror into any registry.
   explicit PhaseTracer(MetricsRegistry* registry = nullptr);
 
-  // The process-wide tracer the pipeline uses when AuditOptions::tracer is null. Mirrors
-  // into MetricsRegistry::Default() and — when OROCHI_TRACE_FILE was set at first use —
+  // The process-wide tracer every TraceSpan mirrors into. Mirrors into
+  // MetricsRegistry::Default() and — when OROCHI_TRACE_FILE was set at first use —
   // buffers chrome-trace events, flushed at process exit.
   static PhaseTracer* Default();
 
@@ -74,18 +79,18 @@ class PhaseTracer {
   void EnableChromeTrace(std::string path, size_t max_events = 1 << 20);
   Status FlushChromeTrace();
 
-  // Records one completed span. `start_seconds` is NowSeconds() at span entry.
-  void Record(Phase phase, double start_seconds, double duration_seconds);
+  // Records `spans` completed spans of `phase` totalling `duration_seconds`, as one
+  // chrome-trace event starting at `start_seconds` (NowSeconds() at span entry). The
+  // mirrored micros counter always equals floor(total nanos / 1000), so sub-microsecond
+  // spans add up instead of truncating to 0 one by one.
+  void Record(Phase phase, double start_seconds, double duration_seconds,
+              uint64_t spans = 1);
 
   PhaseBreakdown totals() const;
   // Monotonic seconds since this tracer was created (span timestamps' epoch).
   double NowSeconds() const;
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> nanos[kNumPhases] = {};
-    std::atomic<uint64_t> spans[kNumPhases] = {};
-  };
   struct ChromeEvent {
     Phase phase;
     uint64_t start_micros;
@@ -97,7 +102,9 @@ class PhaseTracer {
   MetricsRegistry* const registry_;
   Counter* phase_micros_[kNumPhases] = {};
   Counter* phase_spans_[kNumPhases] = {};
-  Shard shards_[internal::kShards];
+  // Spans close at most once per chunk, so plain shared atomics never contend hot.
+  std::atomic<uint64_t> nanos_[kNumPhases] = {};
+  std::atomic<uint64_t> spans_[kNumPhases] = {};
 
   std::atomic<bool> chrome_enabled_{false};
   std::mutex chrome_mu_;  // Guards the event buffer + path (span completion only).
@@ -107,23 +114,23 @@ class PhaseTracer {
   uint64_t chrome_dropped_ = 0;
 };
 
-// nullptr resolves to the process-wide tracer, mirroring ResolveEnv / ResolveTransport.
-inline PhaseTracer* ResolveTracer(PhaseTracer* tracer) {
-  return tracer != nullptr ? tracer : PhaseTracer::Default();
-}
-
-// RAII span: times its scope and records into the tracer on destruction.
+// RAII span: times its scope on the calling thread. On destruction it adds the time to
+// `sink` and mirrors it into PhaseTracer::Default(). Whatever was Add()ed to `sink` while
+// the span was open is subtracted from this span's time and forwarded to the tracer in
+// one record per phase. Spans on one sink must not nest.
 class TraceSpan {
  public:
-  TraceSpan(PhaseTracer* tracer, Phase phase)
-      : tracer_(ResolveTracer(tracer)), phase_(phase), start_(tracer_->NowSeconds()) {}
-  ~TraceSpan() { tracer_->Record(phase_, start_, tracer_->NowSeconds() - start_); }
+  TraceSpan(PhaseBreakdown* sink, Phase phase)
+      : sink_(sink), phase_(phase), at_open_(*sink),
+        start_(PhaseTracer::Default()->NowSeconds()) {}
+  ~TraceSpan();
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  PhaseTracer* const tracer_;
+  PhaseBreakdown* const sink_;
   const Phase phase_;
+  const PhaseBreakdown at_open_;
   const double start_;
 };
 

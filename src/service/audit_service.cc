@@ -693,7 +693,7 @@ std::string AuditService::EpochsJson() const {
         if (!v.accepted) {
           out += ", \"reason\": \"" + obs::JsonEscape(v.reason) + "\"";
         }
-        out += ", \"phases\": " + v.phases.Json();
+        out += ", \"phases\": " + v.stats.phases.Json();
         out += ", \"audit\": {\"num_groups\": " + std::to_string(v.stats.num_groups) +
                ", \"ops_checked\": " + std::to_string(v.stats.ops_checked) +
                ", \"db_selects_issued\": " + std::to_string(v.stats.db_selects_issued) +

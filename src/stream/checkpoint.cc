@@ -23,21 +23,22 @@ using wire_primitives::PutStr;
 using wire_primitives::PutU32;
 using wire_primitives::PutU64;
 
-// Checkpoint-section record types.
-constexpr uint8_t kMetaRecord = 1;     // u64 fingerprint.
+// Checkpoint-section record types. Kind 3 (a Prepare watermark in journal layout 1)
+// stays unused so no reader can mistake an old record for a new one.
+constexpr uint8_t kMetaRecord = 1;     // u64 fingerprint, u32 kJournalLayout.
 constexpr uint8_t kChunkRecord = 2;    // One completed task (order + stats + outputs).
-constexpr uint8_t kPrepareRecord = 3;  // u64 object: Prepare finished scanning its log.
 constexpr uint8_t kCompareRecord = 4;  // u64 watermark: responses fully compared (pass 3).
+
+// Layout of the records after the meta record. Journals of any other layout (including
+// those written before the tag existed, whose meta record is the bare fingerprint) are
+// discarded wholesale, so a layout change can never misparse a prior run's records.
+// 2: chunk records carry no timings; no Prepare watermark records.
+constexpr uint32_t kJournalLayout = 2;
 
 void EncodeChunkRecord(size_t order, const AuditTaskRecord& rec, std::string* out) {
   out->clear();
   PutU64(out, order);
   const AuditStats& s = rec.stats;
-  PutF64(out, s.proc_op_reports_seconds);
-  PutF64(out, s.db_redo_seconds);
-  PutF64(out, s.reexec_seconds);
-  PutF64(out, s.db_query_seconds);
-  PutF64(out, s.other_seconds);
   PutU64(out, s.total_instructions);
   PutU64(out, s.multivalent_instructions);
   PutU64(out, s.num_groups);
@@ -69,13 +70,11 @@ bool DecodeChunkRecord(const std::string& payload, size_t* order, AuditTaskRecor
   }
   *order = static_cast<size_t>(order64);
   AuditStats& s = rec->stats;
-  if (!cur.TakeF64(&s.proc_op_reports_seconds) || !cur.TakeF64(&s.db_redo_seconds) ||
-      !cur.TakeF64(&s.reexec_seconds) || !cur.TakeF64(&s.db_query_seconds) ||
-      !cur.TakeF64(&s.other_seconds) || !cur.TakeU64(&s.total_instructions) ||
-      !cur.TakeU64(&s.multivalent_instructions) || !cur.TakeU64(&s.num_groups) ||
-      !cur.TakeU64(&s.groups_multi) || !cur.TakeU64(&s.fallback_groups) ||
-      !cur.TakeU64(&s.ops_checked) || !cur.TakeU64(&s.db_selects_issued) ||
-      !cur.TakeU64(&s.db_selects_deduped) || !cur.TakeU64(&s.checkpoint_chunks_reused)) {
+  if (!cur.TakeU64(&s.total_instructions) || !cur.TakeU64(&s.multivalent_instructions) ||
+      !cur.TakeU64(&s.num_groups) || !cur.TakeU64(&s.groups_multi) ||
+      !cur.TakeU64(&s.fallback_groups) || !cur.TakeU64(&s.ops_checked) ||
+      !cur.TakeU64(&s.db_selects_issued) || !cur.TakeU64(&s.db_selects_deduped) ||
+      !cur.TakeU64(&s.checkpoint_chunks_reused)) {
     return false;
   }
   uint64_t num_groups;
@@ -129,12 +128,13 @@ void ReadWholeFileBestEffort(Env* env, const std::string& path, std::string* out
   }
 }
 
-// Parses a prior journal's bytes: envelope + meta(fingerprint) + progress records,
-// stopping silently at the first torn or corrupt byte. Returns false (nothing kept) when
-// the envelope or fingerprint does not match — the file belongs to a different audit.
+// Parses a prior journal's bytes: envelope + meta(fingerprint, layout) + progress
+// records, stopping silently at the first torn or corrupt byte. Returns false (nothing
+// kept) when the envelope, fingerprint, or layout does not match — the file belongs to a
+// different audit or an older journal layout.
 bool ParsePriorJournal(const std::string& data, uint64_t fingerprint,
                        std::unordered_map<size_t, AuditTaskRecord>* records,
-                       std::set<uint64_t>* prepare_scans, uint64_t* compare_watermark) {
+                       uint64_t* compare_watermark) {
   if (data.size() < wire::kEnvelopeHeaderBytes ||
       data.compare(0, sizeof(wire::kMagic), wire::kMagic, sizeof(wire::kMagic)) != 0) {
     return false;
@@ -167,8 +167,10 @@ bool ParsePriorJournal(const std::string& data, uint64_t fingerprint,
     if (!saw_meta) {
       Cursor cur = MakeCursor(payload);
       uint64_t fp;
-      if (type != kMetaRecord || !cur.TakeU64(&fp) || !cur.AtEnd() || fp != fingerprint) {
-        return false;  // Another audit's checkpoint: discard wholesale.
+      uint32_t layout;
+      if (type != kMetaRecord || !cur.TakeU64(&fp) || !cur.TakeU32(&layout) ||
+          !cur.AtEnd() || fp != fingerprint || layout != kJournalLayout) {
+        return false;  // Another audit's or layout's checkpoint: discard wholesale.
       }
       saw_meta = true;
       continue;
@@ -180,13 +182,6 @@ bool ParsePriorJournal(const std::string& data, uint64_t fingerprint,
         break;
       }
       records->emplace(order, std::move(rec));
-    } else if (type == kPrepareRecord) {
-      Cursor cur = MakeCursor(payload);
-      uint64_t object;
-      if (!cur.TakeU64(&object) || !cur.AtEnd()) {
-        break;
-      }
-      prepare_scans->insert(object);
     } else if (type == kCompareRecord) {
       Cursor cur = MakeCursor(payload);
       uint64_t watermark;
@@ -288,9 +283,8 @@ Result<std::unique_ptr<CheckpointJournal>> CheckpointJournal::Open(Env* env,
   ReadWholeFileBestEffort(env, path, &prior);
   if (!prior.empty() &&
       !ParsePriorJournal(prior, fingerprint, &journal->records_,
-                         &journal->prepare_loaded_, &journal->compare_loaded_)) {
+                         &journal->compare_loaded_)) {
     journal->records_.clear();
-    journal->prepare_loaded_.clear();
     journal->compare_loaded_ = 0;
   }
   journal->loaded_ = journal->records_.size();
@@ -306,15 +300,11 @@ Result<std::unique_ptr<CheckpointJournal>> CheckpointJournal::Open(Env* env,
   std::string buf = wire::EnvelopeHeader(wire::Section::kCheckpoint);
   std::string payload;
   PutU64(&payload, fingerprint);
+  PutU32(&payload, kJournalLayout);
   wire::AppendRecordFrame(&buf, kMetaRecord, payload);
   for (const auto& [order, rec] : journal->records_) {
     EncodeChunkRecord(order, rec, &payload);
     wire::AppendRecordFrame(&buf, kChunkRecord, payload);
-  }
-  for (uint64_t object : journal->prepare_loaded_) {
-    payload.clear();
-    PutU64(&payload, object);
-    wire::AppendRecordFrame(&buf, kPrepareRecord, payload);
   }
   if (journal->compare_loaded_ > 0) {
     payload.clear();
@@ -353,16 +343,6 @@ void CheckpointJournal::Record(const AuditTask& task, const AuditTaskRecord& rec
   EncodeChunkRecord(task.order, record, &payload);
   std::lock_guard<std::mutex> lock(mu_);
   AppendFrame(kChunkRecord, payload);
-}
-
-void CheckpointJournal::RecordPrepareScan(uint64_t object) {
-  if (PriorPrepareScan(object)) {
-    return;  // Open already rewrote the prior run's record.
-  }
-  std::string payload;
-  PutU64(&payload, object);
-  std::lock_guard<std::mutex> lock(mu_);
-  AppendFrame(kPrepareRecord, payload);
 }
 
 void CheckpointJournal::RecordCompareWatermark(uint64_t responses_compared) {

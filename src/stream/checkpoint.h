@@ -1,24 +1,24 @@
 // Resumable streamed audits: a sidecar wire file (Section::kCheckpoint) journaling audit
-// progress in every phase — completed pass-2 chunk tasks (replayed on resume instead of
-// re-executed), per-object Prepare scan watermarks, and the pass-3 compare watermark — so
-// a verifier killed in *any* phase resumes without redoing retired work. Because the
-// engine is deterministic and only successful work is journaled, a resumed run's verdict,
-// rejection reason, and final state are bit-identical to an uninterrupted run at every
-// thread count and memory budget.
+// progress — completed pass-2 chunk tasks (replayed on resume instead of re-executed) and
+// the pass-3 compare watermark — so a killed verifier resumes without redoing retired
+// re-execution or comparison. (Prepare's store builds are in-memory and always rerun.)
+// Because the engine is deterministic and only successful work is journaled, a resumed
+// run's verdict, rejection reason, and final state are bit-identical to an uninterrupted
+// run at every thread count and memory budget.
 //
 // File layout: the standard 13-byte envelope, then one meta record carrying the epoch
-// fingerprint, then progress records appended (and fsynced) as work retires. There is
-// deliberately no end record — the file is an append journal whose tail may be torn by a
-// crash; loading tolerates that by keeping every record before the first
-// malformed/CRC-failed byte and discarding the rest. A fingerprint mismatch (different
-// epoch content, different audit-relevant options) discards the whole file, so a stale
-// checkpoint can never smuggle another epoch's outputs into this one.
+// fingerprint and the journal-layout tag, then progress records appended (and fsynced) as
+// work retires. There is deliberately no end record — the file is an append journal whose
+// tail may be torn by a crash; loading tolerates that by keeping every record before the
+// first malformed/CRC-failed byte and discarding the rest. A fingerprint mismatch
+// (different epoch content, different audit-relevant options) or a layout mismatch (a
+// journal from an older build) discards the whole file, so a stale checkpoint can never
+// smuggle another epoch's outputs into this one.
 #ifndef SRC_STREAM_CHECKPOINT_H_
 #define SRC_STREAM_CHECKPOINT_H_
 
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -31,14 +31,14 @@ class StreamTraceSet;
 class StreamReportsSet;
 
 // Identity of one (epoch content, audit-options) combination, computed from the pass-1
-// skeletons BEFORE Prepare so the journal covers every later phase: initial-state
-// fingerprint, every trace event's kind/rid/script plus its payload CRC and length,
-// the reports skeleton in full (objects, per-entry rid/opnum/type plus entry-frame CRCs,
-// groups, op counts, nondet records), and the options that change what the audit computes
-// (max_group_size, enable_query_dedup). Binding payload CRCs is what makes replay sound:
-// both runs' pass 1 read the spill files end to end, so a file that changed between runs
-// cannot fingerprint-match. The plan needs no separate binding — it is a deterministic
-// function of the skeletons and options, so task orders stay stable across runs.
+// skeletons: initial-state fingerprint, every trace event's kind/rid/script plus its
+// payload CRC and length, the reports skeleton in full (objects, per-entry rid/opnum/type
+// plus entry-frame CRCs, groups, op counts, nondet records), and the options that change
+// what the audit computes (max_group_size, enable_query_dedup). Binding payload CRCs is
+// what makes replay sound: both runs' pass 1 read the spill files end to end, so a file
+// that changed between runs cannot fingerprint-match. The plan needs no separate binding
+// — it is a deterministic function of the skeletons and options, so task orders stay
+// stable across runs.
 // Deliberately NOT hashed: thread count, memory budget, io_env, checkpoint_path — those
 // change scheduling, never the verdict, and a checkpoint must survive a resume under a
 // different thread count or budget.
@@ -49,11 +49,11 @@ uint64_t StreamEpochFingerprint(const InitialState& initial, const StreamTraceSe
 class CheckpointJournal : public AuditTaskJournal {
  public:
   // Opens (or creates) the journal at `path`. An existing file with a matching
-  // fingerprint contributes its intact records for replay; a missing, torn-at-the-head,
-  // corrupt, or fingerprint-mismatched file contributes nothing. Either way the file is
-  // rewritten fresh (envelope + meta + surviving records) and held open for appends —
-  // only a failure to write that fresh journal is an error, because it means the
-  // checkpoint path itself is unusable.
+  // fingerprint and layout contributes its intact records for replay; a missing,
+  // torn-at-the-head, corrupt, or mismatched file contributes nothing. Either way the
+  // file is rewritten fresh (envelope + meta + surviving records) and held open for
+  // appends — only a failure to write that fresh journal is an error, because it means
+  // the checkpoint path itself is unusable.
   static Result<std::unique_ptr<CheckpointJournal>> Open(Env* env, const std::string& path,
                                                          uint64_t fingerprint);
   ~CheckpointJournal() override = default;
@@ -62,16 +62,6 @@ class CheckpointJournal : public AuditTaskJournal {
   // Appends + fsyncs one record. Best-effort: a write failure poisons further appends
   // (the journal stops growing) but never the audit.
   void Record(const AuditTask& task, const AuditTaskRecord& record) override;
-
-  // --- Prepare-phase watermarks: per-object versioned-store scan progress ---
-  // The store builds themselves are in-memory and must rerun on resume, so these are
-  // progress markers (surfaced as AuditStats::prepare_watermarks_reused), journaled so a
-  // kill mid-Prepare leaves a fingerprint-bound record of how far the build got.
-  // True when a prior run journaled a completed scan of `object`.
-  bool PriorPrepareScan(uint64_t object) const { return prepare_loaded_.count(object) > 0; }
-  // Appends a scan-completed record for `object` (no-op if a prior run already has it).
-  void RecordPrepareScan(uint64_t object);
-  size_t resumable_prepare_scans() const { return prepare_loaded_.size(); }
 
   // --- Pass-3 compare watermark: responses fully compared, in trace order ---
   // A resumed run skips re-comparing the first `prior_compare_watermark()` responses:
@@ -96,10 +86,9 @@ class CheckpointJournal : public AuditTaskJournal {
   Env* env_;
   std::string path_;
   std::unique_ptr<WritableFile> out_;
-  std::mutex mu_;  // Guards out_, write_failed_, compare_appended_; the *_loaded_ state
+  std::mutex mu_;  // Guards out_, write_failed_, compare_appended_; compare_loaded_
                    // and records_ are frozen after Open.
   std::unordered_map<size_t, AuditTaskRecord> records_;
-  std::set<uint64_t> prepare_loaded_;
   uint64_t compare_loaded_ = 0;
   uint64_t compare_appended_ = 0;  // Highest watermark on disk (loaded or appended).
   size_t loaded_ = 0;

@@ -93,6 +93,7 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
     StreamTraceSet traces;
     StreamReportsSet reports;
     std::string error;  // Nonempty = this shard failed to stream.
+    obs::PhaseBreakdown phases;
   };
   std::vector<ShardLoad> loads(order.size());
   {
@@ -102,11 +103,12 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
     }
     WorkStealPool pool(num_threads < 1 ? 1 : num_threads);
     pool.Run(tasks, [&](size_t i) {
-      // One pass-1 span per shard build: these overlap on the pool, so the phase's span
-      // count is the shard count and its seconds are cumulative worker time.
-      obs::TraceSpan span(nullptr, obs::Phase::kPass1Skeleton);
-      const ShardEpochFiles& shard = shards[order[i].pos];
+      // One pass-1 span per shard build, into the shard's own breakdown: these overlap
+      // on the pool, so the phase's span count is the shard count and its seconds are
+      // summed worker time.
       ShardLoad& load = loads[i];
+      obs::TraceSpan span(&load.phases, obs::Phase::kPass1Skeleton);
+      const ShardEpochFiles& shard = shards[order[i].pos];
       Result<uint32_t> appended = load.traces.AppendFile(shard.trace_path, env);
       if (!appended.ok()) {
         load.error = appended.error();
@@ -119,41 +121,48 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
   }
 
   MergedShards out;
-  std::unordered_set<RequestId> prior_rids;
-  for (size_t i = 0; i < order.size(); i++) {
-    const Entry& e = order[i];
-    const ShardEpochFiles& shard = shards[e.pos];
-    ShardLoad& load = loads[i];
-    if (!load.error.empty()) {
-      // Quarantine: name the shard and both of its files, so the operator knows exactly
-      // which collector's spill to restore — the other shards streamed clean.
-      return R::Error("shard merge: quarantined shard " + std::to_string(e.id) +
-                      " (trace " + shard.trace_path + ", reports " + shard.reports_path +
-                      "): " + load.error);
-    }
-    // Rid-disjointness across shard traces. (Duplicates *within* one shard stay for the
-    // audit's balanced-trace check to reject, exactly as the unsharded path would.)
-    std::unordered_set<RequestId> shard_rids;
-    for (const TraceEvent& event : load.traces.skeleton().events) {
-      if (event.kind != TraceEvent::Kind::kRequest) {
-        continue;
+  for (const ShardLoad& load : loads) {
+    out.phases.MergeFrom(load.phases);
+  }
+  {
+    // The sequential fold in merge order, timed as shard_merge.
+    obs::TraceSpan span(&out.phases, obs::Phase::kShardMerge);
+    std::unordered_set<RequestId> prior_rids;
+    for (size_t i = 0; i < order.size(); i++) {
+      const Entry& e = order[i];
+      const ShardEpochFiles& shard = shards[e.pos];
+      ShardLoad& load = loads[i];
+      if (!load.error.empty()) {
+        // Quarantine: name the shard and both of its files, so the operator knows exactly
+        // which collector's spill to restore — the other shards streamed clean.
+        return R::Error("shard merge: quarantined shard " + std::to_string(e.id) +
+                        " (trace " + shard.trace_path + ", reports " +
+                        shard.reports_path + "): " + load.error);
       }
-      if (prior_rids.count(event.rid) > 0) {
-        return R::Error("shard merge: rid " + std::to_string(event.rid) +
-                        " appears in more than one shard's trace");
+      // Rid-disjointness across shard traces. (Duplicates *within* one shard stay for the
+      // audit's balanced-trace check to reject, exactly as the unsharded path would.)
+      std::unordered_set<RequestId> shard_rids;
+      for (const TraceEvent& event : load.traces.skeleton().events) {
+        if (event.kind != TraceEvent::Kind::kRequest) {
+          continue;
+        }
+        if (prior_rids.count(event.rid) > 0) {
+          return R::Error("shard merge: rid " + std::to_string(event.rid) +
+                          " appears in more than one shard's trace");
+        }
+        shard_rids.insert(event.rid);
       }
-      shard_rids.insert(event.rid);
-    }
-    prior_rids.insert(shard_rids.begin(), shard_rids.end());
-    out.traces.Absorb(std::move(load.traces));
+      prior_rids.insert(shard_rids.begin(), shard_rids.end());
+      out.traces.Absorb(std::move(load.traces));
 
-    // Merge errors (rid overlap with an earlier shard's reports) come back
-    // "path: reason" from the index itself, same as the sequential stream would report.
-    if (Status st = out.reports.Absorb(std::move(load.reports), shard.reports_path);
-        !st.ok()) {
-      return R::Error("shard merge: " + st.error());
+      // Merge errors (rid overlap with an earlier shard's reports) come back
+      // "path: reason" from the index itself, same as the sequential stream would report.
+      if (Status st = out.reports.Absorb(std::move(load.reports), shard.reports_path);
+          !st.ok()) {
+        return R::Error("shard merge: " + st.error());
+      }
+      out.shard_ids.push_back(e.id);
     }
-    out.shard_ids.push_back(e.id);
   }
   return out;
 }

@@ -21,6 +21,7 @@
 #include "src/common/result.h"
 #include "src/core/audit_session.h"
 #include "src/objects/reports.h"
+#include "src/obs/trace.h"
 #include "src/stream/reports_index.h"
 #include "src/stream/trace_index.h"
 
@@ -32,6 +33,9 @@ struct MergedShards {
   // AppendReports semantics (object-id remap, group-tag merge) — contents stay on disk.
   StreamReportsSet reports;
   std::vector<uint32_t> shard_ids;  // Stamped ids in merge order (0 = unstamped).
+  // Time spent building this epoch so far: one pass1_skeleton span per shard plus the
+  // shard_merge fold. The audit continues the same breakdown (AuditStats::phases).
+  obs::PhaseBreakdown phases;
 };
 
 // `expected_ids`, when nonempty (the manifest path), must parallel `shards`; each entry is

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/timer.h"
 #include "src/core/audit_plan.h"
 #include "src/core/audit_session.h"
 #include "src/objects/wire_format.h"
@@ -277,36 +276,6 @@ class StreamTaskGate : public AuditTaskGate, public PrefetchableLoader {
   std::unordered_map<size_t, ClaimedChunk> priced_;  // ChunkBytes -> FetchChunk handoff.
 };
 
-// Wraps the segment-paging scanner with checkpoint journaling: each object whose forward
-// scan completes is recorded as a Prepare watermark, and objects a prior (killed) run
-// already scanned are counted into stats. The store builds are in-memory, so a resumed
-// Prepare must re-scan every object either way — the watermarks journal *progress* (and
-// prove, fingerprint-bound, which scans the killed run retired), they do not skip work.
-class JournalingOpLogScanner : public OpLogScanner {
- public:
-  JournalingOpLogScanner(OpLogScanner* inner, CheckpointJournal* journal,
-                         AuditStats* stats)
-      : inner_(inner), journal_(journal), stats_(stats) {}
-
-  Status Scan(size_t object,
-              const std::function<Status(const OpRecord&, uint64_t)>& fn) override {
-    if (journal_->PriorPrepareScan(object)) {
-      stats_->prepare_watermarks_reused++;
-    }
-    Status st = inner_->Scan(object, fn);
-    if (st.ok()) {
-      journal_->RecordPrepareScan(object);
-    }
-    return st;
-  }
-  bool io_failed() const override { return inner_->io_failed(); }
-
- private:
-  OpLogScanner* inner_;
-  CheckpointJournal* journal_;
-  AuditStats* stats_;
-};
-
 // How many responses pass 3 compares between compare-watermark journal appends. Each
 // append is a frame + fsync; every 16 responses keeps resume granularity fine without
 // making the fsync the compare loop's bottleneck.
@@ -393,12 +362,10 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   }
   epochs_fed_++;
   AuditResult out;
-  obs::PhaseTracer* tracer = obs::ResolveTracer(options_.tracer);
-  const obs::PhaseBreakdown phase_mark = tracer->totals();
   AuditContext ctx(&merged.traces.skeleton(), &merged.reports.skeleton(), app_, &state_,
                    options_);
+  ctx.stats().phases = merged.phases;  // Pass 1 (and the shard fold) open the epoch.
   auto reject = [&](std::string reason) {
-    out.phases = tracer->totals().DiffSince(phase_mark);
     out.reason = std::move(reason);
     out.stats = ctx.stats();
     return R(out);
@@ -420,9 +387,8 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   // the budget. v3 segmented spills bound it by one segment, not one object's log.
   ctx.stats().pass1_transient_peak_bytes = merged.reports.pass1_transient_peak_bytes();
 
-  // Resumable audit: the sidecar checkpoint journals progress in every phase (Prepare
-  // scan watermarks, pass-2 chunk tasks, the pass-3 compare watermark), so it opens
-  // before Prepare. The fingerprint binds the journal to this exact (epoch content,
+  // Resumable audit: the sidecar checkpoint journals pass-2 chunk tasks and the pass-3
+  // compare watermark. The fingerprint binds the journal to this exact (epoch content,
   // audit options) combination — computed from the pass-1 skeletons including payload
   // CRCs, so a stale, foreign, or tampered-epoch checkpoint contributes nothing. An
   // unusable checkpoint path is a file-level error — the epoch is unconsumed and
@@ -440,23 +406,13 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   }
 
   // The versioned-store builds inside Prepare() consume spilled op-log contents as
-  // budget-bounded segment scans instead of resident logs; with a journal installed,
-  // completed per-object scans are recorded as Prepare watermarks.
+  // budget-bounded segment scans instead of resident logs.
   SegmentedOpLogScanner scanner(&merged.reports, reports_loader, budget);
-  JournalingOpLogScanner journaling_scanner(&scanner, journal.get(), &ctx.stats());
-  ctx.set_oplog_scanner(journal != nullptr
-                            ? static_cast<OpLogScanner*>(&journaling_scanner)
-                            : static_cast<OpLogScanner*>(&scanner));
-  Status prepared;
-  {
-    obs::TraceSpan span(tracer, obs::Phase::kPrepare);
-    prepared = ctx.Prepare();
-  }
-  if (Status st = prepared; !st.ok()) {
+  ctx.set_oplog_scanner(&scanner);
+  if (Status st = ctx.Prepare(); !st.ok()) {
     if (scanner.io_failed()) {
       // Paging a log segment in failed (spill file vanished or changed mid-audit): a
-      // file-level error, not a verdict — the epoch is unconsumed. The journal keeps the
-      // Prepare watermarks retired so far for the retry.
+      // file-level error, not a verdict — the epoch is unconsumed.
       epochs_fed_--;
       return R::Error(st.error());
     }
@@ -513,8 +469,7 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
 
   std::string compare_reason;
   {
-    ScopedAccumulator t(&ctx.stats().other_seconds);
-    obs::TraceSpan span(tracer, obs::Phase::kPass3Compare);
+    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kPass3Compare);
     uint64_t resumed = 0;
     Status st = StreamedCompareOutputs(ctx, &merged.traces, loader, budget, journal.get(),
                                        &resumed, &compare_reason);
@@ -530,7 +485,6 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
     return reject(std::move(compare_reason));
   }
   spend_checkpoint();
-  out.phases = tracer->totals().DiffSince(phase_mark);
   CommitAccepted(&ctx, &out);
   return out;
 }
@@ -539,13 +493,11 @@ Result<AuditResult> AuditSession::FeedEpochFilesStreamed(const std::string& trac
                                                          const std::string& reports_path,
                                                          const StreamAuditHooks* hooks) {
   using R = Result<AuditResult>;
-  obs::PhaseTracer* tracer = obs::ResolveTracer(options_.tracer);
-  const obs::PhaseBreakdown phase_mark = tracer->totals();
   // Built directly (not via MergeShards) so single-file error messages stay identical to
   // FeedEpochFiles' — the degenerate one-shard case is a drop-in replacement.
   MergedShards merged;
   {
-    obs::TraceSpan span(tracer, obs::Phase::kPass1Skeleton);
+    obs::TraceSpan span(&merged.phases, obs::Phase::kPass1Skeleton);
     Result<uint32_t> shard = merged.traces.AppendFile(trace_path, options_.io_env);
     if (!shard.ok()) {
       return R::Error(shard.error());
@@ -555,12 +507,7 @@ Result<AuditResult> AuditSession::FeedEpochFilesStreamed(const std::string& trac
     }
     merged.shard_ids.push_back(shard.value());
   }
-  R result = FeedMergedEpochStreamed(std::move(merged), hooks);
-  if (result.ok()) {
-    // Re-attribute from the outer mark so pass-1 skeleton time is part of this epoch.
-    result.value().phases = tracer->totals().DiffSince(phase_mark);
-  }
-  return result;
+  return FeedMergedEpochStreamed(std::move(merged), hooks);
 }
 
 Result<AuditResult> AuditSession::FeedShardedEpoch(const std::vector<ShardEpochFiles>& shards,
@@ -571,21 +518,12 @@ Result<AuditResult> AuditSession::FeedShardedEpoch(const std::vector<ShardEpochF
   if (!threads.ok()) {
     return Result<AuditResult>::Error(threads.error());
   }
-  obs::PhaseTracer* tracer = obs::ResolveTracer(options_.tracer);
-  const obs::PhaseBreakdown phase_mark = tracer->totals();
-  Result<MergedShards> merged = [&] {
-    obs::TraceSpan span(tracer, obs::Phase::kShardMerge);
-    return MergeShards(shards, {}, options_.io_env, threads.value());
-  }();
+  Result<MergedShards> merged =
+      MergeShards(shards, {}, options_.io_env, threads.value());
   if (!merged.ok()) {
     return Result<AuditResult>::Error(merged.error());
   }
-  Result<AuditResult> result = FeedMergedEpochStreamed(std::move(merged).value(), hooks);
-  if (result.ok()) {
-    // Re-attribute from the outer mark so shard-merge time is part of this epoch.
-    result.value().phases = tracer->totals().DiffSince(phase_mark);
-  }
-  return result;
+  return FeedMergedEpochStreamed(std::move(merged).value(), hooks);
 }
 
 Result<AuditResult> AuditSession::FeedShardedEpoch(const std::string& manifest_path,
@@ -594,21 +532,12 @@ Result<AuditResult> AuditSession::FeedShardedEpoch(const std::string& manifest_p
   if (!threads.ok()) {
     return Result<AuditResult>::Error(threads.error());
   }
-  obs::PhaseTracer* tracer = obs::ResolveTracer(options_.tracer);
-  const obs::PhaseBreakdown phase_mark = tracer->totals();
-  Result<MergedShards> merged = [&] {
-    obs::TraceSpan span(tracer, obs::Phase::kShardMerge);
-    return MergeShardsFromManifest(manifest_path, options_.io_env, threads.value());
-  }();
+  Result<MergedShards> merged =
+      MergeShardsFromManifest(manifest_path, options_.io_env, threads.value());
   if (!merged.ok()) {
     return Result<AuditResult>::Error(merged.error());
   }
-  Result<AuditResult> result = FeedMergedEpochStreamed(std::move(merged).value(), hooks);
-  if (result.ok()) {
-    // Re-attribute from the outer mark so shard-merge time is part of this epoch.
-    result.value().phases = tracer->totals().DiffSince(phase_mark);
-  }
-  return result;
+  return FeedMergedEpochStreamed(std::move(merged).value(), hooks);
 }
 
 }  // namespace orochi

@@ -2,14 +2,19 @@
 // state exactly as §4.5's steady state prescribes, a rejected epoch leaves the session
 // state untouched, the chain's result is bit-identical to one monolithic audit over the
 // concatenated epochs, and rejection of a tampered epoch is deterministic across worker
-// thread counts — the session inherits the parallel audit's determinism guarantee.
+// thread counts — the session inherits the parallel audit's determinism guarantee. Each
+// result's phase breakdown belongs to its own epoch, even with other sessions auditing
+// concurrently.
 #include "src/core/audit_session.h"
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/audit_plan.h"
 #include "src/objects/wire_format.h"
 #include "src/server/tamper.h"
 #include "tests/test_util.h"
@@ -223,6 +228,65 @@ TEST(AuditSession, AuditorAuditIsAOneEpochSession) {
   ASSERT_TRUE(via_session.accepted) << via_session.reason;
   EXPECT_EQ(InitialStateFingerprint(via_auditor.final_state),
             InitialStateFingerprint(via_session.final_state));
+}
+
+// The chunk tasks FeedEpoch will execute for this epoch: what its pass2_execute span
+// count must equal.
+size_t PlannedChunks(const Workload& w, const ServedWorkload& served,
+                     const AuditOptions& options) {
+  AuditContext ctx(&served.trace, &served.reports, &w.app, &served.initial, options);
+  EXPECT_TRUE(ctx.Prepare().ok());
+  return PlanAuditTasks(&ctx, served.reports, &w.app, options).tasks.size();
+}
+
+TEST(AuditSession, ConcurrentSessionsKeepTheirOwnPhaseBreakdown) {
+  // Two different epochs, audited at the same time by two sessions that both mirror into
+  // the process-wide tracer: neither result may count the other's spans.
+  const Workload small = SmallCounterWorkload(150);
+  const Workload large = SmallCounterWorkload(600);
+  const ServedWorkload small_served = ServeWorkload(small);
+  const ServedWorkload large_served = ServeWorkload(large);
+  const AuditOptions options = SessionOptions(2);
+  const size_t small_chunks = PlannedChunks(small, small_served, options);
+  const size_t large_chunks = PlannedChunks(large, large_served, options);
+  ASSERT_NE(small_chunks, large_chunks);
+
+  constexpr int kRounds = 6;
+  std::atomic<int> ready{0};
+  auto audit = [&](const Workload& w, const ServedWorkload& served,
+                   std::vector<AuditResult>* results) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) {
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < kRounds; i++) {
+      AuditSession session = AuditSession::Open(&w.app, options, served.initial);
+      results->push_back(session.FeedEpoch(served.trace, served.reports));
+    }
+  };
+  std::vector<AuditResult> small_results;
+  std::vector<AuditResult> large_results;
+  std::thread a(audit, std::cref(small), std::cref(small_served), &small_results);
+  std::thread b(audit, std::cref(large), std::cref(large_served), &large_results);
+  a.join();
+  b.join();
+
+  auto spans = [](const AuditResult& r, obs::Phase p) {
+    return r.stats.phases.spans[static_cast<int>(p)];
+  };
+  for (const auto& [results, chunks] :
+       {std::make_pair(&small_results, small_chunks),
+        std::make_pair(&large_results, large_chunks)}) {
+    ASSERT_EQ(results->size(), static_cast<size_t>(kRounds));
+    for (const AuditResult& r : *results) {
+      ASSERT_TRUE(r.accepted) << r.reason;
+      EXPECT_EQ(spans(r, obs::Phase::kPass2Execute), chunks);
+      EXPECT_EQ(spans(r, obs::Phase::kProcOpReports), 1u);
+      EXPECT_EQ(spans(r, obs::Phase::kDbRedo), 1u);
+      EXPECT_EQ(spans(r, obs::Phase::kPass3Compare), 1u);
+      EXPECT_EQ(spans(r, obs::Phase::kDbQuery), r.stats.db_selects_issued);
+    }
+  }
 }
 
 }  // namespace

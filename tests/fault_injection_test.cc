@@ -11,9 +11,12 @@
 //   3. Resumable audits: an audit killed in ANY phase with a checkpoint journal resumes
 //      to a bit-identical verdict/reason/final_state at every thread count and budget,
 //      and actually reuses journaled progress instead of redoing it — pass-2 chunk tasks
-//      (kill mid-pass-2), Prepare scan watermarks (kill mid-Prepare), and the pass-3
-//      compare watermark (kill mid-compare).
+//      (kill mid-pass-2) and the pass-3 compare watermark (kill mid-compare); a kill
+//      mid-Prepare reruns Prepare. A journal of another epoch or an older journal layout
+//      contributes nothing.
 #include <atomic>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "src/core/audit_session.h"
 #include "src/core/auditor.h"
 #include "src/objects/wire_format.h"
+#include "src/objects/wire_primitives.h"
 #include "src/server/collector.h"
 #include "src/stream/stream_audit.h"
 #include "tests/test_util.h"
@@ -333,7 +337,7 @@ TEST(FaultInjection, ResumeAfterMidPrepareKillIsBitIdentical) {
     opts.checkpoint_path = checkpoint;
 
     // Run 1: killed mid-Prepare after 8 op-log segment loads — some per-object forward
-    // scans have retired (and journaled their watermarks), the rest never ran.
+    // scans have retired, the rest never ran.
     StreamReportsSet probe;
     ASSERT_TRUE(probe.AppendFile(reports_path).ok());
     KillSwitchReportsLoader killer(&probe, /*allowed=*/8);
@@ -347,8 +351,7 @@ TEST(FaultInjection, ResumeAfterMidPrepareKillIsBitIdentical) {
     Result<bool> left = Env::Default()->FileExists(checkpoint);
     ASSERT_TRUE(left.ok() && left.value());
 
-    // Run 2: clean resume. The stores are in-memory, so Prepare re-scans every object —
-    // but the journaled watermarks must be recognized (the fingerprint still matches)
+    // Run 2: clean resume. The stores are in-memory, so Prepare re-scans every object,
     // and the verdict must be bit-identical to the uninterrupted reference.
     AuditSession resumed = AuditSession::Open(&w.app, opts, served.initial);
     Result<AuditResult> got = resumed.FeedEpochFilesStreamed(trace_path, reports_path);
@@ -356,7 +359,6 @@ TEST(FaultInjection, ResumeAfterMidPrepareKillIsBitIdentical) {
     EXPECT_TRUE(got.value().accepted) << got.value().reason;
     EXPECT_EQ(got.value().reason, ref.value().reason);
     EXPECT_EQ(InitialStateFingerprint(got.value().final_state), ref_fp);
-    EXPECT_GT(got.value().stats.prepare_watermarks_reused, 0u);
     Result<bool> spent = Env::Default()->FileExists(checkpoint);
     EXPECT_TRUE(spent.ok() && !spent.value());
   }
@@ -616,6 +618,85 @@ TEST(FaultInjection, StaleCheckpointFromDifferentEpochIsIgnored) {
   ASSERT_TRUE(got.ok()) << got.error();
   EXPECT_TRUE(got.value().accepted) << got.value().reason;
   EXPECT_EQ(got.value().stats.checkpoint_chunks_reused, 0u);
+  EXPECT_EQ(InitialStateFingerprint(got.value().final_state),
+            InitialStateFingerprint(served.final_state));
+}
+
+// Rewrites a checkpoint journal into the layout earlier builds wrote: a bare-fingerprint
+// meta record, five f64 phase timings after each chunk record's order, and one Prepare
+// watermark record (kind 3). Returns the number of chunk records converted.
+size_t RewriteJournalInPriorLayout(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::string out = data.substr(0, wire::kEnvelopeHeaderBytes);
+  size_t chunks = 0;
+  for (size_t pos = wire::kEnvelopeHeaderBytes; pos < data.size();) {
+    uint8_t type;
+    uint64_t len;
+    uint32_t crc;
+    if (!wire::ParseRecordFrameV2(data.data() + pos, data.size() - pos, &type, &len,
+                                  &crc)) {
+      break;
+    }
+    std::string payload = data.substr(pos + wire::kRecordFrameBytesV2, len);
+    pos += wire::kRecordFrameBytesV2 + len;
+    if (type == 1) {
+      payload.resize(8);  // Fingerprint only: no layout tag.
+    } else if (type == 2) {
+      std::string timings;
+      for (int i = 0; i < 5; i++) {
+        wire_primitives::PutF64(&timings, 0.25);
+      }
+      payload.insert(8, timings);
+      chunks++;
+    }
+    wire::AppendRecordFrame(&out, type, payload);
+  }
+  std::string watermark;
+  wire_primitives::PutU64(&watermark, 0);
+  wire::AppendRecordFrame(&out, 3, watermark);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << out;
+  return chunks;
+}
+
+TEST(FaultInjection, PriorLayoutCheckpointIsDiscardedWholesale) {
+  Workload w = CounterWorkload(160);
+  ServedWorkload served = ServeWorkload(w);
+  const std::string trace_path = ::testing::TempDir() + "/fi_layout_trace.bin";
+  const std::string reports_path = ::testing::TempDir() + "/fi_layout_reports.bin";
+  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
+  ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
+  const std::string checkpoint = ::testing::TempDir() + "/fi_layout.ckpt";
+
+  AuditOptions opts;
+  opts.num_threads = 1;
+  opts.max_group_size = 8;
+  opts.prefetch_depth = 0;
+  opts.checkpoint_path = checkpoint;
+
+  // Run 1 dies after pass 2 journaled every chunk and pass 3 journaled a watermark.
+  {
+    StreamTraceSet probe;
+    ASSERT_TRUE(probe.AppendFile(trace_path).ok());
+    KillSwitchLoader killer(&probe, /*allowed=*/200);
+    StreamAuditHooks hooks;
+    hooks.loader = &killer;
+    AuditSession first = AuditSession::Open(&w.app, opts, served.initial);
+    Result<AuditResult> killed =
+        first.FeedEpochFilesStreamed(trace_path, reports_path, &hooks);
+    ASSERT_FALSE(killed.ok());
+  }
+  ASSERT_GT(RewriteJournalInPriorLayout(checkpoint), 0u);
+
+  // The same epoch, fingerprint and all, but the journal's layout predates the tag: it
+  // contributes nothing, and the audit restarts fresh to the ground-truth verdict.
+  AuditSession resumed = AuditSession::Open(&w.app, opts, served.initial);
+  Result<AuditResult> got = resumed.FeedEpochFilesStreamed(trace_path, reports_path);
+  ASSERT_TRUE(got.ok()) << got.error();
+  EXPECT_TRUE(got.value().accepted) << got.value().reason;
+  EXPECT_EQ(got.value().stats.checkpoint_chunks_reused, 0u);
+  EXPECT_EQ(got.value().stats.compare_records_resumed, 0u);
   EXPECT_EQ(InitialStateFingerprint(got.value().final_state),
             InitialStateFingerprint(served.final_state));
 }

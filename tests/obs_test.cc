@@ -175,23 +175,33 @@ TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
 
 TEST(PhaseTracerTest, RecordsAttributeToTheRightPhase) {
   PhaseTracer tracer;  // Private, unmirrored.
-  tracer.Record(Phase::kPrepare, 0, 0.25);
+  tracer.Record(Phase::kDbRedo, 0, 0.25);
   tracer.Record(Phase::kPass2Execute, 0, 0.5);
   tracer.Record(Phase::kPass2Execute, 0, 0.5);
+  tracer.Record(Phase::kDbQuery, 0, 0.125, /*spans=*/3);
   PhaseBreakdown totals = tracer.totals();
-  EXPECT_NEAR(totals.seconds[static_cast<int>(Phase::kPrepare)], 0.25, 1e-9);
-  EXPECT_EQ(totals.spans[static_cast<int>(Phase::kPrepare)], 1u);
+  EXPECT_NEAR(totals.seconds[static_cast<int>(Phase::kDbRedo)], 0.25, 1e-9);
+  EXPECT_EQ(totals.spans[static_cast<int>(Phase::kDbRedo)], 1u);
   EXPECT_NEAR(totals.seconds[static_cast<int>(Phase::kPass2Execute)], 1.0, 1e-9);
   EXPECT_EQ(totals.spans[static_cast<int>(Phase::kPass2Execute)], 2u);
-  EXPECT_NEAR(totals.total_seconds(), 1.25, 1e-9);
+  EXPECT_EQ(totals.spans[static_cast<int>(Phase::kDbQuery)], 3u);
+  EXPECT_NEAR(totals.total_seconds(), 1.375, 1e-9);
+}
 
-  // DiffSince isolates one epoch's contribution.
-  PhaseBreakdown mark = tracer.totals();
-  tracer.Record(Phase::kPass3Compare, 0, 0.125);
-  PhaseBreakdown diff = tracer.totals().DiffSince(mark);
-  EXPECT_NEAR(diff.seconds[static_cast<int>(Phase::kPass3Compare)], 0.125, 1e-9);
-  EXPECT_EQ(diff.spans[static_cast<int>(Phase::kPass3Compare)], 1u);
-  EXPECT_EQ(diff.spans[static_cast<int>(Phase::kPrepare)], 0u);
+TEST(PhaseTracerTest, BreakdownsMergeFieldByField) {
+  PhaseBreakdown a;
+  a.Add(Phase::kPass2Execute, 0.5);
+  a.Add(Phase::kDbQuery, 0.125);
+  a.Add(Phase::kDbQuery, 0.125);
+  PhaseBreakdown b;
+  b.Add(Phase::kPass2Execute, 0.25);
+  b.Add(Phase::kPass3Compare, 0.125);
+  a.MergeFrom(b);
+  EXPECT_NEAR(a.seconds[static_cast<int>(Phase::kPass2Execute)], 0.75, 1e-12);
+  EXPECT_EQ(a.spans[static_cast<int>(Phase::kPass2Execute)], 2u);
+  EXPECT_EQ(a.spans[static_cast<int>(Phase::kDbQuery)], 2u);
+  EXPECT_EQ(a.spans[static_cast<int>(Phase::kPass3Compare)], 1u);
+  EXPECT_NEAR(a.total_seconds(), 1.125, 1e-12);
 }
 
 TEST(PhaseTracerTest, MirrorsIntoRegistryCounters) {
@@ -203,22 +213,60 @@ TEST(PhaseTracerTest, MirrorsIntoRegistryCounters) {
             2000u);
 }
 
+TEST(PhaseTracerTest, SubMicrosecondSpansSumInsteadOfTruncating) {
+  MetricsRegistry registry;
+  PhaseTracer tracer(&registry);
+  for (int i = 0; i < 1000; i++) {
+    tracer.Record(Phase::kPass2IoWait, 0, 0.5e-6);
+  }
+  // floor(1000 * 500 ns / 1000), not 1000 * floor(500 ns / 1000) = 0.
+  EXPECT_EQ(registry.GetCounter("orochi_phase_pass2_io_wait_micros_total", "")->Value(),
+            500u);
+  EXPECT_EQ(registry.GetCounter("orochi_phase_pass2_io_wait_spans_total", "")->Value(),
+            1000u);
+}
+
 TEST(PhaseTracerTest, TraceSpanTimesItsScope) {
-  PhaseTracer tracer;
+  PhaseBreakdown breakdown;
   {
-    TraceSpan span(&tracer, Phase::kPass1Skeleton);
+    TraceSpan span(&breakdown, Phase::kPass1Skeleton);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  PhaseBreakdown totals = tracer.totals();
-  EXPECT_EQ(totals.spans[static_cast<int>(Phase::kPass1Skeleton)], 1u);
-  EXPECT_GT(totals.seconds[static_cast<int>(Phase::kPass1Skeleton)], 0.001);
+  EXPECT_EQ(breakdown.spans[static_cast<int>(Phase::kPass1Skeleton)], 1u);
+  EXPECT_GT(breakdown.seconds[static_cast<int>(Phase::kPass1Skeleton)], 0.001);
+}
+
+TEST(PhaseTracerTest, TraceSpanSubtractsAndForwardsNestedRecords) {
+  const PhaseBreakdown before = PhaseTracer::Default()->totals();
+  PhaseBreakdown breakdown;
+  {
+    TraceSpan span(&breakdown, Phase::kPass2Execute);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // What a chunk's SELECTs record while its pass2_execute span is open.
+    breakdown.Add(Phase::kDbQuery, 0.005);
+    breakdown.Add(Phase::kDbQuery, 0.005);
+    breakdown.Add(Phase::kDbQuery, 0.005);
+  }
+  const int exec = static_cast<int>(Phase::kPass2Execute);
+  const int query = static_cast<int>(Phase::kDbQuery);
+  EXPECT_EQ(breakdown.spans[exec], 1u);
+  EXPECT_EQ(breakdown.spans[query], 3u);
+  EXPECT_NEAR(breakdown.seconds[query], 0.015, 1e-12);
+  // Disjoint: the span's own time excludes the nested db_query time.
+  EXPECT_GT(breakdown.seconds[exec], 0.003);
+  EXPECT_LT(breakdown.seconds[exec] + breakdown.seconds[query], 0.5);
+  // The process tracer saw both, db_query forwarded once with its span count.
+  const PhaseBreakdown after = PhaseTracer::Default()->totals();
+  EXPECT_GE(after.spans[query] - before.spans[query], 3u);
+  EXPECT_GE(after.seconds[query] - before.seconds[query], 0.015 - 1e-6);
+  EXPECT_GE(after.spans[exec] - before.spans[exec], 1u);
 }
 
 TEST(PhaseTracerTest, ChromeTraceFlushWritesEvents) {
   const std::string path = ::testing::TempDir() + "/orochi_obs_trace.json";
   PhaseTracer tracer;
   tracer.EnableChromeTrace(path);
-  tracer.Record(Phase::kPrepare, 1.0, 0.5);
+  tracer.Record(Phase::kProcOpReports, 1.0, 0.5);
   tracer.Record(Phase::kPass3Compare, 2.0, 0.25);
   Status st = tracer.FlushChromeTrace();
   ASSERT_TRUE(st.ok()) << st.error();
@@ -229,7 +277,7 @@ TEST(PhaseTracerTest, ChromeTraceFlushWritesEvents) {
   std::fclose(f);
   std::remove(path.c_str());
   EXPECT_NE(contents.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(contents.find("\"name\": \"prepare\""), std::string::npos);
+  EXPECT_NE(contents.find("\"name\": \"proc_op_reports\""), std::string::npos);
   EXPECT_NE(contents.find("\"name\": \"pass3_compare\""), std::string::npos);
   EXPECT_NE(contents.find("\"ts\": 1000000"), std::string::npos);
   EXPECT_NE(contents.find("\"dur\": 500000"), std::string::npos);

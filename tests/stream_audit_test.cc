@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/audit_session.h"
+#include "src/common/timer.h"
 #include "src/core/auditor.h"
 #include "src/objects/wire_format.h"
 #include "src/obs/metrics.h"
@@ -671,6 +672,64 @@ TEST(ShardedAudit, MultiShardMatchesInMemoryMergedAuditAcrossThreads) {
     EXPECT_EQ(InitialStateFingerprint(got.value().final_state),
               InitialStateFingerprint(ref.final_state))
         << threads << " threads";
+  }
+}
+
+// At one thread the phase breakdown covers disjoint stretches of the calling thread, so it
+// can never exceed the call's wall time: on the in-memory, streamed, and sharded paths.
+TEST(ShardedAudit, PhasesAreDisjointAndFitInTheCallAtOneThread) {
+  auto spans = [](const AuditResult& r, obs::Phase p) {
+    return r.stats.phases.spans[static_cast<int>(p)];
+  };
+  auto check = [&](const AuditResult& r, double wall, uint64_t pass1_spans,
+                   uint64_t merge_spans) {
+    ASSERT_TRUE(r.accepted) << r.reason;
+    EXPECT_LE(r.stats.phases.total_seconds(), wall);
+    EXPECT_GT(r.stats.phases.total_seconds(), 0.0);
+    EXPECT_EQ(spans(r, obs::Phase::kPass1Skeleton), pass1_spans);
+    EXPECT_EQ(spans(r, obs::Phase::kShardMerge), merge_spans);
+    EXPECT_EQ(spans(r, obs::Phase::kProcOpReports), 1u);
+    EXPECT_EQ(spans(r, obs::Phase::kDbRedo), 1u);
+    EXPECT_EQ(spans(r, obs::Phase::kPass3Compare), 1u);
+    EXPECT_GT(spans(r, obs::Phase::kPass2Execute), 0u);
+    EXPECT_EQ(spans(r, obs::Phase::kDbQuery), r.stats.db_selects_issued);
+  };
+
+  SpilledEpoch e = SpillCounterEpoch("phase_sum", 120);
+  {
+    Result<Trace> trace = ReadTraceFile(e.trace_path);
+    Result<Reports> reports = ReadReportsFile(e.reports_path);
+    ASSERT_TRUE(trace.ok() && reports.ok());
+    AuditSession session = AuditSession::Open(&e.w.app, StreamOptions(1, 0), e.initial);
+    WallTimer wall;
+    AuditResult r = session.FeedEpoch(trace.value(), reports.value());
+    check(r, wall.Seconds(), 0, 0);
+  }
+  {
+    AuditSession session =
+        AuditSession::Open(&e.w.app, StreamOptions(1, kBudget), e.initial);
+    WallTimer wall;
+    Result<AuditResult> r = session.FeedEpochFilesStreamed(e.trace_path, e.reports_path);
+    const double seconds = wall.Seconds();
+    ASSERT_TRUE(r.ok()) << r.error();
+    check(r.value(), seconds, 1, 0);
+  }
+  {
+    Workload base = CounterWorkload(0);
+    std::vector<ShardEpochFiles> shard_files;
+    for (uint32_t id : {1u, 2u, 3u}) {
+      Workload shard_w = CounterWorkload(40, "s" + std::to_string(id) + "_");
+      ShardSpill spill = ServeShard(base, shard_w.items, id, /*base_rid=*/1 + 1000 * id,
+                                    "phase_sum_" + std::to_string(id));
+      shard_files.push_back({spill.trace_path, spill.reports_path});
+    }
+    AuditSession session =
+        AuditSession::Open(&base.app, StreamOptions(1, kBudget), base.initial);
+    WallTimer wall;
+    Result<AuditResult> r = session.FeedShardedEpoch(shard_files);
+    const double seconds = wall.Seconds();
+    ASSERT_TRUE(r.ok()) << r.error();
+    check(r.value(), seconds, 3, 1);
   }
 }
 
