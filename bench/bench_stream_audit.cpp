@@ -3,16 +3,13 @@
 // memory ceiling are tracked PR over PR.
 //
 // Per workload the harness serves one epoch, spills it to wire-format files, then audits
-// the files three times: streamed with pass-2 read-ahead OFF (depth 0), streamed with
-// read-ahead ON (the default depth), and fully in-memory. Both streamed runs page trace
-// payloads AND op-log contents under ONE budget (peak residency reported by the
-// ChunkBudget); the prefetch-on run additionally reports the pipeline's hit rate. The
-// streamed audits run FIRST because ru_maxrss is a process-lifetime high-water mark —
-// ordering them first means the reported streamed RSS was not inflated by the in-memory
-// trace/reports materialization. Correctness cross-checks ride along: all paths must
-// accept and agree on the final state, and each streamed peak must respect max(budget,
-// largest single admission) — one chunk bigger than the whole budget is legitimately
-// admitted alone.
+// the files twice: streamed and fully in-memory. The streamed run pages trace payloads
+// AND op-log contents under ONE budget (peak residency reported by the ChunkBudget). It
+// runs FIRST because ru_maxrss is a process-lifetime high-water mark — ordering it first
+// means the reported streamed RSS was not inflated by the in-memory trace/reports
+// materialization. Correctness cross-checks ride along: both paths must accept and agree
+// on the final state, and the streamed peak must respect max(budget, largest single
+// admission) — one chunk bigger than the whole budget is legitimately admitted alone.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -22,6 +19,7 @@
 
 #include "bench/bench_util.h"
 #include "src/core/audit_session.h"
+#include "src/core/auditor.h"
 #include "src/objects/wire_format.h"
 #include "src/stream/stream_audit.h"
 
@@ -47,14 +45,7 @@ struct Row {
   uint64_t budget_bytes = 0;
   uint64_t peak_resident_bytes = 0;  // ChunkBudget high-water mark: trace + reports.
   uint64_t largest_admission_bytes = 0;
-  double streamed_seconds = 0;  // Read-ahead off (depth 0).
-  // Read-ahead on (kDefaultPrefetchDepth): same budget, same verdict, its own peak and
-  // the pipeline's counters. hit_rate = hits / (hits + misses) over pass-2 gate acquires.
-  size_t prefetch_depth = 0;
-  uint64_t prefetch_peak_resident_bytes = 0;
-  uint64_t prefetch_largest_admission_bytes = 0;
-  double prefetch_streamed_seconds = 0;
-  PrefetchStats prefetch;
+  double streamed_seconds = 0;
   double in_memory_seconds = 0;
   long rss_after_streamed_kb = 0;
   long rss_after_in_memory_kb = 0;
@@ -111,58 +102,24 @@ Row RunOne(const char* name, const Workload& w, const std::string& dir) {
     return row;
   }
 
-  // Read-ahead off: the paging baseline.
   ChunkBudget budget(resolved_budget.value());
   row.budget_bytes = budget.max_bytes();
   Result<AuditResult> streamed_result = Result<AuditResult>::Error("not run");
   {
-    AuditOptions off = options;
-    off.prefetch_depth = 0;
     StreamAuditHooks hooks;
     hooks.budget = &budget;
-    AuditSession streamed = AuditSession::Open(&w.app, off, w.initial);
+    AuditSession streamed = AuditSession::Open(&w.app, options, w.initial);
     WallTimer stream_wall;
     streamed_result = streamed.FeedEpochFilesStreamed(trace_path, reports_path, &hooks);
     row.streamed_seconds = stream_wall.Seconds();
     row.peak_resident_bytes = budget.peak_bytes();
     row.largest_admission_bytes = budget.largest_acquire_bytes();
   }
+  row.rss_after_streamed_kb = PeakRssKb();
   if (!streamed_result.ok() || !streamed_result.value().accepted) {
     std::fprintf(stderr, "%s streamed REJECTED/errored: %s\n", name,
                  streamed_result.ok() ? streamed_result.value().reason.c_str()
                                       : streamed_result.error().c_str());
-    return row;
-  }
-
-  // Read-ahead on: same budget ceiling, its own ChunkBudget ledger so the two runs'
-  // high-water marks do not shadow each other.
-  ChunkBudget prefetch_budget(resolved_budget.value());
-  Result<AuditResult> prefetch_result = Result<AuditResult>::Error("not run");
-  {
-    // Depth stays auto here: OROCHI_PREFETCH_DEPTH drives this run (CI smokes it at 0
-    // and at the default), falling back to kDefaultPrefetchDepth.
-    AuditOptions on = options;
-    Result<size_t> depth = ResolvePrefetchDepth(on);
-    if (!depth.ok()) {
-      std::fprintf(stderr, "%s: %s\n", name, depth.error().c_str());
-      return row;
-    }
-    row.prefetch_depth = depth.value();
-    StreamAuditHooks hooks;
-    hooks.budget = &prefetch_budget;
-    hooks.prefetch_stats = &row.prefetch;
-    AuditSession streamed = AuditSession::Open(&w.app, on, w.initial);
-    WallTimer stream_wall;
-    prefetch_result = streamed.FeedEpochFilesStreamed(trace_path, reports_path, &hooks);
-    row.prefetch_streamed_seconds = stream_wall.Seconds();
-    row.prefetch_peak_resident_bytes = prefetch_budget.peak_bytes();
-    row.prefetch_largest_admission_bytes = prefetch_budget.largest_acquire_bytes();
-  }
-  row.rss_after_streamed_kb = PeakRssKb();
-  if (!prefetch_result.ok() || !prefetch_result.value().accepted) {
-    std::fprintf(stderr, "%s streamed+prefetch REJECTED/errored: %s\n", name,
-                 prefetch_result.ok() ? prefetch_result.value().reason.c_str()
-                                      : prefetch_result.error().c_str());
     return row;
   }
 
@@ -178,21 +135,13 @@ Row RunOne(const char* name, const Workload& w, const std::string& dir) {
   row.accepted = true;
   const std::string memory_fp = InitialStateFingerprint(memory_result.value().final_state);
   row.states_match =
-      InitialStateFingerprint(streamed_result.value().final_state) == memory_fp &&
-      InitialStateFingerprint(prefetch_result.value().final_state) == memory_fp;
-  const uint64_t acquires = row.prefetch.hits + row.prefetch.misses;
+      InitialStateFingerprint(streamed_result.value().final_state) == memory_fp;
   std::fprintf(stderr,
-               "  %-6s streamed=%.3fs +prefetch=%.3fs in_memory=%.3fs "
-               "peak_resident=%llu|%llu/%llu bytes hit_rate=%.2f "
+               "  %-6s streamed=%.3fs in_memory=%.3fs peak_resident=%llu/%llu bytes "
                "(%zu trace + %llu oplog on disk) %s\n",
-               name, row.streamed_seconds, row.prefetch_streamed_seconds,
-               row.in_memory_seconds,
+               name, row.streamed_seconds, row.in_memory_seconds,
                static_cast<unsigned long long>(row.peak_resident_bytes),
-               static_cast<unsigned long long>(row.prefetch_peak_resident_bytes),
                static_cast<unsigned long long>(row.budget_bytes),
-               acquires > 0 ? static_cast<double>(row.prefetch.hits) /
-                                  static_cast<double>(acquires)
-                            : 0.0,
                row.request_payload_bytes,
                static_cast<unsigned long long>(row.oplog_payload_bytes),
                row.states_match ? "MATCH" : "DIVERGED");
@@ -205,11 +154,15 @@ void EmitJson(const std::vector<Row>& rows) {
     std::perror("BENCH_stream_audit.json");
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"stream_audit\",\n  \"scale\": %.3f,\n  \"meta\": %s,\n  \"rows\": [\n",
-               BenchScale(), BenchMetaJson().c_str());
+  // Every audit runs at the default thread count: OROCHI_AUDIT_THREADS, else one worker
+  // per hardware thread.
+  Result<size_t> threads = ResolveAuditThreads(AuditOptions());
+  std::fprintf(f,
+               "{\n  \"bench\": \"stream_audit\",\n  \"scale\": %.3f,\n"
+               "  \"audit_threads\": %zu,\n  \"meta\": %s,\n  \"rows\": [\n",
+               BenchScale(), threads.ok() ? threads.value() : 0, BenchMetaJson().c_str());
   for (size_t i = 0; i < rows.size(); i++) {
     const Row& r = rows[i];
-    const uint64_t acquires = r.prefetch.hits + r.prefetch.misses;
     std::fprintf(
         f,
         "    {\"workload\": \"%s\", \"requests\": %zu, \"trace_file_bytes\": %zu,\n"
@@ -217,13 +170,6 @@ void EmitJson(const std::vector<Row>& rows) {
         "     \"oplog_payload_bytes\": %llu, \"budget_bytes\": %llu,\n"
         "     \"peak_resident_bytes\": %llu, \"largest_admission_bytes\": %llu,\n"
         "     \"streamed_seconds\": %.6f,\n"
-        "     \"prefetch_depth\": %zu, \"prefetch_streamed_seconds\": %.6f,\n"
-        "     \"prefetch_peak_resident_bytes\": %llu,\n"
-        "     \"prefetch_largest_admission_bytes\": %llu,\n"
-        "     \"prefetch_hits\": %llu, \"prefetch_misses\": %llu,\n"
-        "     \"prefetch_issued\": %llu, \"prefetch_revoked\": %llu,\n"
-        "     \"prefetch_bytes\": %llu, \"prefetch_hit_rate\": %.4f,\n"
-        "     \"prefetch_over_no_prefetch\": %.3f,\n"
         "     \"in_memory_seconds\": %.6f, \"streamed_over_in_memory\": %.3f,\n"
         "     \"peak_rss_after_streamed_kb\": %ld, \"peak_rss_after_in_memory_kb\": %ld,\n"
         "     \"accepted\": %s, \"states_match\": %s}%s\n",
@@ -232,18 +178,6 @@ void EmitJson(const std::vector<Row>& rows) {
         static_cast<unsigned long long>(r.budget_bytes),
         static_cast<unsigned long long>(r.peak_resident_bytes),
         static_cast<unsigned long long>(r.largest_admission_bytes), r.streamed_seconds,
-        r.prefetch_depth, r.prefetch_streamed_seconds,
-        static_cast<unsigned long long>(r.prefetch_peak_resident_bytes),
-        static_cast<unsigned long long>(r.prefetch_largest_admission_bytes),
-        static_cast<unsigned long long>(r.prefetch.hits),
-        static_cast<unsigned long long>(r.prefetch.misses),
-        static_cast<unsigned long long>(r.prefetch.issued),
-        static_cast<unsigned long long>(r.prefetch.revoked),
-        static_cast<unsigned long long>(r.prefetch.bytes),
-        acquires > 0
-            ? static_cast<double>(r.prefetch.hits) / static_cast<double>(acquires)
-            : 0.0,
-        r.streamed_seconds > 0 ? r.prefetch_streamed_seconds / r.streamed_seconds : 0.0,
         r.in_memory_seconds,
         r.in_memory_seconds > 0 ? r.streamed_seconds / r.in_memory_seconds : 0.0,
         r.rss_after_streamed_kb, r.rss_after_in_memory_kb, r.accepted ? "true" : "false",
@@ -285,18 +219,10 @@ int main() {
       return 1;
     }
     // A single admission larger than the whole budget runs alone (the oversized-chunk
-    // path), so the enforceable ceiling is max(budget, largest admission) — for the
-    // prefetch-on run too: read-ahead bytes ride the same budget and must not raise it.
+    // path), so the enforceable ceiling is max(budget, largest admission).
     uint64_t ceiling = std::max(r.budget_bytes, r.largest_admission_bytes);
     if (r.budget_bytes > 0 && r.peak_resident_bytes > ceiling) {
       std::fprintf(stderr, "ERROR: %s exceeded the resident-byte budget\n",
-                   r.workload.c_str());
-      return 1;
-    }
-    uint64_t prefetch_ceiling =
-        std::max(r.budget_bytes, r.prefetch_largest_admission_bytes);
-    if (r.budget_bytes > 0 && r.prefetch_peak_resident_bytes > prefetch_ceiling) {
-      std::fprintf(stderr, "ERROR: %s exceeded the resident-byte budget with prefetch\n",
                    r.workload.c_str());
       return 1;
     }

@@ -59,12 +59,10 @@ class Env {
 
   // Begins reading exactly `n` bytes of `file` at `offset` into `buf` (`path` labels
   // errors); `buf` must stay valid until Wait() returns. The base implementation
-  // services the read inline — in the audit pipeline the caller is either a pass-2
-  // worker or the prefetcher's dedicated I/O thread (src/stream/prefetch.h), so "async"
-  // means "off the worker threads", and a wrapping FaultInjectingEnv's schedule fires at
-  // the same deterministic operation index either way because the read still goes
-  // through the file handle the env handed out. An env with a real submission queue can
-  // override this to overlap reads.
+  // services the read inline on the calling pass-2 worker, and a wrapping
+  // FaultInjectingEnv's schedule fires at the same deterministic operation index because
+  // the read still goes through the file handle the env handed out. An env with a real
+  // submission queue can override this to overlap reads.
   virtual std::unique_ptr<PendingRead> StartReadAt(ReadableFile* file,
                                                    const std::string& path,
                                                    uint64_t offset, size_t n, char* buf);

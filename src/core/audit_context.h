@@ -47,14 +47,8 @@ struct AuditOptions {
   // while nothing else is resident. 0 = auto: OROCHI_AUDIT_BUDGET when set, else
   // unlimited. Ignored by the in-memory path.
   size_t max_resident_bytes = 0;
-  // Pass-2 read-ahead depth for streamed audits: how many future chunks the prefetch
-  // I/O thread (src/stream/prefetch.h) may hold resident ahead of the workers, charged
-  // to the same max_resident_bytes budget. 0 disables read-ahead entirely.
-  // kPrefetchDepthAuto = auto: OROCHI_PREFETCH_DEPTH when set, else the built-in
-  // default. Ignored by the in-memory path. Deliberately excluded from the checkpoint
-  // fingerprint — a resumed audit may use any depth.
-  static constexpr size_t kPrefetchDepthAuto = SIZE_MAX;
-  size_t prefetch_depth = kPrefetchDepthAuto;
+  // Ignored; kept only until ledger/bench_ledger.cpp stops naming it.
+  size_t prefetch_depth = 0;
   // I/O environment every spill read/write of the audit goes through. nullptr = the
   // production posix environment; tests install a FaultInjectingEnv here to drive the
   // whole pipeline through injected faults. Not owned.

@@ -82,10 +82,9 @@ AuditPlan PlanAuditTasks(AuditContext* ctx, const Reports& reports, const Applic
 
 namespace {
 
-// Shared by ExecuteAuditPlan and PoolDispatchOrder: indexes of the plan's non-serial
-// tasks in the order the pool will claim them. Costliest chunk first minimizes makespan
-// (cost = requests + total reported op-length; see AuditTask::cost); scheduling order
-// never affects the verdict.
+// Indexes of the plan's non-serial tasks in the order the pool will claim them. Costliest
+// chunk first minimizes makespan (cost = requests + total reported op-length; see
+// AuditTask::cost); scheduling order never affects the verdict.
 std::vector<size_t> PoolDispatchIndexes(const std::vector<AuditTask>& tasks,
                                         size_t num_threads) {
   std::vector<size_t> pool;
@@ -102,15 +101,6 @@ std::vector<size_t> PoolDispatchIndexes(const std::vector<AuditTask>& tasks,
 }
 
 }  // namespace
-
-std::vector<const AuditTask*> PoolDispatchOrder(const AuditPlan& plan,
-                                                size_t num_threads) {
-  std::vector<const AuditTask*> order;
-  for (size_t i : PoolDispatchIndexes(plan.tasks, num_threads)) {
-    order.push_back(&plan.tasks[i]);
-  }
-  return order;
-}
 
 AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
                                   const AuditOptions& options, const AuditPlan& plan,
@@ -160,8 +150,7 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
         }
       }
       if (gate != nullptr) {
-        // Budget waits + whatever preads the prefetcher did not hide: the span that
-        // shrinks when read-ahead works.
+        // Budget waits + the chunk's preads.
         obs::TraceSpan span(&task_stats[i].phases, obs::Phase::kPass2IoWait);
         if (Status st = gate->Acquire(task); !st.ok()) {
           task_error[i] = st.error();

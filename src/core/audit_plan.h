@@ -55,14 +55,6 @@ struct AuditPlan {
 AuditPlan PlanAuditTasks(AuditContext* ctx, const Reports& reports, const Application* app,
                          const AuditOptions& options);
 
-// The exact order ExecuteAuditPlan dispatches the plan's pool (non-serial) tasks in for
-// `num_threads` resolved workers: costliest-first when a parallel pool will run
-// (num_threads > 1 and more than one pool task), plan order otherwise. The pass-2
-// prefetcher (src/stream/prefetch.h) walks this order ahead of the workers; both callers
-// share this one function so walk and dispatch can never drift. Pointers index into
-// plan.tasks, which must outlive the result.
-std::vector<const AuditTask*> PoolDispatchOrder(const AuditPlan& plan, size_t num_threads);
-
 // Hook bracketing each task's execution, for out-of-core callers: Acquire runs on the
 // worker thread immediately before the task's re-execution (page in the chunk's trace
 // payloads, blocking on the memory budget), Release immediately after it retires (evict).

@@ -17,8 +17,7 @@ AuditOutcome ClassifyAuditOutcome(const Result<AuditResult>& result) {
   const std::string& e = result.error();
   if (e.compare(0, 8, "config: ") == 0 ||
       e.find("OROCHI_AUDIT_THREADS") != std::string::npos ||
-      e.find("OROCHI_AUDIT_BUDGET") != std::string::npos ||
-      e.find("OROCHI_PREFETCH_DEPTH") != std::string::npos) {
+      e.find("OROCHI_AUDIT_BUDGET") != std::string::npos) {
     return AuditOutcome::kConfigError;
   }
   return AuditOutcome::kIoError;

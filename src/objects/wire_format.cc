@@ -28,7 +28,6 @@ using wire_primitives::StrWireBytes;
 constexpr uint64_t kMaxRecordBytes = 1ull << 30;
 
 constexpr size_t kHeaderBytes = wire::kEnvelopeHeaderBytes;
-constexpr size_t kRecordFrameBytesV1 = 1 /*type*/ + 8 /*length*/;
 constexpr size_t kRecordFrameBytesV2 = wire::kRecordFrameBytesV2;
 
 // Trace section record types (public aliases live in wire:: for the point reader).
@@ -119,10 +118,9 @@ Status SinkStatus(const Sink& sink, const std::string& path) {
   return Status::Ok();
 }
 
-// Validates the 13-byte envelope header against the expected section kind. Fills
-// *version with the (accepted) format version.
-Status CheckHeader(const unsigned char* h, wire::Section want, const std::string& path,
-                   uint32_t* version) {
+// Validates the 13-byte envelope header: magic, a format version readers accept, and the
+// expected section kind.
+Status CheckHeader(const unsigned char* h, wire::Section want, const std::string& path) {
   if (std::memcmp(h, wire::kMagic, sizeof(wire::kMagic)) != 0) {
     return Status::Error("wire: bad magic in " + path);
   }
@@ -134,7 +132,6 @@ Status CheckHeader(const unsigned char* h, wire::Section want, const std::string
     return Status::Error("wire: unsupported format version " + std::to_string(v) + " in " +
                          path);
   }
-  *version = v;
   uint8_t section = h[sizeof(wire::kMagic) + 4];
   if (section != static_cast<uint8_t>(want)) {
     return Status::Error("wire: " + path + " holds section kind " + std::to_string(section) +
@@ -179,10 +176,10 @@ void AppendEndRecordFrame(std::string* out, uint64_t records, uint64_t end_offse
   AppendRecordFrame(out, kEndRecord, footer);
 }
 
-// Version-aware record stream over one open section file: validates the envelope header
-// on Open, then yields records until the end record, verifying per-record CRCs and the
-// footer for v2 files. All reads retry transient faults (ReadFullAt); every error names
-// the file and the byte offset, so corruption localizes to an exact record.
+// Record stream over one open section file: validates the envelope header on Open, then
+// yields records until the end record, verifying per-record CRCs and the footer. All
+// reads retry transient faults (ReadFullAt); every error names the file and the byte
+// offset, so corruption localizes to an exact record.
 class RecordStream {
  public:
   Status Open(Env* env, const std::string& path, Section want) {
@@ -201,7 +198,7 @@ class RecordStream {
     if (got.value() != sizeof(h)) {
       return Status::Error("wire: truncated header in " + path_);
     }
-    if (Status st = CheckHeader(h, want, path_, &version_); !st.ok()) {
+    if (Status st = CheckHeader(h, want, path_); !st.ok()) {
       return st;
     }
     pos_ = kEnvelopeHeaderBytes;
@@ -209,18 +206,16 @@ class RecordStream {
   }
 
   // True: *type/*payload hold the next record. False: end record consumed and validated
-  // (footer counts for v2, no trailing bytes either way).
+  // (footer counts match, no trailing bytes).
   Result<bool> Next(uint8_t* type, std::string* payload) {
-    const size_t frame_bytes =
-        version_ >= 2 ? kRecordFrameBytesV2 : kRecordFrameBytesV1;
     const uint64_t frame_start = pos_;
     unsigned char frame[kRecordFrameBytesV2];
-    Result<size_t> got = ReadUpToAt(file_.get(), path_, frame_start, frame_bytes,
+    Result<size_t> got = ReadUpToAt(file_.get(), path_, frame_start, kRecordFrameBytesV2,
                                     reinterpret_cast<char*>(frame));
     if (!got.ok()) {
       return Result<bool>::Error(got.error());
     }
-    if (got.value() != frame_bytes) {
+    if (got.value() != kRecordFrameBytesV2) {
       return Result<bool>::Error("wire: truncated record frame at offset " +
                                  std::to_string(frame_start) + " in " + path_);
     }
@@ -230,10 +225,8 @@ class RecordStream {
       len |= static_cast<uint64_t>(frame[1 + i]) << (8 * i);
     }
     uint32_t crc = 0;
-    if (version_ >= 2) {
-      for (int i = 0; i < 4; i++) {
-        crc |= static_cast<uint32_t>(frame[9 + i]) << (8 * i);
-      }
+    for (int i = 0; i < 4; i++) {
+      crc |= static_cast<uint32_t>(frame[9 + i]) << (8 * i);
     }
     if (*type == kEndRecord) {
       return FinishAtEnd(frame_start, len, crc);
@@ -242,7 +235,7 @@ class RecordStream {
       return Result<bool>::Error("wire: record length " + std::to_string(len) +
                                  " exceeds limit in " + path_);
     }
-    const uint64_t payload_offset = frame_start + frame_bytes;
+    const uint64_t payload_offset = frame_start + kRecordFrameBytesV2;
     payload->resize(static_cast<size_t>(len));
     if (len > 0) {
       Result<size_t> body = ReadUpToAt(file_.get(), path_, payload_offset,
@@ -256,7 +249,7 @@ class RecordStream {
       }
     }
     const uint32_t payload_crc = Crc32c(*payload);
-    if (version_ >= 2 && payload_crc != crc) {
+    if (payload_crc != crc) {
       return Result<bool>::Error(
           "wire: crc mismatch in record " + std::to_string(records_) + " (type " +
           std::to_string(*type) + ") at offset " + std::to_string(frame_start) + " in " +
@@ -269,51 +262,41 @@ class RecordStream {
     return true;
   }
 
-  uint32_t version() const { return version_; }
   const std::string& path() const { return path_; }
   uint64_t last_payload_offset() const { return last_payload_offset_; }
   uint32_t last_crc() const { return last_crc_; }
 
  private:
   Result<bool> FinishAtEnd(uint64_t frame_start, uint64_t len, uint32_t crc) {
-    uint64_t after;  // Offset of the first byte past the section.
-    if (version_ >= 2) {
-      if (len != kFooterPayloadBytes) {
-        return Result<bool>::Error("wire: malformed end record at offset " +
-                                   std::to_string(frame_start) + " in " + path_);
-      }
-      char footer[kFooterPayloadBytes];
-      const uint64_t footer_offset = frame_start + kRecordFrameBytesV2;
-      Result<size_t> got =
-          ReadUpToAt(file_.get(), path_, footer_offset, sizeof(footer), footer);
-      if (!got.ok()) {
-        return Result<bool>::Error(got.error());
-      }
-      if (got.value() != sizeof(footer)) {
-        return Result<bool>::Error("wire: truncated footer in " + path_);
-      }
-      if (Crc32c(footer, sizeof(footer)) != crc) {
-        return Result<bool>::Error("wire: crc mismatch in footer of " + path_);
-      }
-      Cursor c{reinterpret_cast<const unsigned char*>(footer), sizeof(footer)};
-      uint64_t record_count = 0, end_offset = 0;
-      (void)c.TakeU64(&record_count);
-      (void)c.TakeU64(&end_offset);
-      if (record_count != records_) {
-        return Result<bool>::Error(
-            "wire: footer record count " + std::to_string(record_count) + " != " +
-            std::to_string(records_) + " records read in " + path_);
-      }
-      if (end_offset != frame_start) {
-        return Result<bool>::Error("wire: footer end-offset mismatch in " + path_);
-      }
-      after = footer_offset + sizeof(footer);
-    } else {
-      if (len != 0) {
-        return Result<bool>::Error("wire: end record with nonzero length in " + path_);
-      }
-      after = frame_start + kRecordFrameBytesV1;
+    if (len != kFooterPayloadBytes) {
+      return Result<bool>::Error("wire: malformed end record at offset " +
+                                 std::to_string(frame_start) + " in " + path_);
     }
+    char footer[kFooterPayloadBytes];
+    const uint64_t footer_offset = frame_start + kRecordFrameBytesV2;
+    Result<size_t> got = ReadUpToAt(file_.get(), path_, footer_offset, sizeof(footer), footer);
+    if (!got.ok()) {
+      return Result<bool>::Error(got.error());
+    }
+    if (got.value() != sizeof(footer)) {
+      return Result<bool>::Error("wire: truncated footer in " + path_);
+    }
+    if (Crc32c(footer, sizeof(footer)) != crc) {
+      return Result<bool>::Error("wire: crc mismatch in footer of " + path_);
+    }
+    Cursor c{reinterpret_cast<const unsigned char*>(footer), sizeof(footer)};
+    uint64_t record_count = 0, end_offset = 0;
+    (void)c.TakeU64(&record_count);
+    (void)c.TakeU64(&end_offset);
+    if (record_count != records_) {
+      return Result<bool>::Error(
+          "wire: footer record count " + std::to_string(record_count) + " != " +
+          std::to_string(records_) + " records read in " + path_);
+    }
+    if (end_offset != frame_start) {
+      return Result<bool>::Error("wire: footer end-offset mismatch in " + path_);
+    }
+    const uint64_t after = footer_offset + sizeof(footer);  // First byte past the section.
     char probe;
     Result<size_t> trailing = ReadUpToAt(file_.get(), path_, after, 1, &probe);
     if (!trailing.ok()) {
@@ -327,7 +310,6 @@ class RecordStream {
 
   std::unique_ptr<ReadableFile> file_;
   std::string path_;
-  uint32_t version_ = 0;
   uint64_t pos_ = 0;      // File offset of the next record frame.
   uint64_t records_ = 0;  // Non-end records yielded so far.
   uint64_t last_payload_offset_ = 0;

@@ -4,28 +4,27 @@
 // process via AuditSession. The section kinds share one envelope:
 //
 //   header:  8-byte magic "OROCHIWF", u32 format version (little-endian), u8 section kind
-//   records: v2: u8 record type, u64 payload length, u32 CRC32C(payload), payload bytes
-//            v1: u8 record type, u64 payload length, payload bytes
-//   footer:  the end record (type 0). In v2 it carries a 16-byte CRC-protected payload —
-//            u64 record count (excluding the end record) and the u64 byte offset of the
-//            end record's own frame — so a reader proves it saw the complete section.
-//            In v1 the end record is empty.
+//   records: u8 record type, u64 payload length, u32 CRC32C(payload), payload bytes
+//   footer:  the end record (type 0), carrying a 16-byte CRC-protected payload — u64
+//            record count (excluding the end record) and the u64 byte offset of the end
+//            record's own frame — so a reader proves it saw the complete section.
 //
-// Writers emit v3; readers accept v1 through v3, so pre-existing spill files stay
-// readable. v3 adds the segmented op-log record (reports sections only): an object whose
-// encoded log exceeds kMaxOpLogSegmentBytes is split across several
-// (object, segment_seq, entry_range) records instead of one monolithic record, so a
-// streaming pass never transiently materializes more than one segment. Logs at or under
-// the cap still encode as the classic monolithic record — byte-identical to what a v2
-// writer produced. All writes are crash-safe: temp file + fsync + rename-into-place, so a
-// reader only ever observes a previous complete file or the new complete file. All file
-// I/O goes through a pluggable Env (src/common/io_env.h); nullptr means Env::Default().
+// Writers emit v3; readers accept v2 and v3, so v2 spill files stay readable (v1, which
+// had no per-record CRC, is rejected as an unsupported version). v3 adds the segmented
+// op-log record (reports sections only): an object whose encoded log exceeds
+// kMaxOpLogSegmentBytes is split across several (object, segment_seq, entry_range)
+// records instead of one monolithic record, so a streaming pass never transiently
+// materializes more than one segment. Logs at or under the cap still encode as the
+// classic monolithic record — byte-identical to what a v2 writer produced. All writes are
+// crash-safe: temp file + fsync + rename-into-place, so a reader only ever observes a
+// previous complete file or the new complete file. All file I/O goes through a pluggable
+// Env (src/common/io_env.h); nullptr means Env::Default().
 //
 // All integers are little-endian; strings are u32 length + raw bytes; wscript Values ride
 // as their canonical Serialize() form. A file is rejected (Status/Result error, never a
 // crash) on bad magic, unsupported version, wrong section kind, truncation, checksum
 // mismatch, or malformed payloads — report and state files cross a trust boundary, so
-// readers parse defensively, and v2 errors localize corruption to an exact record with
+// readers parse defensively, and errors localize corruption to an exact record with
 // file and byte-offset context.
 //
 // The same encoders back the exact byte accounting (`TraceWireBytes`, `ReportsWireBytes`,
@@ -55,11 +54,11 @@ namespace wire {
 
 inline constexpr char kMagic[8] = {'O', 'R', 'O', 'C', 'H', 'I', 'W', 'F'};
 // What writers emit / the newest version readers accept.
-// v1: no per-record CRC, empty end record. v2: CRC32C per record + CRC'd footer.
-// v3: v2 framing + the segmented op-log reports record (kReportsRecOpLogSegment).
+// v2: CRC32C per record + CRC'd footer. v3: v2 framing + the segmented op-log reports
+// record (kReportsRecOpLogSegment).
 inline constexpr uint32_t kFormatVersion = 3;
 // The oldest version readers still accept.
-inline constexpr uint32_t kMinFormatVersion = 1;
+inline constexpr uint32_t kMinFormatVersion = 2;
 
 enum class Section : uint8_t {
   kTrace = 1,
@@ -71,7 +70,7 @@ enum class Section : uint8_t {
   kCheckpoint = 5,
 };
 
-// Record type 0 terminates every section (empty in v1, footer payload in v2).
+// Record type 0 terminates every section (its payload is the footer).
 inline constexpr uint8_t kEndRecord = 0;
 
 // Envelope and v2 frame sizes, public for sidecar files sharing the envelope and for
@@ -181,8 +180,8 @@ class TraceReader {
   // Location of the record the last successful Next() returned, for offset indexes built
   // by the out-of-core audit: the file offset of the record's payload (just past the
   // frame), the payload's byte length, its wire record type, and the payload's CRC32C
-  // (from the file for v2, computed for v1 — either way, the checksum of the bytes this
-  // reader just validated, so later point reads can prove the file did not change).
+  // (read from the record frame and verified against the bytes this reader just
+  // validated, so later point reads can prove the file did not change).
   uint64_t last_payload_offset() const { return last_payload_offset_; }
   uint64_t last_payload_bytes() const { return last_payload_bytes_; }
   uint8_t last_record_type() const { return last_record_type_; }

@@ -40,7 +40,7 @@ enum class Phase : int {
   kProcOpReports,     // Balanced-trace check, per-rid slot pre-build, ProcessOpReports.
   kDbRedo,            // Versioned-store builds (register / KV / DB redo).
   kPass2IoWait,       // Worker time blocked in the chunk gate paging bytes in (budget
-                      // waits + preads the prefetcher did not hide).
+                      // waits + the chunk's preads).
   kPass2Execute,      // Re-executing one group chunk, its db_query time excluded (PHP).
   kDbQuery,           // SELECTs run against versioned storage; a span per SELECT issued.
   kCheckpointReplay,  // Journaled chunks replayed instead of re-executed on resume.

@@ -143,7 +143,7 @@ bool ParsePriorJournal(const std::string& data, uint64_t fingerprint,
   for (int i = 0; i < 4; i++) {
     version |= static_cast<uint32_t>(static_cast<unsigned char>(data[8 + i])) << (8 * i);
   }
-  if (version < 2 || version > wire::kFormatVersion ||
+  if (version < wire::kMinFormatVersion || version > wire::kFormatVersion ||
       static_cast<unsigned char>(data[12]) !=
           static_cast<unsigned char>(wire::Section::kCheckpoint)) {
     return false;

@@ -125,31 +125,6 @@ void ChunkBudget::Acquire(uint64_t bytes) {
   metrics->largest_acquire->SetMax(static_cast<int64_t>(largest_acquire_));
 }
 
-bool ChunkBudget::TryAcquire(uint64_t bytes) {
-  BudgetMetrics* metrics = BudgetMetrics::Get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!(used_ == 0 || max_ == 0 || used_ + bytes <= max_)) {
-      return false;
-    }
-    metrics->acquires->Inc();
-    if (max_ != 0 && bytes > max_) {
-      metrics->oversized->Inc();  // Admitted solo via the used_ == 0 arm.
-    }
-    used_ += bytes;
-    if (used_ > peak_) {
-      peak_ = used_;
-    }
-    if (bytes > largest_acquire_) {
-      largest_acquire_ = bytes;
-    }
-    metrics->used_bytes->Set(static_cast<int64_t>(used_));
-    metrics->peak_bytes->SetMax(static_cast<int64_t>(peak_));
-    metrics->largest_acquire->SetMax(static_cast<int64_t>(largest_acquire_));
-  }
-  return true;
-}
-
 void ChunkBudget::Release(uint64_t bytes) {
   {
     std::lock_guard<std::mutex> lock(mu_);

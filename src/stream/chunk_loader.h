@@ -24,7 +24,6 @@
 namespace orochi {
 
 class StreamReportsSet;  // Spilled per-object op-log index (src/stream/reports_index.h).
-struct AuditTask;        // One pass-2 chunk of the audit plan (src/core/audit_plan.h).
 
 // Budget (bytes) an AuditOptions resolves to for streamed audits: max_resident_bytes when
 // nonzero, else the OROCHI_AUDIT_BUDGET environment variable, else 0 (unlimited). A set
@@ -40,12 +39,6 @@ class ChunkBudget {
   // -chunk exception; also the unlimited case when max == 0 never blocks). Progress is
   // guaranteed because holders never block on the budget between Acquire and Release.
   void Acquire(uint64_t bytes);
-  // Non-blocking Acquire under the same admission rule (oversized solo-admission
-  // included). The prefetch pipeline holds bytes that CAN park between acquire and
-  // release (a ready chunk waiting for its worker), so it must never sleep inside the
-  // budget — it TryAcquires and waits on its own progress signal instead
-  // (src/stream/prefetch.h).
-  bool TryAcquire(uint64_t bytes);
   void Release(uint64_t bytes);
 
   uint64_t max_bytes() const { return max_; }
@@ -188,28 +181,6 @@ class FileReportsChunkLoader : public ReportsChunkLoader {
   Env* const env_;
   std::mutex mu_;  // Guards files_ (lazy opens); reads themselves are lock-free.
   std::vector<std::shared_ptr<ReadableFile>> files_;  // null = not yet opened.
-};
-
-// A chunk-granular surface over both File loaders, consumed by the pass-2 prefetch
-// pipeline (src/stream/prefetch.h). The stream session's task gate implements it — the
-// gate owns the (rid, opnum) claim walk that knows which trace payloads and op-log runs
-// a task needs — and the prefetcher drives it from its I/O thread: price the admission,
-// page everything in, drop it again on revocation. The budget is deliberately NOT this
-// surface's business: the prefetcher charges/refunds the shared ChunkBudget itself so
-// ownership of the charge can transfer to the adopting worker without a release/reacquire
-// window.
-class PrefetchableLoader {
- public:
-  virtual ~PrefetchableLoader() = default;
-
-  // The task's admission price: resident trace payload + op-log content bytes.
-  virtual uint64_t ChunkBytes(const AuditTask& task) = 0;
-  // Pages the task's payloads and contents into the skeletons (residency brackets
-  // included). On error the skeletons are left clean for this task — a later synchronous
-  // load must see exactly what a never-prefetched run would.
-  virtual Status FetchChunk(const AuditTask& task) = 0;
-  // Undoes a successful FetchChunk (eviction + residency brackets, no budget).
-  virtual void DropChunk(const AuditTask& task) = 0;
 };
 
 }  // namespace orochi

@@ -6,14 +6,24 @@
 #ifndef SRC_STREAM_STREAM_AUDIT_H_
 #define SRC_STREAM_STREAM_AUDIT_H_
 
+#include <cstdint>
+
 #include "src/core/audit_session.h"
 #include "src/stream/chunk_loader.h"
-#include "src/stream/prefetch.h"
 #include "src/stream/reports_index.h"
 #include "src/stream/shard_merge.h"
 #include "src/stream/trace_index.h"
 
 namespace orochi {
+
+// Ignored: pass 2 has no read-ahead. Kept only until ledger/bench_ledger.cpp stops naming it.
+struct PrefetchStats {
+  uint64_t issued = 0;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t revoked = 0;
+  uint64_t bytes = 0;
+};
 
 struct StreamAuditHooks {
   // Overrides the trace payload loader. The hook's Load/Evict see exactly the point reads
@@ -27,9 +37,7 @@ struct StreamAuditHooks {
   // governs trace payloads AND op-log contents. Not owned; lets a bench read peak_bytes()
   // after the audit returns.
   ChunkBudget* budget = nullptr;
-  // When non-null, receives the pass-2 prefetch pipeline's final counters after the
-  // audit returns (all zero when read-ahead resolved to depth 0 or the plan had no pool
-  // tasks). Not owned.
+  // Ignored; kept only until ledger/bench_ledger.cpp stops naming it.
   PrefetchStats* prefetch_stats = nullptr;
 };
 

@@ -29,7 +29,6 @@
 #include "src/core/audit_session.h"
 #include "src/objects/wire_format.h"
 #include "src/stream/checkpoint.h"
-#include "src/stream/prefetch.h"
 #include "src/stream/stream_audit.h"
 
 namespace orochi {
@@ -58,15 +57,7 @@ struct ClaimedChunk {
 // entry is claimed by exactly one (rid, opnum) — CheckLogs rejects duplicate claims
 // before any task runs — so the skeleton events and log entries a gate call mutates are
 // only ever read by that same thread's RunGroupChunk.
-//
-// The gate is also the PrefetchableLoader the pass-2 read-ahead pipeline drives: it owns
-// the claim walk, so ChunkBytes/FetchChunk/DropChunk (called from the prefetcher's I/O
-// thread) price and page exactly the bytes Acquire would have. With a prefetcher
-// installed, Acquire first offers the task to it (adopting the already-resident chunk and
-// its budget charge on a hit) and otherwise loads synchronously through
-// AcquireBudgetRevoking, so a starved worker reclaims read-ahead bytes instead of
-// deadlocking behind them.
-class StreamTaskGate : public AuditTaskGate, public PrefetchableLoader {
+class StreamTaskGate : public AuditTaskGate {
  public:
   StreamTaskGate(StreamTraceSet* traces, TraceChunkLoader* trace_loader,
                  StreamReportsSet* reports, ReportsChunkLoader* reports_loader,
@@ -74,34 +65,13 @@ class StreamTaskGate : public AuditTaskGate, public PrefetchableLoader {
       : traces_(traces), trace_loader_(trace_loader), reports_(reports),
         reports_loader_(reports_loader), budget_(budget), ctx_(ctx) {}
 
-  // Must be set (if at all) before ExecuteAuditPlan starts and outlive it.
-  void set_prefetcher(ChunkPrefetcher* prefetcher) { prefetcher_ = prefetcher; }
-
   Status Acquire(const AuditTask& task) override {
-    if (prefetcher_ != nullptr) {
-      Status st = Status::Ok();
-      switch (prefetcher_->Take(task.order, &st)) {
-        case ChunkPrefetcher::TakeResult::kAdopted:
-          return Status::Ok();  // Resident; the budget charge is now this worker's.
-        case ChunkPrefetcher::TakeResult::kFailed:
-          return st;  // Same task order a synchronous load failure would claim.
-        case ChunkPrefetcher::TakeResult::kNotPrefetched:
-          break;
-      }
-    }
     ClaimedChunk chunk = ClaimChunk(task);
     // One admission covers both sides: resident trace + reports bytes share the budget.
     const uint64_t bytes = chunk.trace_bytes + chunk.report_bytes;
-    if (prefetcher_ != nullptr) {
-      prefetcher_->AcquireBudgetRevoking(bytes);
-    } else {
-      budget_->Acquire(bytes);
-    }
+    budget_->Acquire(bytes);
     if (Status st = LoadChunk(task, chunk); !st.ok()) {
       budget_->Release(bytes);
-      if (prefetcher_ != nullptr) {
-        prefetcher_->NotifyProgress();
-      }
       return st;
     }
     std::lock_guard<std::mutex> lock(mu_);
@@ -110,51 +80,24 @@ class StreamTaskGate : public AuditTaskGate, public PrefetchableLoader {
   }
 
   void Release(const AuditTask& task) override {
-    ClaimedChunk chunk = ExtractClaim(task.order);
-    UnloadChunk(task, chunk);
-    budget_->Release(chunk.trace_bytes + chunk.report_bytes);
-    if (prefetcher_ != nullptr) {
-      prefetcher_->NotifyProgress();  // Budget waiters (walk + revoking workers) retry.
-    }
-  }
-
-  // --- PrefetchableLoader (prefetcher I/O thread) ---
-
-  uint64_t ChunkBytes(const AuditTask& task) override {
-    ClaimedChunk chunk = ClaimChunk(task);
-    const uint64_t bytes = chunk.trace_bytes + chunk.report_bytes;
-    std::lock_guard<std::mutex> lock(mu_);
-    // Memoized for the FetchChunk that follows; a task the walk abandons after pricing
-    // (stop, or its worker got there first) just leaves the claim cached here unused.
-    priced_[task.order] = std::move(chunk);
-    return bytes;
-  }
-
-  Status FetchChunk(const AuditTask& task) override {
     ClaimedChunk chunk;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto it = priced_.find(task.order);
-      chunk = std::move(it->second);  // FetchChunk always follows this task's ChunkBytes.
-      priced_.erase(it);
+      auto it = claimed_.find(task.order);
+      chunk = std::move(it->second);  // Always pairs a successful Acquire.
+      claimed_.erase(it);
     }
-    if (Status st = LoadChunk(task, chunk); !st.ok()) {
-      return st;  // Skeletons left clean; the prefetcher refunds the budget.
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    claimed_[task.order] = std::move(chunk);
-    return Status::Ok();
-  }
-
-  void DropChunk(const AuditTask& task) override {
-    ClaimedChunk chunk = ExtractClaim(task.order);
-    UnloadChunk(task, chunk);  // Budget refund is the prefetcher's.
+    EvictTracePrefix(task, task.rids.size());
+    EvictRuns(chunk.runs, chunk.runs.size());
+    trace_loader_->OnChunkEvicted(chunk.trace_bytes);
+    reports_loader_->OnChunkEvicted(chunk.report_bytes);
+    budget_->Release(chunk.trace_bytes + chunk.report_bytes);
   }
 
  private:
   // Pages the claim in: residency brackets, one batched trace load, one load per op-log
   // run. On error everything already installed is evicted again (skeletons clean; the
-  // budget charge is untouched — each caller owns its own refund path).
+  // budget charge is untouched — Acquire refunds it).
   Status LoadChunk(const AuditTask& task, const ClaimedChunk& chunk) {
     trace_loader_->OnChunkResident(chunk.trace_bytes);
     reports_loader_->OnChunkResident(chunk.report_bytes);
@@ -190,20 +133,6 @@ class StreamTaskGate : public AuditTaskGate, public PrefetchableLoader {
     return Status::Ok();
   }
 
-  void UnloadChunk(const AuditTask& task, const ClaimedChunk& chunk) {
-    EvictTracePrefix(task, task.rids.size());
-    EvictRuns(chunk.runs, chunk.runs.size());
-    trace_loader_->OnChunkEvicted(chunk.trace_bytes);
-    reports_loader_->OnChunkEvicted(chunk.report_bytes);
-  }
-
-  ClaimedChunk ExtractClaim(size_t order) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = claimed_.find(order);
-    ClaimedChunk chunk = std::move(it->second);  // Always pairs a successful load.
-    claimed_.erase(it);
-    return chunk;
-  }
   // One walk per task: the chunk's trace payload bytes, and the op-log entries its
   // CheckOps compare contents against — every (rid, opnum) claim of the chunk's rids,
   // except entries the skeleton types as db ops (their contents were parsed into the
@@ -270,10 +199,8 @@ class StreamTaskGate : public AuditTaskGate, public PrefetchableLoader {
   ReportsChunkLoader* reports_loader_;
   ChunkBudget* budget_;
   const AuditContext* ctx_;
-  ChunkPrefetcher* prefetcher_ = nullptr;
-  std::mutex mu_;  // Guards claimed_ and priced_ (one insert + one extract per task).
+  std::mutex mu_;  // Guards claimed_ (one insert + one extract per task).
   std::unordered_map<size_t, ClaimedChunk> claimed_;
-  std::unordered_map<size_t, ClaimedChunk> priced_;  // ChunkBytes -> FetchChunk handoff.
 };
 
 // How many responses pass 3 compares between compare-watermark journal appends. Each
@@ -347,10 +274,6 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   Result<size_t> threads = ResolveAuditThreads(options_);
   if (!threads.ok()) {
     return R::Error(threads.error());
-  }
-  Result<size_t> prefetch_depth = ResolvePrefetchDepth(options_);
-  if (!prefetch_depth.ok()) {
-    return R::Error(prefetch_depth.error());
   }
   uint64_t budget_bytes = 0;
   if (hooks == nullptr || hooks->budget == nullptr) {
@@ -431,30 +354,7 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
 
   StreamTaskGate gate(&merged.traces, loader, &merged.reports, reports_loader, budget,
                       &ctx);
-  // Read-ahead: an I/O thread walks the pool's dispatch order ahead of the workers,
-  // paging future chunks in under the same budget. It only changes when bytes become
-  // resident, never what the audit computes; Stop() before pass 3 (and before any error
-  // return) drains unclaimed chunks so the budget headroom is whole again.
-  std::unique_ptr<ChunkPrefetcher> prefetcher;
-  if (prefetch_depth.value() > 0) {
-    std::vector<const AuditTask*> dispatch_order =
-        PoolDispatchOrder(plan, threads.value());
-    if (!dispatch_order.empty()) {
-      prefetcher = std::make_unique<ChunkPrefetcher>(&gate, budget,
-                                                     std::move(dispatch_order),
-                                                     prefetch_depth.value(),
-                                                     journal.get());
-      gate.set_prefetcher(prefetcher.get());
-      prefetcher->Start();
-    }
-  }
   AuditExecOutcome exec = ExecuteAuditPlan(&ctx, app_, options_, plan, &gate, journal.get());
-  if (prefetcher != nullptr) {
-    prefetcher->Stop();
-  }
-  if (hooks != nullptr && hooks->prefetch_stats != nullptr) {
-    *hooks->prefetch_stats = prefetcher != nullptr ? prefetcher->stats() : PrefetchStats();
-  }
   if (exec.gate_failed) {
     // Paging a chunk in failed (spill file vanished or changed mid-audit): a file-level
     // error, not a verdict — the epoch is unconsumed, exactly like a corrupt

@@ -390,10 +390,6 @@ TEST(FaultInjection, ResumeAfterMidCompareKillIsBitIdentical) {
     opts.max_group_size = 8;
     opts.max_resident_bytes = 4096;
     opts.checkpoint_path = checkpoint;
-    // Read-ahead off: this test's kill point is load-count arithmetic, and a revoked
-    // prefetched chunk is legitimately loaded twice. Kill/resume parity WITH read-ahead
-    // is covered by FaultInjection.ResumeWithPrefetchOnIsBitIdentical.
-    opts.prefetch_depth = 0;
 
     // Run 1: killed mid-pass-3. Pass 2 loads each of the 160 request payloads exactly
     // once; allowing 200 loads retires all of pass 2 (journaling every chunk) and dies
@@ -429,94 +425,18 @@ TEST(FaultInjection, ResumeAfterMidCompareKillIsBitIdentical) {
   }
 }
 
-// PR-10 twin of the mid-pass-2 kill test, with the read-ahead pipeline ON. The kill-point
-// arithmetic is looser here — a revoked prefetched chunk is legitimately loaded twice, so
-// 120 allowed loads of the 160 payloads only guarantees "killed somewhere inside pass 2
-// with at least one chunk retired" — but that is exactly the property under test: a crash
-// while the prefetcher holds in-flight and ready-but-unclaimed chunks must leave a
-// checkpoint that a prefetch-enabled resume replays to a bit-identical verdict.
-TEST(FaultInjection, ResumeWithPrefetchOnIsBitIdentical) {
-  Workload w = CounterWorkload(160);
-  ServedWorkload served = ServeWorkload(w);
-  const std::string trace_path = ::testing::TempDir() + "/fi_pf_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_pf_reports.bin";
-  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
-  ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
-
-  AuditOptions ref_opts;
-  ref_opts.num_threads = 1;
-  ref_opts.max_group_size = 8;
-  AuditSession ref_session = AuditSession::Open(&w.app, ref_opts, served.initial);
-  Result<AuditResult> ref = ref_session.FeedEpochFiles(trace_path, reports_path);
-  ASSERT_TRUE(ref.ok() && ref.value().accepted)
-      << (ref.ok() ? ref.value().reason : ref.error());
-  const std::string ref_fp = InitialStateFingerprint(ref.value().final_state);
-
-  for (size_t threads : {size_t{1}, size_t{2}}) {
-    for (size_t budget : {size_t{64}, size_t{4096}, size_t{0}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " budget=" + std::to_string(budget));
-      const std::string checkpoint = ::testing::TempDir() + "/fi_pf_" +
-                                     std::to_string(threads) + "_" +
-                                     std::to_string(budget) + ".ckpt";
-      AuditOptions opts;
-      opts.num_threads = threads;
-      opts.max_group_size = 8;
-      opts.max_resident_bytes = budget;
-      opts.checkpoint_path = checkpoint;
-      opts.prefetch_depth = 4;
-
-      // Run 1: killed inside pass 2 — completion needs every payload loaded at least
-      // once, so 120 < 160 always dies early, prefetched double-loads only sooner.
-      StreamTraceSet probe;
-      ASSERT_TRUE(probe.AppendFile(trace_path).ok());
-      KillSwitchLoader killer(&probe, /*allowed=*/120);
-      StreamAuditHooks hooks;
-      hooks.loader = &killer;
-      AuditSession first = AuditSession::Open(&w.app, opts, served.initial);
-      Result<AuditResult> killed =
-          first.FeedEpochFilesStreamed(trace_path, reports_path, &hooks);
-      ASSERT_FALSE(killed.ok());
-      EXPECT_EQ(ClassifyAuditOutcome(killed), AuditOutcome::kIoError) << killed.error();
-      Result<bool> left = Env::Default()->FileExists(checkpoint);
-      ASSERT_TRUE(left.ok() && left.value());
-
-      // Run 2: clean resume, read-ahead still on. Journaled chunks replay without
-      // touching the gate (the walk cedes them), the rest flow through the live
-      // pipeline, and the verdict is bit-identical to the uninterrupted reference.
-      PrefetchStats stats;
-      StreamAuditHooks resume_hooks;
-      resume_hooks.prefetch_stats = &stats;
-      AuditSession resumed = AuditSession::Open(&w.app, opts, served.initial);
-      Result<AuditResult> got =
-          resumed.FeedEpochFilesStreamed(trace_path, reports_path, &resume_hooks);
-      ASSERT_TRUE(got.ok()) << got.error();
-      EXPECT_TRUE(got.value().accepted) << got.value().reason;
-      EXPECT_EQ(got.value().reason, ref.value().reason);
-      EXPECT_EQ(InitialStateFingerprint(got.value().final_state), ref_fp);
-      EXPECT_GT(got.value().stats.checkpoint_chunks_reused, 0u);
-      // The kill landed before pass 2 finished, so the resume had live chunks to run —
-      // and ran them through the pipeline (every gate acquire is a hit or a miss).
-      EXPECT_GT(stats.hits + stats.misses, 0u);
-      Result<bool> spent = Env::Default()->FileExists(checkpoint);
-      EXPECT_TRUE(spent.ok() && !spent.value());
-    }
-  }
-}
-
-// Seeded-EIO sweep with the read-ahead pipeline forced on: injected read faults now also
-// land on the prefetch thread's preads. The taxonomy must hold regardless of which
-// thread's read draws the fault — absorbable faults stay invisible, hard faults surface
-// as I/O errors attributed to a file (never as tampering), and an accept still
-// reproduces the true final state.
-TEST(FaultInjection, SeededEioDuringPrefetchKeepsTheOutcomeTaxonomy) {
+// Seeded-EIO sweep of the streamed pass 2 (2 workers, 2 KiB budget): injected read faults
+// land on whichever worker's chunk preads draw them. The taxonomy must hold regardless —
+// absorbable faults stay invisible, hard faults surface as I/O errors attributed to a
+// file (never as tampering), and an accept still reproduces the true final state.
+TEST(FaultInjection, SeededEioDuringStreamedPass2KeepsTheOutcomeTaxonomy) {
   const uint64_t base_seed = TestBaseSeed(0xFA10);
   SCOPED_TRACE(SeedTraceMessage(base_seed));
   Workload w = CounterWorkload(64);
   ServedWorkload served = ServeWorkload(w);
   const std::string truth = InitialStateFingerprint(served.final_state);
-  const std::string trace_path = ::testing::TempDir() + "/fi_pf_sweep_trace.bin";
-  const std::string reports_path = ::testing::TempDir() + "/fi_pf_sweep_reports.bin";
+  const std::string trace_path = ::testing::TempDir() + "/fi_eio_sweep_trace.bin";
+  const std::string reports_path = ::testing::TempDir() + "/fi_eio_sweep_reports.bin";
   // Spill once with the default env: every schedule below audits the same clean files.
   ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
   ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
@@ -540,7 +460,6 @@ TEST(FaultInjection, SeededEioDuringPrefetchKeepsTheOutcomeTaxonomy) {
     opts.num_threads = 2;
     opts.max_group_size = 8;
     opts.max_resident_bytes = 2048;
-    opts.prefetch_depth = 3;
     opts.io_env = &env;
     AuditSession session = AuditSession::Open(&w.app, opts, served.initial);
     Result<AuditResult> r = session.FeedEpochFilesStreamed(trace_path, reports_path);
@@ -672,7 +591,6 @@ TEST(FaultInjection, PriorLayoutCheckpointIsDiscardedWholesale) {
   AuditOptions opts;
   opts.num_threads = 1;
   opts.max_group_size = 8;
-  opts.prefetch_depth = 0;
   opts.checkpoint_path = checkpoint;
 
   // Run 1 dies after pass 2 journaled every chunk and pass 3 journaled a watermark.

@@ -270,9 +270,11 @@ TEST(StreamAudit, StreamedMatchesInMemoryAcrossThreadCounts) {
 }
 
 // The tentpole guarantee: ONE budget bounds the combined resident trace payloads AND
-// op-log contents. The counting loader pair shares a tally, so the assertion below is on
-// the true cross-loader peak — while the streamed verdict and final_state stay
-// bit-identical to the in-memory path at every thread count.
+// op-log contents. The counting loader pair shares a tally, so the assertions below are
+// on the true cross-loader peak — while the streamed verdict and final_state stay
+// bit-identical to the in-memory path at every (threads × budget) point. The 64-byte
+// budget is smaller than a typical chunk (those admit solo, through the oversized arm),
+// and 0 is unlimited.
 TEST(StreamAudit, TracePlusReportsBytesShareOneBudgetAcrossThreadCounts) {
   SpilledEpoch e = SpillCounterEpoch("both_sides", 240);
   StreamReportsSet reports_probe;
@@ -289,53 +291,61 @@ TEST(StreamAudit, TracePlusReportsBytesShareOneBudgetAcrossThreadCounts) {
     ASSERT_TRUE(ref.ok()) << ref.error();
     ASSERT_TRUE(ref.value().accepted) << ref.value().reason;
 
-    AuditSession streamed =
-        AuditSession::Open(&e.w.app, StreamOptions(threads, kBudget), e.initial);
-    StreamTraceSet trace_probe;
-    ASSERT_TRUE(trace_probe.AppendFile(e.trace_path).ok());
-    ResidencyTally tally;
-    CountingChunkLoader trace_loader(&trace_probe, &tally);
-    CountingReportsLoader reports_loader(&reports_probe, &tally);
-    ChunkBudget budget(kBudget);
-    StreamAuditHooks hooks;
-    hooks.loader = &trace_loader;
-    hooks.reports_loader = &reports_loader;
-    hooks.budget = &budget;
-    Result<AuditResult> got =
-        streamed.FeedEpochFilesStreamed(e.trace_path, e.reports_path, &hooks);
-    ASSERT_TRUE(got.ok()) << got.error();
-    EXPECT_TRUE(got.value().accepted) << got.value().reason;
-    EXPECT_EQ(InitialStateFingerprint(got.value().final_state),
-              InitialStateFingerprint(ref.value().final_state))
-        << threads << " threads";
+    for (size_t budget_max : {size_t{64}, kBudget, size_t{0}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " budget=" + std::to_string(budget_max));
+      AuditSession streamed =
+          AuditSession::Open(&e.w.app, StreamOptions(threads, budget_max), e.initial);
+      StreamTraceSet trace_probe;
+      ASSERT_TRUE(trace_probe.AppendFile(e.trace_path).ok());
+      ResidencyTally tally;
+      CountingChunkLoader trace_loader(&trace_probe, &tally);
+      CountingReportsLoader reports_loader(&reports_probe, &tally);
+      ChunkBudget budget(budget_max);
+      StreamAuditHooks hooks;
+      hooks.loader = &trace_loader;
+      hooks.reports_loader = &reports_loader;
+      hooks.budget = &budget;
+      Result<AuditResult> got =
+          streamed.FeedEpochFilesStreamed(e.trace_path, e.reports_path, &hooks);
+      ASSERT_TRUE(got.ok()) << got.error();
+      EXPECT_TRUE(got.value().accepted) << got.value().reason;
+      EXPECT_EQ(InitialStateFingerprint(got.value().final_state),
+                InitialStateFingerprint(ref.value().final_state));
 
-    // Both sides paged; everything loaded was evicted; nothing is resident after the
-    // audit; and the COMBINED peak never passed the single budget.
-    EXPECT_GT(trace_loader.loads(), 0u);
-    EXPECT_GT(reports_loader.entry_loads(), 0u);
-    EXPECT_EQ(trace_loader.loads(), trace_loader.evicts());
-    EXPECT_EQ(reports_loader.entry_loads(), reports_loader.entry_evicts());
-    EXPECT_EQ(tally.resident, 0u);
-    EXPECT_LE(tally.peak, kBudget) << threads << " threads";
-    EXPECT_LE(budget.peak_bytes(), kBudget) << threads << " threads";
-    // The loader hooks fire after Acquire and before Release, so the tally's view is
-    // always a lower bound on the budget's own high-water mark (equality is not
-    // guaranteed under concurrency — another worker can release between a peer's
-    // admission and its OnChunkResident).
-    EXPECT_LE(tally.peak, budget.peak_bytes()) << threads << " threads";
+      // Both sides paged; everything loaded was evicted; nothing is resident after the
+      // audit; and the COMBINED peak never passed the single budget — or, below the
+      // largest chunk, the one oversized admission it let in alone.
+      EXPECT_GT(trace_loader.loads(), 0u);
+      EXPECT_GT(reports_loader.entry_loads(), 0u);
+      EXPECT_EQ(trace_loader.loads(), trace_loader.evicts());
+      EXPECT_EQ(reports_loader.entry_loads(), reports_loader.entry_evicts());
+      EXPECT_EQ(tally.resident, 0u);
+      if (budget_max != 0) {
+        EXPECT_LE(budget.peak_bytes(),
+                  std::max<uint64_t>(budget_max, budget.largest_acquire_bytes()));
+      }
+      if (budget_max == kBudget) {
+        EXPECT_LE(budget.peak_bytes(), kBudget);
+      }
+      // The loader hooks fire after Acquire and before Release, so the tally's view is
+      // always a lower bound on the budget's own high-water mark (equality is not
+      // guaranteed under concurrency — another worker can release between a peer's
+      // admission and its OnChunkResident).
+      EXPECT_LE(tally.peak, budget.peak_bytes());
 
-    // Pass 1 holds whole record payloads transiently while indexing — residency the
-    // chunk budget cannot see. It is still bounded: at most one record, and no record
-    // may exceed the v3 segment cap, so a writer regression that spills an over-cap
-    // monolithic record (or an indexing regression that materializes more than one
-    // record) fails right here, against max(budget, largest actual record).
-    const ReportsFileShape shape = ScanReportsFile(e.reports_path);
-    EXPECT_LE(shape.largest_payload, wire::kMaxOpLogSegmentBytes);
-    const uint64_t transient = got.value().stats.pass1_transient_peak_bytes;
-    EXPECT_GT(transient, 0u);
-    EXPECT_EQ(transient, reports_probe.pass1_transient_peak_bytes());
-    EXPECT_LE(transient, std::max<uint64_t>(kBudget, shape.largest_payload))
-        << threads << " threads";
+      // Pass 1 holds whole record payloads transiently while indexing — residency the
+      // chunk budget cannot see. It is still bounded: at most one record, and no record
+      // may exceed the v3 segment cap, so a writer regression that spills an over-cap
+      // monolithic record (or an indexing regression that materializes more than one
+      // record) fails right here, against max(budget, largest actual record).
+      const ReportsFileShape shape = ScanReportsFile(e.reports_path);
+      EXPECT_LE(shape.largest_payload, wire::kMaxOpLogSegmentBytes);
+      const uint64_t transient = got.value().stats.pass1_transient_peak_bytes;
+      EXPECT_GT(transient, 0u);
+      EXPECT_EQ(transient, reports_probe.pass1_transient_peak_bytes());
+      EXPECT_LE(transient, std::max<uint64_t>(budget_max, shape.largest_payload));
+    }
   }
 }
 
@@ -904,132 +914,6 @@ TEST(EnvConfig, MalformedBudgetEnvIsAHardErrorNotASilentFallback) {
   ASSERT_TRUE(ok.ok()) << ok.error();
   EXPECT_TRUE(ok.value().accepted);
   ASSERT_EQ(unsetenv("OROCHI_AUDIT_BUDGET"), 0);
-}
-
-// The PR-10 acceptance sweep: read-ahead depth is a pure performance axis. At every
-// (depth × threads × budget) point the verdict and final_state must be bit-identical to
-// the in-memory reference, everything loaded must be evicted, and the combined resident
-// bytes must stay under the budget's own high-water mark — prefetched bytes are charged
-// to the same ChunkBudget before they are read, so turning the pipeline on cannot raise
-// the ceiling.
-TEST(StreamAudit, PrefetchDepthAxisIsBitIdenticalAndBudgetBounded) {
-  SpilledEpoch e = SpillCounterEpoch("prefetch_axis", 240);
-  uint64_t total_hits = 0;
-  for (size_t depth : {size_t{0}, size_t{1}, size_t{4}}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (size_t budget_max : {size_t{64}, kBudget, size_t{0}}) {
-        SCOPED_TRACE("depth=" + std::to_string(depth) + " threads=" +
-                     std::to_string(threads) + " budget=" + std::to_string(budget_max));
-        AuditSession in_memory =
-            AuditSession::Open(&e.w.app, StreamOptions(threads, 0), e.initial);
-        Result<AuditResult> ref = in_memory.FeedEpochFiles(e.trace_path, e.reports_path);
-        ASSERT_TRUE(ref.ok()) << ref.error();
-        ASSERT_TRUE(ref.value().accepted) << ref.value().reason;
-
-        AuditOptions opts = StreamOptions(threads, budget_max);
-        opts.prefetch_depth = depth;
-        AuditSession streamed = AuditSession::Open(&e.w.app, opts, e.initial);
-        StreamTraceSet trace_probe;
-        ASSERT_TRUE(trace_probe.AppendFile(e.trace_path).ok());
-        StreamReportsSet reports_probe;
-        ASSERT_TRUE(reports_probe.AppendFile(e.reports_path).ok());
-        ResidencyTally tally;
-        CountingChunkLoader trace_loader(&trace_probe, &tally);
-        CountingReportsLoader reports_loader(&reports_probe, &tally);
-        ChunkBudget budget(budget_max);
-        PrefetchStats stats;
-        StreamAuditHooks hooks;
-        hooks.loader = &trace_loader;
-        hooks.reports_loader = &reports_loader;
-        hooks.budget = &budget;
-        hooks.prefetch_stats = &stats;
-        Result<AuditResult> got =
-            streamed.FeedEpochFilesStreamed(e.trace_path, e.reports_path, &hooks);
-        ASSERT_TRUE(got.ok()) << got.error();
-        EXPECT_TRUE(got.value().accepted) << got.value().reason;
-        EXPECT_EQ(InitialStateFingerprint(got.value().final_state),
-                  InitialStateFingerprint(ref.value().final_state));
-
-        // Residency discipline is depth-independent: loads match evicts, nothing stays
-        // resident, and the tally never exceeds what the budget itself admitted.
-        EXPECT_GT(trace_loader.loads(), 0u);
-        EXPECT_EQ(trace_loader.loads(), trace_loader.evicts());
-        EXPECT_EQ(reports_loader.entry_loads(), reports_loader.entry_evicts());
-        EXPECT_EQ(tally.resident, 0u);
-        EXPECT_LE(tally.peak, budget.peak_bytes());
-        if (budget_max >= kBudget) {
-          EXPECT_LE(budget.peak_bytes(), budget_max);
-        }
-
-        if (depth == 0) {
-          // Depth 0 means the pipeline never existed: all-zero counters, including the
-          // misses a live pipeline would count for worker-side loads.
-          EXPECT_EQ(stats.issued, 0u);
-          EXPECT_EQ(stats.hits, 0u);
-          EXPECT_EQ(stats.misses, 0u);
-          EXPECT_EQ(stats.revoked, 0u);
-          EXPECT_EQ(stats.bytes, 0u);
-        } else {
-          // Every pool-task gate acquire resolves to a hit or a miss — the pipeline was
-          // consulted for each one even when the walk never got ahead.
-          EXPECT_GT(stats.hits + stats.misses, 0u);
-          EXPECT_GE(stats.issued, stats.hits);
-          EXPECT_GE(stats.issued, stats.revoked);
-          total_hits += stats.hits;
-        }
-      }
-    }
-  }
-  // Scheduling decides which individual acquires hit, but across the whole sweep the
-  // walk must genuinely get ahead of the workers somewhere.
-  EXPECT_GT(total_hits, 0u);
-}
-
-// Same contract as the budget/threads knobs: a set but malformed OROCHI_PREFETCH_DEPTH
-// is a hard config error before any file is read, never a silent fallback to some depth.
-TEST(EnvConfig, MalformedPrefetchDepthEnvIsAHardErrorNotASilentFallback) {
-  AuditOptions options;  // prefetch_depth = kPrefetchDepthAuto ⇒ the env variable decides.
-  for (const char* bad : {"2x", "abc", "-1", "+5", " 2", "2 ", "", "99999999999999999999"}) {
-    ASSERT_EQ(setenv("OROCHI_PREFETCH_DEPTH", bad, 1), 0);
-    Result<size_t> d = ResolvePrefetchDepth(options);
-    ASSERT_FALSE(d.ok()) << "'" << bad << "' should not parse";
-    EXPECT_NE(d.error().find("OROCHI_PREFETCH_DEPTH"), std::string::npos) << d.error();
-  }
-
-  // Well-formed values resolve exactly; 0 is a real value (pipeline off), not auto.
-  ASSERT_EQ(setenv("OROCHI_PREFETCH_DEPTH", "0", 1), 0);
-  Result<size_t> off = ResolvePrefetchDepth(options);
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(off.value(), 0u);
-  ASSERT_EQ(setenv("OROCHI_PREFETCH_DEPTH", "7", 1), 0);
-  Result<size_t> seven = ResolvePrefetchDepth(options);
-  ASSERT_TRUE(seven.ok());
-  EXPECT_EQ(seven.value(), 7u);
-  ASSERT_EQ(unsetenv("OROCHI_PREFETCH_DEPTH"), 0);
-  Result<size_t> unset = ResolvePrefetchDepth(options);
-  ASSERT_TRUE(unset.ok());
-  EXPECT_EQ(unset.value(), kDefaultPrefetchDepth);
-
-  // A streamed feed surfaces the config error as a hard error Result, classified as
-  // config (not I/O), without consuming an epoch.
-  ASSERT_EQ(setenv("OROCHI_PREFETCH_DEPTH", "2x", 1), 0);
-  SpilledEpoch e = SpillCounterEpoch("env_prefetch", 20);
-  AuditOptions session_options;
-  session_options.num_threads = 1;
-  AuditSession session = AuditSession::Open(&e.w.app, session_options, e.initial);
-  Result<AuditResult> r = session.FeedEpochFilesStreamed(e.trace_path, e.reports_path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error().find("OROCHI_PREFETCH_DEPTH"), std::string::npos) << r.error();
-  EXPECT_EQ(ClassifyAuditOutcome(r), AuditOutcome::kConfigError);
-  EXPECT_EQ(session.epochs_fed(), 0u);
-
-  // Explicit options shadow the environment entirely, even a malformed one.
-  session_options.prefetch_depth = 0;
-  AuditSession shadowed = AuditSession::Open(&e.w.app, session_options, e.initial);
-  Result<AuditResult> ok = shadowed.FeedEpochFilesStreamed(e.trace_path, e.reports_path);
-  ASSERT_TRUE(ok.ok()) << ok.error();
-  EXPECT_TRUE(ok.value().accepted);
-  ASSERT_EQ(unsetenv("OROCHI_PREFETCH_DEPTH"), 0);
 }
 
 TEST(EnvConfig, MalformedThreadsEnvIsAHardErrorNotASilentFallback) {

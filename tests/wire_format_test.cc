@@ -312,7 +312,9 @@ TEST(WireFormat, RejectsUnknownRecordType) {
       << back.error();
 }
 
-// Hand-assembled envelope bytes for forged-file tests.
+// Hand-assembled payload bytes for forged-file tests. The envelope and record frames come
+// from the writers' own helpers, so every forged record passes its CRC and the payload
+// validators are what fire.
 void AppendU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; i++) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -323,31 +325,35 @@ void AppendU64(std::string* out, uint64_t v) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
   }
 }
-std::string Header(uint8_t section) {
-  std::string h = "OROCHIWF";
-  AppendU32(&h, 1);  // Format version.
-  h.push_back(static_cast<char>(section));
-  return h;
-}
-void AppendRecord(std::string* out, uint8_t type, const std::string& payload) {
-  out->push_back(static_cast<char>(type));
-  AppendU64(out, payload.size());
-  out->append(payload);
+// Seals a forged section with the end record whose footer counts every record frame
+// after the envelope header.
+void AppendEnd(std::string* bytes) {
+  uint64_t records = 0;
+  size_t pos = wire::kEnvelopeHeaderBytes;
+  uint8_t type = 0;
+  uint64_t len = 0;
+  uint32_t crc = 0;
+  while (wire::ParseRecordFrameV2(bytes->data() + pos, bytes->size() - pos, &type, &len,
+                                  &crc)) {
+    pos += wire::kRecordFrameBytesV2 + len;
+    records++;
+  }
+  wire::AppendEndRecordFrame(bytes, records, bytes->size());
 }
 
 // A forged element count far beyond the payload must reject, not feed vector::reserve
 // (which would throw length_error in an exception-free codebase and abort the verifier).
 TEST(WireFormat, RejectsForgedHugeOpLogCount) {
-  std::string bytes = Header(2);  // Reports section.
+  std::string bytes = wire::EnvelopeHeader(wire::Section::kReports);
   std::string object;             // ObjectKind::kKv + empty name.
   object.push_back(1);
   AppendU32(&object, 0);
-  AppendRecord(&bytes, 1, object);
+  wire::AppendRecordFrame(&bytes, 1, object);
   std::string oplog;  // Object id 0 claiming 2^62 op records in a 12-byte payload.
   AppendU32(&oplog, 0);
   AppendU64(&oplog, 1ull << 62);
-  AppendRecord(&bytes, 2, oplog);
-  AppendRecord(&bytes, 0, "");
+  wire::AppendRecordFrame(&bytes, 2, oplog);
+  AppendEnd(&bytes);
   std::string path = TempPath("forged_oplog_count.bin");
   WriteFileBytes(path, bytes);
   Result<Reports> back = ReadReportsFile(path);
@@ -357,14 +363,14 @@ TEST(WireFormat, RejectsForgedHugeOpLogCount) {
 
 // ncols = 0 with nrows > 0 would let the row loop spin without consuming payload.
 TEST(WireFormat, RejectsZeroWidthTableWithRows) {
-  std::string bytes = Header(3);  // State section.
+  std::string bytes = wire::EnvelopeHeader(wire::Section::kState);
   std::string table;
   AppendU32(&table, 1);
   table += "t";
   AppendU32(&table, 0);           // ncols = 0.
   AppendU64(&table, 1ull << 40);  // nrows.
-  AppendRecord(&bytes, 3, table);
-  AppendRecord(&bytes, 0, "");
+  wire::AppendRecordFrame(&bytes, 3, table);
+  AppendEnd(&bytes);
   std::string path = TempPath("forged_zero_width.bin");
   WriteFileBytes(path, bytes);
   Result<InitialState> back = ReadInitialStateFile(path);
@@ -374,12 +380,12 @@ TEST(WireFormat, RejectsZeroWidthTableWithRows) {
 
 // The writer emits exactly one op-counts record; a second one must reject.
 TEST(WireFormat, RejectsDuplicateOpCountsRecords) {
-  std::string bytes = Header(2);
+  std::string bytes = wire::EnvelopeHeader(wire::Section::kReports);
   std::string counts;
   AppendU64(&counts, 0);
-  AppendRecord(&bytes, 4, counts);
-  AppendRecord(&bytes, 4, counts);
-  AppendRecord(&bytes, 0, "");
+  wire::AppendRecordFrame(&bytes, 4, counts);
+  wire::AppendRecordFrame(&bytes, 4, counts);
+  AppendEnd(&bytes);
   std::string path = TempPath("dup_op_counts.bin");
   WriteFileBytes(path, bytes);
   Result<Reports> back = ReadReportsFile(path);
@@ -409,13 +415,14 @@ std::string ShardInfoRecordBytes(uint32_t id) {
   std::string payload;
   AppendU32(&payload, id);
   std::string out;
-  AppendRecord(&out, 3, payload);  // kTraceRecShardInfo.
+  wire::AppendRecordFrame(&out, 3, payload);  // kTraceRecShardInfo.
   return out;
 }
 
 TEST(WireTrace, RejectsDuplicateShardInfoRecord) {
-  std::string bytes = Header(1) + ShardInfoRecordBytes(1) + ShardInfoRecordBytes(1);
-  AppendRecord(&bytes, 0, "");
+  std::string bytes = wire::EnvelopeHeader(wire::Section::kTrace) + ShardInfoRecordBytes(1) +
+                      ShardInfoRecordBytes(1);
+  AppendEnd(&bytes);
   std::string path = TempPath("dup_shard_info.bin");
   WriteFileBytes(path, bytes);
   Result<Trace> back = ReadTraceFile(path);
@@ -429,10 +436,10 @@ TEST(WireTrace, RejectsOutOfOrderShardInfoRecord) {
   std::string response;
   AppendU64(&response, 7);
   AppendU32(&response, 0);  // Empty body string.
-  std::string bytes = Header(1);
-  AppendRecord(&bytes, 2, response);
+  std::string bytes = wire::EnvelopeHeader(wire::Section::kTrace);
+  wire::AppendRecordFrame(&bytes, 2, response);
   bytes += ShardInfoRecordBytes(1);
-  AppendRecord(&bytes, 0, "");
+  AppendEnd(&bytes);
   std::string path = TempPath("late_shard_info.bin");
   WriteFileBytes(path, bytes);
   Result<Trace> back = ReadTraceFile(path);
@@ -442,8 +449,8 @@ TEST(WireTrace, RejectsOutOfOrderShardInfoRecord) {
 }
 
 TEST(WireTrace, RejectsShardIdZeroRecord) {
-  std::string bytes = Header(1) + ShardInfoRecordBytes(0);
-  AppendRecord(&bytes, 0, "");
+  std::string bytes = wire::EnvelopeHeader(wire::Section::kTrace) + ShardInfoRecordBytes(0);
+  AppendEnd(&bytes);
   std::string path = TempPath("zero_shard_info.bin");
   WriteFileBytes(path, bytes);
   Result<Trace> back = ReadTraceFile(path);
@@ -469,13 +476,14 @@ std::string ObjectRecordBytes(uint8_t kind, const std::string& name) {
   AppendU32(&payload, static_cast<uint32_t>(name.size()));
   payload += name;
   std::string out;
-  AppendRecord(&out, 1, payload);  // kRecObject.
+  wire::AppendRecordFrame(&out, 1, payload);  // kRecObject.
   return out;
 }
 
 TEST(WireReports, RejectsDuplicateObjectRecord) {
-  std::string bytes = Header(2) + ObjectRecordBytes(0, "r") + ObjectRecordBytes(0, "r");
-  AppendRecord(&bytes, 0, "");
+  std::string bytes = wire::EnvelopeHeader(wire::Section::kReports) +
+                      ObjectRecordBytes(0, "r") + ObjectRecordBytes(0, "r");
+  AppendEnd(&bytes);
   std::string path = TempPath("dup_object.bin");
   WriteFileBytes(path, bytes);
   Result<Reports> back = ReadReportsFile(path);
@@ -489,10 +497,10 @@ TEST(WireReports, RejectsOutOfOrderObjectRecord) {
   // record after any non-object record is rejected (the writer always emits them first).
   std::string counts;
   AppendU64(&counts, 0);
-  std::string bytes = Header(2) + ObjectRecordBytes(1, "");
-  AppendRecord(&bytes, 4, counts);  // kRecOpCounts.
+  std::string bytes = wire::EnvelopeHeader(wire::Section::kReports) + ObjectRecordBytes(1, "");
+  wire::AppendRecordFrame(&bytes, 4, counts);  // kRecOpCounts.
   bytes += ObjectRecordBytes(0, "late");
-  AppendRecord(&bytes, 0, "");
+  AppendEnd(&bytes);
   std::string path = TempPath("late_object.bin");
   WriteFileBytes(path, bytes);
   Result<Reports> back = ReadReportsFile(path);
@@ -537,10 +545,10 @@ TEST(WireManifest, RejectsDuplicateShardIdAndLateEpochRecord) {
   shard += "r";
   std::string epoch;
   AppendU64(&epoch, 5);
-  std::string bytes = Header(4);
-  AppendRecord(&bytes, 2, shard);
-  AppendRecord(&bytes, 1, epoch);
-  AppendRecord(&bytes, 0, "");
+  std::string bytes = wire::EnvelopeHeader(wire::Section::kManifest);
+  wire::AppendRecordFrame(&bytes, 2, shard);
+  wire::AppendRecordFrame(&bytes, 1, epoch);
+  AppendEnd(&bytes);
   std::string late_path = TempPath("manifest_late_epoch.bin");
   WriteFileBytes(late_path, bytes);
   Result<ShardManifest> late = ReadShardManifestFile(late_path);
@@ -577,13 +585,13 @@ TEST(WireFormat, RejectsMissingFile) {
 }
 
 TEST(WireReports, RejectsOpLogForUnknownObject) {
-  // Hand-crafted v1 file (no per-record CRC, so the payload-level check is what fires):
-  // one declared object, then an op-log claiming object id 7.
-  std::string bytes = Header(2);  // Reports section.
+  // Hand-crafted file (every record's CRC is valid, so the payload-level check is what
+  // fires): one declared object, then an op-log claiming object id 7.
+  std::string bytes = wire::EnvelopeHeader(wire::Section::kReports);
   std::string object;             // ObjectKind::kKv + empty name.
   object.push_back(1);
   AppendU32(&object, 0);
-  AppendRecord(&bytes, 1, object);
+  wire::AppendRecordFrame(&bytes, 1, object);
   std::string oplog;
   AppendU32(&oplog, 7);  // Object id 7 does not exist.
   AppendU64(&oplog, 1);
@@ -592,8 +600,8 @@ TEST(WireReports, RejectsOpLogForUnknownObject) {
   oplog.push_back(static_cast<char>(StateOpType::kKvGet));
   AppendU32(&oplog, 1);
   oplog += "k";
-  AppendRecord(&bytes, 2, oplog);
-  AppendRecord(&bytes, 0, "");  // End record.
+  wire::AppendRecordFrame(&bytes, 2, oplog);
+  AppendEnd(&bytes);
   std::string path = TempPath("bad_objid.bin");
   WriteFileBytes(path, bytes);
   Result<Reports> back = ReadReportsFile(path);
@@ -625,28 +633,28 @@ TEST(WireReports, CrcLocalizesPayloadCorruption) {
   EXPECT_NE(back.error().find(path), std::string::npos) << back.error();
 }
 
-// v1 files (9-byte frames, no CRC, bare end record) written by the previous release must
-// keep reading back exactly.
-TEST(WireReports, ReadsV1FilesBackwardCompatibly) {
-  std::string bytes = Header(2);
+// v1 files (9-byte frames, no CRC, bare end record) are no longer read: the envelope
+// version alone rejects them as unsupported, naming the file, before any record is parsed.
+TEST(WireReports, RejectsV1FilesAsUnsupportedVersion) {
+  std::string bytes = "OROCHIWF";
+  AppendU32(&bytes, 1);  // Format version 1.
+  bytes.push_back(static_cast<char>(wire::Section::kReports));
   std::string object;
   object.push_back(0);  // ObjectKind::kRegister.
   AppendU32(&object, 3);
   object += "reg";
-  AppendRecord(&bytes, 1, object);
-  std::string counts;
-  AppendU64(&counts, 1);
-  AppendU64(&counts, 42);  // rid.
-  AppendU32(&counts, 2);   // ops.
-  AppendRecord(&bytes, 4, counts);
-  AppendRecord(&bytes, 0, "");
-  std::string path = TempPath("v1_compat.bin");
+  bytes.push_back(1);  // v1 frame: u8 type, u64 length, payload.
+  AppendU64(&bytes, object.size());
+  bytes += object;
+  bytes.push_back(0);  // v1 end record: type 0, length 0.
+  AppendU64(&bytes, 0);
+  std::string path = TempPath("v1_rejected.bin");
   WriteFileBytes(path, bytes);
   Result<Reports> back = ReadReportsFile(path);
-  ASSERT_TRUE(back.ok()) << back.error();
-  ASSERT_EQ(back.value().objects.size(), 1u);
-  EXPECT_EQ(back.value().objects[0].name, "reg");
-  EXPECT_EQ(back.value().op_counts.at(42), 2u);
+  ASSERT_FALSE(back.ok());
+  EXPECT_NE(back.error().find("unsupported format version 1"), std::string::npos)
+      << back.error();
+  EXPECT_NE(back.error().find(path), std::string::npos) << back.error();
 }
 
 // Drive Collector::Flush through record → flush → record → flush: each epoch's spill file
