@@ -199,12 +199,13 @@ Status AuditContext::BuildVersionedDb() {
       // transaction aborts are a form of non-determinism).
       if (contents.sql.size() == 1) {
         uint64_t ts = VersionedDatabase::MakeTimestamp(s, 1);
-        Result<SqlStatement> stmt = ParseSql(contents.sql[0]);
+        Result<std::shared_ptr<const SqlStatement>> stmt =
+            ParseCached(contents.sql[0], CacheShard(contents.sql[0]));
         if (stmt.ok()) {
           Result<StmtResult> r =
-              stmt.value().kind == SqlStmtKind::kSelect
-                  ? versioned_db_.Select(stmt.value(), ts)
-                  : versioned_db_.ApplyWrite(stmt.value(), ts, /*commit=*/false);
+              stmt.value()->kind == SqlStmtKind::kSelect
+                  ? versioned_db_.Select(*stmt.value(), ts)
+                  : versioned_db_.ApplyWrite(*stmt.value(), ts, /*commit=*/false);
           if (r.ok()) {
             return Status::Error("db log entry " + std::to_string(s) +
                                  " claims failure but the statement succeeds on replay");
@@ -216,16 +217,17 @@ Status AuditContext::BuildVersionedDb() {
     }
     for (size_t q = 1; q <= contents.sql.size(); q++) {
       uint64_t ts = VersionedDatabase::MakeTimestamp(s, q);
-      Result<SqlStatement> stmt = ParseSql(contents.sql[q - 1]);
+      const std::string& sql = contents.sql[q - 1];
+      Result<std::shared_ptr<const SqlStatement>> stmt = ParseCached(sql, CacheShard(sql));
       if (!stmt.ok()) {
         return Status::Error("db log entry " + std::to_string(s) +
                              " claims success but statement " + std::to_string(q) +
                              " does not parse: " + stmt.error());
       }
-      if (stmt.value().kind == SqlStmtKind::kSelect) {
+      if (stmt.value()->kind == SqlStmtKind::kSelect) {
         continue;  // Reads re-execute during SimOp at their timestamp.
       }
-      Result<StmtResult> r = versioned_db_.ApplyWrite(stmt.value(), ts);
+      Result<StmtResult> r = versioned_db_.ApplyWrite(*stmt.value(), ts);
       if (!r.ok()) {
         return Status::Error("db log entry " + std::to_string(s) +
                              " claims success but replay fails: " + r.error());
@@ -311,30 +313,43 @@ Result<OpLocation> AuditContext::CheckOp(RequestId rid, uint32_t opnum,
   return loc;
 }
 
-Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
-                                      AuditWorkerState* ws) {
-  using R = Result<Value>;
-  QueryCacheShard& shard = query_cache_[std::hash<std::string>{}(sql) % kQueryCacheShards];
+AuditContext::QueryCacheShard& AuditContext::CacheShard(const std::string& sql) {
+  return query_cache_[std::hash<std::string>{}(sql) % kQueryCacheShards];
+}
 
-  // Parse cache. Parsing happens outside the shard lock; if two workers race on the same
-  // uncached statement, both parse and the first insert wins (identical content either way).
-  std::shared_ptr<const SqlStatement> stmt;
+Result<std::shared_ptr<const SqlStatement>> AuditContext::ParseCached(const std::string& sql,
+                                                                      QueryCacheShard& shard) {
+  using R = Result<std::shared_ptr<const SqlStatement>>;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto pit = shard.parse.find(sql);
     if (pit != shard.parse.end()) {
-      stmt = pit->second;
+      return R(pit->second);
     }
   }
-  if (stmt == nullptr) {
-    Result<SqlStatement> parsed = ParseSql(sql);
-    if (!parsed.ok()) {
-      return R::Error(parsed.error());
-    }
-    stmt = std::make_shared<const SqlStatement>(std::move(parsed).value());
-    std::lock_guard<std::mutex> lock(shard.mu);
-    stmt = shard.parse.emplace(sql, stmt).first->second;
+  // Parsing happens outside the shard lock; if two workers race on the same uncached
+  // SELECT, both parse and the first insert wins (identical content either way).
+  Result<SqlStatement> parsed = ParseSql(sql);
+  if (!parsed.ok()) {
+    return R::Error(parsed.error());
   }
+  auto stmt = std::make_shared<const SqlStatement>(std::move(parsed).value());
+  if (stmt->kind != SqlStmtKind::kSelect) {
+    return R(std::move(stmt));
+  }
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return R(shard.parse.emplace(sql, std::move(stmt)).first->second);
+}
+
+Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
+                                      AuditWorkerState* ws) {
+  using R = Result<Value>;
+  QueryCacheShard& shard = CacheShard(sql);
+  Result<std::shared_ptr<const SqlStatement>> parsed = ParseCached(sql, shard);
+  if (!parsed.ok()) {
+    return R::Error(parsed.error());
+  }
+  const std::shared_ptr<const SqlStatement>& stmt = parsed.value();
   if (stmt->kind != SqlStmtKind::kSelect) {
     return R::Error("RunSelect: not a SELECT");
   }

@@ -246,6 +246,13 @@ class AuditContext {
   static constexpr size_t kQueryCacheShards = 16;
   std::array<QueryCacheShard, kQueryCacheShards> query_cache_;
 
+  QueryCacheShard& CacheShard(const std::string& sql);
+  // Parses `sql` through its shard's parse cache, shared by the redo pass and RunSelect, so
+  // each distinct SELECT text parses once per epoch. Other statements parse on every call
+  // and are not cached: write texts are mostly unique, so caching them only grows memory.
+  Result<std::shared_ptr<const SqlStatement>> ParseCached(const std::string& sql,
+                                                          QueryCacheShard& shard);
+
   // Nondet cursors and monotonicity state. Pre-built for every traced rid in Prepare();
   // re-execution only mutates existing entries (one worker per rid at a time).
   struct NondetCursor {

@@ -1,6 +1,7 @@
 #include "src/sql/versioned_database.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/sql/sql_eval.h"
 #include "src/sql/sql_parser.h"
@@ -9,12 +10,98 @@ namespace orochi {
 
 namespace {
 constexpr uint64_t kOpenEnd = UINT64_MAX;
+
+// The INT column and int literal of `col = k` or `k = col` when that is the leftmost
+// conjunct of `where`; nullopt for every other shape (those scan).
+std::optional<std::pair<size_t, double>> EqualityProbe(const SqlExpr* where,
+                                                       const std::vector<ColumnDef>& schema) {
+  if (where == nullptr) {
+    return std::nullopt;
+  }
+  while (where->kind == SqlExprKind::kAnd) {
+    where = where->a.get();
+  }
+  if (where->kind != SqlExprKind::kBinary || where->op != SqlBinOp::kEq) {
+    return std::nullopt;
+  }
+  const SqlExpr* col = where->a.get();
+  const SqlExpr* lit = where->b.get();
+  if (col->kind != SqlExprKind::kColumn) {
+    std::swap(col, lit);
+  }
+  if (col->kind != SqlExprKind::kColumn || lit->kind != SqlExprKind::kLiteral ||
+      !lit->literal.is_int()) {
+    return std::nullopt;
+  }
+  int idx = ColumnIndex(schema, col->column);
+  if (idx < 0 || schema[static_cast<size_t>(idx)].type != SqlType::kInt) {
+    return std::nullopt;
+  }
+  return std::make_pair(static_cast<size_t>(idx), lit->literal.ToFloat());
 }
+
+// Pairs of (row id, row) in row-id order — the server Database's row order. Versions are
+// appended, so a visible set is out of order only after an UPDATE; sort only then.
+std::vector<const SqlRow*> InRowIdOrder(std::vector<std::pair<uint64_t, const SqlRow*>> rows) {
+  auto by_id = [](const auto& x, const auto& y) { return x.first < y.first; };
+  if (!std::is_sorted(rows.begin(), rows.end(), by_id)) {
+    std::sort(rows.begin(), rows.end(), by_id);
+  }
+  std::vector<const SqlRow*> out;
+  out.reserve(rows.size());
+  for (const auto& [id, row] : rows) {
+    out.push_back(row);
+  }
+  return out;
+}
+}  // namespace
 
 void VersionedDatabase::NoteModification(VTable* t, uint64_t ts) {
   if (t->mod_timestamps.empty() || t->mod_timestamps.back() != ts) {
     t->mod_timestamps.push_back(ts);
   }
+}
+
+void VersionedDatabase::AppendVersion(VTable* t, VRow row) {
+  uint32_t pos = static_cast<uint32_t>(t->rows.size());
+  for (size_t c = 0; c < t->schema.size(); c++) {
+    // INSERT and UPDATE coerce cells to the column type, so an INT cell is an int or NULL;
+    // NULL never equals an int literal and is not indexed.
+    if (t->schema[c].type == SqlType::kInt && !row.values[c].is_null()) {
+      t->eq_index[c][row.values[c].ToFloat()].push_back(pos);
+    }
+  }
+  t->rows.push_back(std::move(row));
+}
+
+template <typename Fn>
+Status VersionedDatabase::ForEachMatch(const VTable& t, const SqlExpr* where, uint64_t ts,
+                                       Fn&& fn) {
+  static const std::vector<uint32_t> kNoCandidates;
+  const std::vector<uint32_t>* candidates = nullptr;
+  if (std::optional<std::pair<size_t, double>> probe = EqualityProbe(where, t.schema)) {
+    const EqIndex& index = t.eq_index[probe->first];
+    auto hit = index.find(probe->second);
+    candidates = hit == index.end() ? &kNoCandidates : &hit->second;
+  }
+  size_t n = candidates != nullptr ? candidates->size() : t.rows.size();
+  for (size_t i = 0; i < n; i++) {
+    size_t pos = candidates != nullptr ? (*candidates)[i] : i;
+    const VRow& vrow = t.rows[pos];
+    if (!(vrow.start_ts <= ts && ts < vrow.end_ts)) {
+      continue;
+    }
+    Result<bool> match = EvalWhere(where, t.schema, vrow.values);
+    if (!match.ok()) {
+      return Status::Error(match.error());
+    }
+    if (match.value()) {
+      if (Status st = fn(pos); !st.ok()) {
+        return st;
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 Result<StmtResult> VersionedDatabase::ApplyWriteText(const std::string& sql, uint64_t ts) {
@@ -38,6 +125,7 @@ Result<StmtResult> VersionedDatabase::ApplyWrite(const SqlStatement& stmt, uint6
       if (commit) {
         VTable t;
         t.schema = stmt.columns;
+        t.eq_index.resize(t.schema.size());
         NoteModification(&t, ts);
         tables_.emplace(stmt.table, std::move(t));
       }
@@ -72,7 +160,7 @@ Result<StmtResult> VersionedDatabase::ApplyWrite(const SqlStatement& stmt, uint6
           row[idx] = CoerceToColumnType(v.value(), t.schema[idx].type);
         }
         if (commit) {
-          t.rows.push_back({ts, kOpenEnd, std::move(row)});
+          AppendVersion(&t, {ts, kOpenEnd, t.next_row_id++, std::move(row)});
         }
         inserted++;
       }
@@ -100,33 +188,27 @@ Result<StmtResult> VersionedDatabase::ApplyWrite(const SqlStatement& stmt, uint6
       }
       // Stage: find visible matching rows, compute successors, then commit.
       std::vector<std::pair<size_t, SqlRow>> staged;
-      for (size_t ri = 0; ri < t.rows.size(); ri++) {
-        VRow& vrow = t.rows[ri];
-        if (!(vrow.start_ts <= ts && ts < vrow.end_ts)) {
-          continue;
-        }
-        Result<bool> match = EvalWhere(stmt.where.get(), t.schema, vrow.values);
-        if (!match.ok()) {
-          return Result<StmtResult>::Error(match.error());
-        }
-        if (!match.value()) {
-          continue;
-        }
-        SqlRow updated = vrow.values;
+      Status st = ForEachMatch(t, stmt.where.get(), ts, [&](size_t ri) {
+        const SqlRow& values = t.rows[ri].values;
+        SqlRow updated = values;
         for (const auto& [idx, expr] : sets) {
-          Result<SqlValue> v = EvalSqlExpr(*expr, t.schema, vrow.values);
+          Result<SqlValue> v = EvalSqlExpr(*expr, t.schema, values);
           if (!v.ok()) {
-            return Result<StmtResult>::Error(v.error());
+            return Status::Error(v.error());
           }
           size_t i = static_cast<size_t>(idx);
           updated[i] = CoerceToColumnType(v.value(), t.schema[i].type);
         }
         staged.emplace_back(ri, std::move(updated));
+        return Status::Ok();
+      });
+      if (!st.ok()) {
+        return Result<StmtResult>::Error(st.error());
       }
       if (commit) {
         for (auto& [ri, updated] : staged) {
           t.rows[ri].end_ts = ts;
-          t.rows.push_back({ts, kOpenEnd, std::move(updated)});
+          AppendVersion(&t, {ts, kOpenEnd, t.rows[ri].row_id, std::move(updated)});
         }
         if (!staged.empty()) {
           NoteModification(&t, ts);
@@ -144,18 +226,12 @@ Result<StmtResult> VersionedDatabase::ApplyWrite(const SqlStatement& stmt, uint6
       }
       VTable& t = it->second;
       std::vector<size_t> doomed;
-      for (size_t ri = 0; ri < t.rows.size(); ri++) {
-        const VRow& vrow = t.rows[ri];
-        if (!(vrow.start_ts <= ts && ts < vrow.end_ts)) {
-          continue;
-        }
-        Result<bool> match = EvalWhere(stmt.where.get(), t.schema, vrow.values);
-        if (!match.ok()) {
-          return Result<StmtResult>::Error(match.error());
-        }
-        if (match.value()) {
-          doomed.push_back(ri);
-        }
+      Status st = ForEachMatch(t, stmt.where.get(), ts, [&](size_t ri) {
+        doomed.push_back(ri);
+        return Status::Ok();
+      });
+      if (!st.ok()) {
+        return Result<StmtResult>::Error(st.error());
       }
       if (commit) {
         for (size_t ri : doomed) {
@@ -193,20 +269,15 @@ Result<StmtResult> VersionedDatabase::Select(const SqlStatement& stmt, uint64_t 
     return Result<StmtResult>::Error("no such table '" + stmt.table + "'");
   }
   const VTable& t = it->second;
-  std::vector<const SqlRow*> filtered;
-  for (const VRow& vrow : t.rows) {
-    if (!(vrow.start_ts <= ts && ts < vrow.end_ts)) {
-      continue;
-    }
-    Result<bool> keep = EvalWhere(stmt.where.get(), t.schema, vrow.values);
-    if (!keep.ok()) {
-      return Result<StmtResult>::Error(keep.error());
-    }
-    if (keep.value()) {
-      filtered.push_back(&vrow.values);
-    }
+  std::vector<std::pair<uint64_t, const SqlRow*>> filtered;
+  Status st = ForEachMatch(t, stmt.where.get(), ts, [&](size_t pos) {
+    filtered.emplace_back(t.rows[pos].row_id, &t.rows[pos].values);
+    return Status::Ok();
+  });
+  if (!st.ok()) {
+    return Result<StmtResult>::Error(st.error());
   }
-  return RunSelectPipeline(stmt, t.schema, std::move(filtered));
+  return RunSelectPipeline(stmt, t.schema, InRowIdOrder(std::move(filtered)));
 }
 
 bool VersionedDatabase::TableModifiedBetween(const std::string& table, uint64_t from_ts,
@@ -225,55 +296,21 @@ bool VersionedDatabase::TableModifiedBetween(const std::string& table, uint64_t 
 Database VersionedDatabase::LatestState() const {
   Database db;
   for (const auto& [name, t] : tables_) {
-    SqlStatement create;
-    create.kind = SqlStmtKind::kCreateTable;
-    create.table = name;
-    create.columns = t.schema;
-    Result<StmtResult> r = db.Execute(create);
-    (void)r;
-    // Bulk-insert current rows (the "migration" of §4.5, collapsed to a single pass since
-    // both stores are in-memory here).
-    SqlStatement insert;
-    insert.kind = SqlStmtKind::kInsert;
-    insert.table = name;
-    for (const ColumnDef& c : t.schema) {
-      insert.insert_columns.push_back(c.name);
-    }
+    std::vector<std::pair<uint64_t, const SqlRow*>> current;
     for (const VRow& vrow : t.rows) {
-      if (vrow.end_ts != kOpenEnd) {
-        continue;
+      if (vrow.end_ts == kOpenEnd) {
+        current.emplace_back(vrow.row_id, &vrow.values);
       }
-      std::vector<SqlExprPtr> exprs;
-      for (const SqlValue& v : vrow.values) {
-        auto e = std::make_unique<SqlExpr>();
-        e->kind = SqlExprKind::kLiteral;
-        e->literal = v;
-        exprs.push_back(std::move(e));
-      }
-      insert.insert_rows.push_back(std::move(exprs));
     }
-    if (!insert.insert_rows.empty()) {
-      Result<StmtResult> ri = db.Execute(insert);
-      (void)ri;
+    std::vector<SqlRow> rows;
+    for (const SqlRow* row : InRowIdOrder(std::move(current))) {
+      rows.push_back(*row);
     }
+    // Every row was built to the schema's width, so the load cannot fail.
+    Status st = db.LoadTable(name, t.schema, std::move(rows));
+    (void)st;
   }
   return db;
-}
-
-size_t VersionedDatabase::ApproximateBytes() const {
-  size_t bytes = 0;
-  for (const auto& [name, t] : tables_) {
-    bytes += name.size() + 64;
-    for (const VRow& vrow : t.rows) {
-      bytes += 16 + 16 * vrow.values.size();
-      for (const SqlValue& v : vrow.values) {
-        if (v.is_text()) {
-          bytes += v.as_text().size();
-        }
-      }
-    }
-  }
-  return bytes;
 }
 
 size_t VersionedDatabase::VersionedRowCount(const std::string& table) const {

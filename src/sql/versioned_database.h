@@ -6,12 +6,25 @@
 // state the online execution saw. Per-table modification timestamps support read-query
 // deduplication: two lexically identical SELECTs at versions v1 < v2 can share a result when
 // no touched table was modified in (v1, v2].
+//
+// Row order matches the server's Database: every version carries a stable row id that an
+// UPDATE successor inherits, and SELECTs and LatestState see rows in row-id order, which is
+// insertion order with updates in place.
+//
+// Equality probes: each INT column keeps an index from cell value (keyed as the double that
+// CompareSqlValues compares) to the ascending positions of every version holding it. When
+// the leftmost conjunct of a WHERE is `INT column = int literal` (either operand order),
+// SELECT, UPDATE and DELETE visit only the probed versions and still evaluate the full WHERE
+// on each. AND evaluates left to right and stops at the first false operand, so every
+// skipped version is one whose WHERE is false without error: rows, order, affected counts
+// and errors equal a full scan's. Every other WHERE shape scans.
 #ifndef SRC_SQL_VERSIONED_DATABASE_H_
 #define SRC_SQL_VERSIONED_DATABASE_H_
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/result.h"
@@ -55,25 +68,35 @@ class VersionedDatabase {
   // "permanent" copy the verifier keeps after the audit (§5.1), discarding versions.
   Database LatestState() const;
 
-  // Approximate resident bytes including all versions (Figure 8 "temp DB overhead").
-  size_t ApproximateBytes() const;
-
   size_t VersionedRowCount(const std::string& table) const;
 
  private:
   struct VRow {
     uint64_t start_ts;
     uint64_t end_ts;  // UINT64_MAX while current.
+    uint64_t row_id;  // Stable across versions: an UPDATE successor inherits it.
     SqlRow values;
   };
+
+  // One INT column's equality index: cell value -> ascending positions in `rows`.
+  using EqIndex = std::unordered_map<double, std::vector<uint32_t>>;
 
   struct VTable {
     std::vector<ColumnDef> schema;
     std::vector<VRow> rows;
+    std::vector<EqIndex> eq_index;  // Per column; stays empty for non-INT columns.
+    uint64_t next_row_id = 0;
     std::vector<uint64_t> mod_timestamps;  // Sorted (appends are monotone).
   };
 
   void NoteModification(VTable* t, uint64_t ts);
+  // Appends a version and indexes its INT cells.
+  static void AppendVersion(VTable* t, VRow row);
+  // Calls fn(position) in ascending position order for every version visible at ts whose
+  // WHERE holds, probing the equality index when the WHERE allows it; stops at the first
+  // error, from the WHERE or from fn.
+  template <typename Fn>
+  static Status ForEachMatch(const VTable& t, const SqlExpr* where, uint64_t ts, Fn&& fn);
 
   std::map<std::string, VTable> tables_;
   bool frozen_ = false;

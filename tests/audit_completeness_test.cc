@@ -133,6 +133,37 @@ TEST(FinalState, ChainsIntoNextAuditPeriod) {
   EXPECT_TRUE(r2.accepted) << r2.reason;
 }
 
+// The server's Database updates a row in place, so a later SELECT without ORDER BY lists
+// it where it always was; the verifier must list rows in that same order. An honest run
+// whose responses echo row order is accepted, and the audited final state, row order
+// included, equals the server's own database and chains into the next period.
+TEST(FinalState, RowOrderAfterUpdatesMatchesTheServer) {
+  Workload w;
+  w.name = "row-order";
+  ASSERT_TRUE(w.app.AddScript("/bump", R"WS(
+db_query("UPDATE t SET n = n + 1 WHERE id = " . intval(input("id")));
+$rows = db_query("SELECT id, n FROM t");
+foreach ($rows as $r) { echo $r["id"] . ":" . $r["n"] . " "; }
+)WS").ok());
+  ASSERT_TRUE(w.initial.db.ExecuteText("CREATE TABLE t (id INT, n INT)").ok());
+  ASSERT_TRUE(w.initial.db.ExecuteText("INSERT INTO t (id, n) VALUES (1, 0), (2, 0), (3, 0)").ok());
+  for (int id : {1, 3, 1, 2}) {
+    w.items.push_back({"/bump", {{"id", std::to_string(id)}}});
+  }
+  ServedWorkload served = ServeWorkload(w, /*num_workers=*/1);
+  Auditor auditor(&w.app);
+  AuditResult r = auditor.Audit(served.trace, served.reports, served.initial);
+  ASSERT_TRUE(r.accepted) << r.reason;
+  ASSERT_NE(r.final_state.db.Rows("t"), nullptr);
+  EXPECT_EQ(*r.final_state.db.Rows("t"), *served.final_state.db.Rows("t"));
+
+  w.initial = served.final_state;
+  ServedWorkload served2 = ServeWorkload(w, /*num_workers=*/1);
+  AuditResult r2 = auditor.Audit(served2.trace, served2.reports, r.final_state);
+  EXPECT_TRUE(r2.accepted) << r2.reason;
+  EXPECT_EQ(*r2.final_state.db.Rows("t"), *served2.final_state.db.Rows("t"));
+}
+
 TEST(Idempotence, DuplicatedGroupMembershipStillAccepted) {
   // "The verifier can filter out duplicates, but it does not have to, since re-execution
   // is idempotent" (§3.1).
@@ -235,6 +266,12 @@ TEST_P(AppCompleteness, AllAppsAccept) {
   Auditor auditor(&w.app);
   AuditResult r = auditor.Audit(served.trace, served.reports, served.initial);
   EXPECT_TRUE(r.accepted) << r.reason;
+  // The audited final state is the server's own database, row order included.
+  EXPECT_EQ(r.final_state.db.TableNames(), served.final_state.db.TableNames());
+  for (const std::string& table : served.final_state.db.TableNames()) {
+    ASSERT_NE(r.final_state.db.Rows(table), nullptr) << table;
+    EXPECT_EQ(*r.final_state.db.Rows(table), *served.final_state.db.Rows(table)) << table;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AppsAndWorkers, AppCompleteness,

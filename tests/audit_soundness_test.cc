@@ -5,7 +5,9 @@
 
 #include <functional>
 
+#include "src/core/audit_session.h"
 #include "src/core/auditor.h"
+#include "src/objects/wire_format.h"
 #include "src/server/manual_executor.h"
 #include "src/server/tamper.h"
 #include "tests/test_util.h"
@@ -191,6 +193,53 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// --- The redo pass's own checks on the db log ---
+//
+// Each forged entry must REJECT during redo, with the same reason in memory and streamed
+// from spill files (where the redo reads entry contents segment by segment).
+
+void ExpectRedoRejects(const std::function<std::string(const std::string& sql)>& forge,
+                       const std::string& reason_part, const std::string& label) {
+  Workload w = CounterWorkload(12);
+  ServedWorkload served = ServeWorkload(w);
+  int db = DbObj(served.reports);
+  ASSERT_GE(db, 0);
+  const OpRecord& op = served.reports.op_logs[static_cast<size_t>(db)][0];
+  Result<DbContents> dc = ParseDbContents(op.contents);
+  ASSERT_TRUE(dc.ok() && dc.value().sql.size() == 1 && dc.value().success);
+  ASSERT_TRUE(TamperLogContents(&served.reports, static_cast<size_t>(db), 0,
+                                forge(dc.value().sql[0])));
+
+  AuditSession in_memory = AuditSession::Open(&w.app, AuditOptions{}, served.initial);
+  AuditResult mem = in_memory.FeedEpoch(served.trace, served.reports);
+  ASSERT_FALSE(mem.accepted);
+  EXPECT_NE(mem.reason.find("db log entry 1 " + reason_part), std::string::npos) << mem.reason;
+
+  const std::string trace_path = ::testing::TempDir() + "/redo_" + label + "_trace.bin";
+  const std::string reports_path = ::testing::TempDir() + "/redo_" + label + "_reports.bin";
+  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
+  ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
+  AuditOptions budgeted;
+  budgeted.max_resident_bytes = 4096;
+  AuditSession streamed = AuditSession::Open(&w.app, budgeted, served.initial);
+  Result<AuditResult> got = streamed.FeedEpochFilesStreamed(trace_path, reports_path);
+  ASSERT_TRUE(got.ok()) << got.error();
+  EXPECT_FALSE(got.value().accepted);
+  EXPECT_EQ(got.value().reason, mem.reason);
+}
+
+TEST(RedoChecks, SuccessClaimWithUnparsableSqlRejected) {
+  ExpectRedoRejects(
+      [](const std::string&) { return MakeDbContents({"INSRT INTO hits"}, false, true); },
+      "claims success but statement 1 does not parse", "unparsable");
+}
+
+TEST(RedoChecks, FailureClaimThatSucceedsOnReplayRejected) {
+  ExpectRedoRejects(
+      [](const std::string& sql) { return MakeDbContents({sql}, false, false); },
+      "claims failure but the statement succeeds on replay", "false_failure");
+}
 
 // --- Figure 4, reconstructed exactly with scripted interleavings ---
 

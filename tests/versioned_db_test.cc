@@ -1,6 +1,9 @@
 // Versioned database tests: Warp-style interval visibility (§4.5), the redo-pass
-// timestamp discipline, modification tracking for query dedup, and final-state extraction.
+// timestamp discipline, modification tracking for query dedup, final-state extraction, row
+// order parity with the server's Database, and exactness of the equality index.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "src/sql/sql_parser.h"
 #include "src/sql/versioned_database.h"
@@ -148,6 +151,183 @@ TEST(VersionedDb, VersionedFootprintExceedsLatest) {
   // 1 live row, 11 versions: the "temp DB overhead" of Figure 8.
   EXPECT_EQ(db.LatestState().RowCount("t"), 1u);
   EXPECT_EQ(db.VersionedRowCount("t"), 11u);
+}
+
+// The server's Database updates rows in place; the versioned store appends successors.
+// Both must still present rows in the same order, to SELECTs (with and without ORDER BY
+// ties) after every write and in the extracted final state.
+TEST(VersionedDb, RowOrderMatchesTheServerDatabase) {
+  const std::vector<std::string> writes = {
+      "CREATE TABLE t (id INT, v TEXT)",
+      "INSERT INTO t (id, v) VALUES (1, 'a'), (2, 'b'), (3, 'c')",
+      "UPDATE t SET v = 'a2' WHERE id = 1",
+      "DELETE FROM t WHERE id = 2",
+      "INSERT INTO t (id, v) VALUES (4, 'd')",
+      "UPDATE t SET v = 'c2' WHERE id = 3",
+      "UPDATE t SET id = 0 WHERE id = 1",
+      "UPDATE t SET v = 'x'",
+      "INSERT INTO t (id, v) VALUES (5, 'x')",
+  };
+  const std::vector<std::string> reads = {
+      "SELECT id, v FROM t",
+      "SELECT id FROM t WHERE v = 'x'",
+      "SELECT id FROM t ORDER BY v",
+      "SELECT * FROM t LIMIT 2",
+      "SELECT id FROM t WHERE id = 3",
+  };
+  Database server;
+  VersionedDatabase verifier;
+  for (size_t i = 0; i < writes.size(); i++) {
+    uint64_t ts = 10 * (i + 1);
+    ASSERT_TRUE(server.ExecuteText(writes[i]).ok()) << writes[i];
+    MustApply(&verifier, writes[i], ts);
+    for (const std::string& read : reads) {
+      Result<StmtResult> want = server.ExecuteText(read);
+      Result<StmtResult> got = verifier.SelectText(read, ts);
+      ASSERT_TRUE(want.ok() && got.ok()) << read;
+      EXPECT_EQ(got.value().rows.rows, want.value().rows.rows)
+          << read << " after " << writes[i];
+    }
+  }
+  Database latest = verifier.LatestState();
+  ASSERT_NE(latest.Rows("t"), nullptr);
+  EXPECT_EQ(*latest.Rows("t"), *server.Rows("t"));
+}
+
+// --- Equality index exactness ---
+//
+// The oracle for every probed statement is the same statement with its WHERE rewritten as
+// `1 = 1 AND (<where>)`: that leftmost conjunct is never a probe, so the oracle scans every
+// version, while its truth value and errors per row are the original WHERE's.
+
+const std::vector<std::string>& ProbeWheres() {
+  static const std::vector<std::string> wheres = {
+      "id = 3", "3 = id", "id = 99", "id = -1", "grp = 2", "2 = grp AND name = 'b'",
+      "(id = 1 AND grp = 2) AND score > 0", "((grp = 1 AND id > 0) AND name = 'a') AND 1 = 1",
+      "id = 2 AND (grp = 1 OR name = 'c')", "name = 'a' AND id = 1", "score > 0 AND grp = 1",
+      "id = 1 OR id = 2", "NOT id = 1", "grp = 9007199254740993", "grp = 9007199254740992",
+      "id = '3'", "'3' = id", "id = 3.0", "grp = 2.5", "name = 'c'", "score = 2",
+      "grp = 1", "id = 2 AND ghost = 1", "id = 6 AND ghost = 1", "id = 99 AND ghost = 1",
+      "id = 2 AND 1 / score > 0", "id = 3 AND 1 / score > 0", "ghost = 1"};
+  return wheres;
+}
+
+// One table with INT, TEXT and FLOAT columns, NULL cells, two ints above 2^53 that are
+// equal as doubles, and a history of inserts, in-place updates, key changes and deletes.
+VersionedDatabase ProbeHistory() {
+  VersionedDatabase db;
+  MustApply(&db, "CREATE TABLE t (id INT, grp INT, name TEXT, score FLOAT)", 1);
+  MustApply(&db,
+            "INSERT INTO t (id, grp, name, score) VALUES (1, 1, 'a', 1.5), (2, 1, 'b', 0), "
+            "(3, 2, 'c', 2), (4, 9007199254740992, 'd', 3)",
+            10);
+  MustApply(&db, "INSERT INTO t (id, name) VALUES (5, 'e')", 20);
+  MustApply(&db, "INSERT INTO t (id, grp, name, score) VALUES (7, 9007199254740993, 'g', 1)",
+            20);
+  MustApply(&db, "UPDATE t SET grp = 2 WHERE id = 1", 30);
+  MustApply(&db, "UPDATE t SET name = 'b' WHERE grp = 2", 40);
+  MustApply(&db, "DELETE FROM t WHERE id = 4", 50);
+  MustApply(&db, "INSERT INTO t (id, grp, name, score) VALUES (6, 1, 'f', 0)", 60);
+  MustApply(&db, "UPDATE t SET id = 3 WHERE id = 5", 70);
+  MustApply(&db, "UPDATE t SET score = 2.5 WHERE 3 = id AND grp = 2", 80);
+  return db;
+}
+
+std::string Rewritten(const std::string& stmt_prefix, const std::string& where, bool oracle) {
+  return stmt_prefix + " WHERE " + (oracle ? "1 = 1 AND (" + where + ")" : where);
+}
+
+void ExpectSameOutcome(const Result<StmtResult>& got, const Result<StmtResult>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what << ": " << (got.ok() ? want.error() : got.error());
+  if (!got.ok()) {
+    EXPECT_EQ(got.error(), want.error()) << what;
+    return;
+  }
+  EXPECT_EQ(got.value().affected, want.value().affected) << what;
+  EXPECT_EQ(got.value().rows.columns, want.value().rows.columns) << what;
+  EXPECT_EQ(got.value().rows.rows, want.value().rows.rows) << what;
+}
+
+Result<StmtResult> ApplyText(VersionedDatabase* db, const std::string& sql, uint64_t ts,
+                             bool commit) {
+  Result<SqlStatement> stmt = ParseSql(sql);
+  EXPECT_TRUE(stmt.ok()) << sql;
+  return stmt.ok() ? db->ApplyWrite(stmt.value(), ts, commit)
+                   : Result<StmtResult>::Error(stmt.error());
+}
+
+const uint64_t kProbeTimestamps[] = {5, 10, 25, 35, 45, 55, 65, 75, 85, 1000};
+
+void ExpectSelectsMatchScan(const VersionedDatabase& db, const std::string& when) {
+  for (const std::string& where : ProbeWheres()) {
+    for (uint64_t ts : kProbeTimestamps) {
+      const std::string what = when + ": " + where + " @" + std::to_string(ts);
+      ExpectSameOutcome(db.SelectText(Rewritten("SELECT * FROM t", where, false), ts),
+                        db.SelectText(Rewritten("SELECT * FROM t", where, true), ts), what);
+      ExpectSameOutcome(
+          db.SelectText(Rewritten("SELECT count(*) FROM t", where, false), ts),
+          db.SelectText(Rewritten("SELECT count(*) FROM t", where, true), ts), what);
+    }
+  }
+}
+
+TEST(VersionedDbIndex, SelectsMatchTheScanOracle) {
+  ExpectSelectsMatchScan(ProbeHistory(), "history");
+}
+
+TEST(VersionedDbIndex, DryRunsMatchTheScanOracle) {
+  VersionedDatabase db = ProbeHistory();
+  const std::string writes[] = {"UPDATE t SET grp = grp + 1", "UPDATE t SET score = 1 / score",
+                                "DELETE FROM t"};
+  for (const std::string& write : writes) {
+    for (const std::string& where : ProbeWheres()) {
+      for (uint64_t ts : kProbeTimestamps) {
+        ExpectSameOutcome(ApplyText(&db, Rewritten(write, where, false), ts, false),
+                          ApplyText(&db, Rewritten(write, where, true), ts, false),
+                          write + " dry: " + where + " @" + std::to_string(ts));
+      }
+    }
+  }
+  // Nothing mutated: the history still answers exactly as it did.
+  VersionedDatabase fresh = ProbeHistory();
+  for (uint64_t ts : kProbeTimestamps) {
+    ExpectSameOutcome(db.SelectText("SELECT * FROM t", ts), fresh.SelectText("SELECT * FROM t", ts),
+                      "after dry runs @" + std::to_string(ts));
+  }
+}
+
+// Committed UPDATE and DELETE through the probe and through the scan must leave the same
+// store, and the probe must keep matching the scan once successors re-key rows.
+TEST(VersionedDbIndex, CommittedWritesMatchTheScanOracle) {
+  const std::string writes[] = {"UPDATE t SET grp = grp + 1", "UPDATE t SET id = 2",
+                                "UPDATE t SET score = 1 / score", "DELETE FROM t"};
+  const uint64_t ts = 100;
+  for (const std::string& write : writes) {
+    for (const std::string& where : ProbeWheres()) {
+      const std::string what = write + ": " + where;
+      VersionedDatabase probed = ProbeHistory();
+      VersionedDatabase scanned = ProbeHistory();
+      ExpectSameOutcome(ApplyText(&probed, Rewritten(write, where, false), ts, true),
+                        ApplyText(&scanned, Rewritten(write, where, true), ts, true), what);
+      for (uint64_t at : {uint64_t{99}, ts, uint64_t{1000}}) {
+        ExpectSameOutcome(probed.SelectText("SELECT * FROM t", at),
+                          scanned.SelectText("SELECT * FROM t", at),
+                          what + " then SELECT * @" + std::to_string(at));
+      }
+      EXPECT_EQ(*probed.LatestState().Rows("t"), *scanned.LatestState().Rows("t")) << what;
+      EXPECT_EQ(probed.TableModifiedBetween("t", 99, ts),
+                scanned.TableModifiedBetween("t", 99, ts))
+          << what;
+      if (::testing::Test::HasFailure()) {
+        return;
+      }
+    }
+  }
+  VersionedDatabase db = ProbeHistory();
+  MustApply(&db, "UPDATE t SET grp = 9007199254740993, id = id + 10 WHERE grp = 1", 100);
+  MustApply(&db, "UPDATE t SET grp = 1 WHERE id = 13", 110);
+  ExpectSelectsMatchScan(db, "after re-keying updates");
 }
 
 }  // namespace
