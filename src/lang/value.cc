@@ -1,6 +1,6 @@
 #include "src/lang/value.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,31 +11,22 @@ namespace orochi {
 
 namespace {
 
-// True if s is a canonical decimal integer ("0", "42", "-7"; no leading zeros or plus).
+// True if s is a canonical decimal integer ("0", "42", "-7"): at most 19 digits, no
+// leading zeros or plus, within int64. Like PHP, "-0" is not canonical (it stays a string
+// key), while "-9223372036854775808" is.
 bool IsCanonicalInt(std::string_view s, int64_t* out) {
-  if (s.empty() || s.size() > 19) {
+  const size_t sign = !s.empty() && s[0] == '-' ? 1 : 0;
+  const size_t digits = s.size() - sign;
+  if (digits == 0 || digits > 19) {
     return false;
   }
-  size_t i = 0;
-  if (s[0] == '-') {
-    if (s.size() == 1) {
-      return false;
-    }
-    i = 1;
+  if (s[sign] == '0' && s.size() > 1) {
+    return false;  // Leading zero, or "-0": not canonical.
   }
-  if (s[i] == '0' && s.size() > i + 1) {
-    return false;  // Leading zero: not canonical.
-  }
-  for (size_t k = i; k < s.size(); k++) {
-    if (!std::isdigit(static_cast<unsigned char>(s[k]))) {
-      return false;
-    }
-  }
-  errno = 0;
-  char* end = nullptr;
-  std::string tmp(s);
-  long long v = std::strtoll(tmp.c_str(), &end, 10);
-  if (errno != 0 || end != tmp.c_str() + tmp.size()) {
+  int64_t v = 0;
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
     return false;
   }
   *out = v;
@@ -88,40 +79,92 @@ std::string ArrayKey::ToString() const {
   return str_key_;
 }
 
-const Value* ArrayObject::Find(const ArrayKey& k) const {
-  auto it = index_.find(k);
-  if (it == index_.end()) {
-    return nullptr;
+size_t ArrayObject::Position(const ArrayKey& k) const {
+  const size_t n = entries_.size();
+  if (packed_) {
+    if (k.is_int() && k.int_key() >= 0 && static_cast<uint64_t>(k.int_key()) < n) {
+      return static_cast<size_t>(k.int_key());
+    }
+    return n;
   }
-  return &entries_[it->second].second;
+  if (n > kScanLimit) {
+    auto it = index_.find(k);
+    return it == index_.end() ? n : it->second;
+  }
+  for (size_t i = 0; i < n; i++) {
+    if (entries_[i].first == k) {
+      return i;
+    }
+  }
+  return n;
+}
+
+const Value* ArrayObject::Find(const ArrayKey& k) const {
+  size_t pos = Position(k);
+  return pos < entries_.size() ? &entries_[pos].second : nullptr;
 }
 
 void ArrayObject::Set(const ArrayKey& k, Value v) {
-  auto it = index_.find(k);
-  if (it != index_.end()) {
-    entries_[it->second].second = std::move(v);
+  size_t pos = Position(k);
+  if (pos < entries_.size()) {
+    entries_[pos].second = std::move(v);
     return;
   }
-  index_.emplace(k, entries_.size());
+  PushNew(k, std::move(v));
+}
+
+void ArrayObject::PushNew(const ArrayKey& k, Value v) {
+  const size_t pos = entries_.size();
   entries_.emplace_back(k, std::move(v));
   if (k.is_int() && k.int_key() >= next_index_) {
-    next_index_ = k.int_key() + 1;
+    // Saturates rather than overflowing at INT64_MAX (see Append).
+    next_index_ = k.int_key() == INT64_MAX ? INT64_MAX : k.int_key() + 1;
+  }
+  if (packed_) {
+    if (k.is_int() && k.int_key() == static_cast<int64_t>(pos)) {
+      return;
+    }
+    packed_ = false;
+    Reindex();
+  } else if (pos == kScanLimit) {
+    Reindex();
+  } else if (pos > kScanLimit) {
+    index_.emplace(k, pos);
   }
 }
 
-void ArrayObject::Append(Value v) { Set(ArrayKey(next_index_), std::move(v)); }
-
-void ArrayObject::Erase(const ArrayKey& k) {
-  auto it = index_.find(k);
-  if (it == index_.end()) {
+void ArrayObject::Append(Value v) {
+  if (next_index_ == INT64_MAX) {
+    // Only a key of INT64_MAX saturates next_index_, and that key may be present.
+    Set(ArrayKey(next_index_), std::move(v));
     return;
   }
-  entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(it->second));
+  // next_index_ exceeds every int key, so the key is new: no probe.
+  PushNew(ArrayKey(next_index_), std::move(v));
+}
+
+void ArrayObject::Erase(const ArrayKey& k) {
+  size_t pos = Position(k);
+  if (pos == entries_.size()) {
+    return;
+  }
+  entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(pos));
+  if (packed_) {
+    if (pos == entries_.size()) {
+      return;  // Dropped the last key: the rest are still 0..size()-1.
+    }
+    packed_ = false;
+  }
   Reindex();
 }
 
 void ArrayObject::Reindex() {
+  if (packed_ || entries_.size() <= kScanLimit) {
+    index_ = Index();  // Frees the buckets too, so copies stay cheap.
+    return;
+  }
   index_.clear();
+  index_.reserve(entries_.size());
   for (size_t i = 0; i < entries_.size(); i++) {
     index_.emplace(entries_[i].first, i);
   }

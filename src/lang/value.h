@@ -59,30 +59,50 @@ struct ArrayKeyHash {
   size_t operator()(const ArrayKey& k) const { return k.Hash(); }
 };
 
-// Ordered hash: preserves insertion order for iteration (like PHP arrays) and supports
-// O(1) lookup. Deletion preserves order of the remaining entries.
+// Ordered hash: preserves insertion order for iteration (like PHP arrays). Lookups take
+// one of three paths, so most arrays never build a hash table (PHP 7's packed layout):
+//   - packed: the keys are exactly 0..size()-1 in insertion order (a list, e.g. a SELECT
+//     result's rows), and a lookup goes straight to the position;
+//   - small: any other array of at most kScanLimit entries scans `entries_` (a result row
+//     keyed by its column names);
+//   - indexed: a non-packed array past kScanLimit keeps `index_`, key -> position.
+// A copy of a packed or small array therefore copies one vector and no hash nodes.
+// Deletion preserves the order of the remaining entries, and next_index() never moves
+// back (PHP: unset of the last element of [0,1,2] then $a[] = x uses key 3).
 class ArrayObject {
  public:
+  static constexpr size_t kScanLimit = 8;
+
   ArrayObject() = default;
 
   size_t size() const { return entries_.size(); }
-  bool Has(const ArrayKey& k) const { return index_.count(k) > 0; }
+  bool Has(const ArrayKey& k) const { return Find(k) != nullptr; }
   const Value* Find(const ArrayKey& k) const;
   void Set(const ArrayKey& k, Value v);
   void Append(Value v);
   void Erase(const ArrayKey& k);
+  // Capacity hint. Callers pass only sizes they computed themselves, never a count read
+  // from untrusted bytes.
+  void Reserve(size_t n) { entries_.reserve(n); }
 
   const std::vector<std::pair<ArrayKey, Value>>& entries() const { return entries_; }
-  std::vector<std::pair<ArrayKey, Value>>& mutable_entries() { return entries_; }
 
   int64_t next_index() const { return next_index_; }
 
  private:
+  using Index = std::unordered_map<ArrayKey, size_t, ArrayKeyHash>;
+
+  // Position of `k` in entries_, or entries_.size() when absent.
+  size_t Position(const ArrayKey& k) const;
+  // Pushes an entry whose key is known to be absent, keeping packed_/index_ current.
+  void PushNew(const ArrayKey& k, Value v);
+  // Rebuilds index_ when a non-packed array is past kScanLimit, else drops it.
   void Reindex();
 
   std::vector<std::pair<ArrayKey, Value>> entries_;
-  std::unordered_map<ArrayKey, size_t, ArrayKeyHash> index_;
+  Index index_;  // Empty unless !packed_ && size() > kScanLimit.
   int64_t next_index_ = 0;
+  bool packed_ = true;
 };
 
 // One component per request in a control-flow group. Components are never themselves

@@ -1,6 +1,8 @@
 #include "src/objects/db_adapter.h"
 
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace orochi {
 
@@ -21,13 +23,21 @@ Value StmtResultToValue(const StmtResult& r) {
   if (!r.is_rows) {
     return Value::Int(r.affected);
   }
+  // Column keys are built once per result, not once per cell.
+  std::vector<ArrayKey> keys;
+  keys.reserve(r.rows.columns.size());
+  for (const std::string& column : r.rows.columns) {
+    keys.emplace_back(column);
+  }
   Value rows = Value::Array();
   ArrayObject& rows_arr = rows.MutableArray();
+  rows_arr.Reserve(r.rows.rows.size());
   for (const SqlRow& row : r.rows.rows) {
     Value row_val = Value::Array();
     ArrayObject& row_arr = row_val.MutableArray();
+    row_arr.Reserve(row.size());
     for (size_t i = 0; i < row.size(); i++) {
-      row_arr.Set(ArrayKey(r.rows.columns[i]), SqlValueToValue(row[i]));
+      row_arr.Set(keys[i], SqlValueToValue(row[i]));
     }
     rows_arr.Append(std::move(row_val));
   }

@@ -2,7 +2,14 @@
 // serialization (the untrusted report wire format), and multivalue projection/collapse.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/lang/value.h"
+#include "tests/test_util.h"
 
 namespace orochi {
 namespace {
@@ -16,6 +23,23 @@ TEST(ArrayKey, CanonicalIntStrings) {
   EXPECT_FALSE(ArrayKey(std::string("5x")).is_int());
   EXPECT_FALSE(ArrayKey(std::string("")).is_int());
   EXPECT_TRUE(ArrayKey(std::string("0")).is_int());
+  EXPECT_FALSE(ArrayKey(std::string("-0")).is_int());  // PHP keeps "-0" a string key.
+  EXPECT_EQ(ArrayKey(std::string("-0")).str_key(), "-0");
+  EXPECT_FALSE(ArrayKey(std::string("-")).is_int());
+  EXPECT_FALSE(ArrayKey(std::string("-05")).is_int());
+  EXPECT_FALSE(ArrayKey(std::string("--5")).is_int());
+  EXPECT_FALSE(ArrayKey(std::string(" 5")).is_int());
+  ArrayKey max_key(std::string("9223372036854775807"));
+  ASSERT_TRUE(max_key.is_int());
+  EXPECT_EQ(max_key.int_key(), INT64_MAX);
+  ArrayKey min_key(std::string("-9223372036854775808"));
+  ASSERT_TRUE(min_key.is_int());
+  EXPECT_EQ(min_key.int_key(), INT64_MIN);
+  // One past either end overflows int64 and stays a string key.
+  EXPECT_FALSE(ArrayKey(std::string("9223372036854775808")).is_int());
+  EXPECT_FALSE(ArrayKey(std::string("-9223372036854775809")).is_int());
+  // More than 19 digits is never an int key.
+  EXPECT_FALSE(ArrayKey(std::string("10000000000000000000")).is_int());
 }
 
 TEST(ArrayKey, IntAndCanonicalStringCollide) {
@@ -44,6 +68,215 @@ TEST(ArrayObject, EraseKeepsOrder) {
   EXPECT_EQ(a.entries()[0].first.str_key(), "x");
   EXPECT_EQ(a.entries()[1].first.str_key(), "z");
   EXPECT_EQ(a.Find(ArrayKey(std::string("z")))->as_int(), 3);
+}
+
+// PHP semantics that a position-indexed (packed) list must not change.
+TEST(ArrayObject, UnsetLastThenAppendUsesNextKey) {
+  ArrayObject a;
+  for (int64_t i = 0; i < 3; i++) {
+    a.Append(Value::Int(i));
+  }
+  a.Erase(ArrayKey(int64_t{2}));
+  EXPECT_EQ(a.Find(ArrayKey(int64_t{2})), nullptr);
+  a.Append(Value::Int(30));
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a.entries()[2].first.int_key(), 3);  // Not 2: next_index never moves back.
+  EXPECT_EQ(a.next_index(), 4);
+  EXPECT_EQ(a.Find(ArrayKey(int64_t{3}))->as_int(), 30);
+  EXPECT_EQ(a.Find(ArrayKey(int64_t{2})), nullptr);
+}
+
+TEST(ArrayObject, CanonicalStringKeyFindsPackedPosition) {
+  ArrayObject a;
+  a.Append(Value::Int(10));
+  a.Append(Value::Int(11));
+  ASSERT_NE(a.Find(ArrayKey(std::string("1"))), nullptr);
+  EXPECT_EQ(a.Find(ArrayKey(std::string("1")))->as_int(), 11);
+  EXPECT_TRUE(a.Has(ArrayKey(std::string("0"))));
+  EXPECT_FALSE(a.Has(ArrayKey(std::string("2"))));
+  EXPECT_FALSE(a.Has(ArrayKey(std::string("-0"))));
+}
+
+TEST(ArrayObject, SetExistingKeyOfPackedListKeepsPosition) {
+  ArrayObject a;
+  for (int64_t i = 0; i < 4; i++) {
+    a.Append(Value::Int(i));
+  }
+  a.Set(ArrayKey(std::string("1")), Value::Str("one"));
+  ASSERT_EQ(a.size(), 4u);
+  EXPECT_EQ(a.entries()[1].first.int_key(), 1);
+  EXPECT_EQ(a.entries()[1].second.as_string(), "one");
+  EXPECT_EQ(a.entries()[3].second.as_int(), 3);
+  EXPECT_EQ(a.next_index(), 4);
+}
+
+TEST(ArrayObject, NegativeKeyUnpacks) {
+  ArrayObject a;
+  a.Append(Value::Int(10));
+  a.Append(Value::Int(11));
+  a.Set(ArrayKey(int64_t{-1}), Value::Int(-10));
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a.Find(ArrayKey(int64_t{-1}))->as_int(), -10);
+  EXPECT_EQ(a.Find(ArrayKey(int64_t{1}))->as_int(), 11);
+  a.Append(Value::Int(12));  // A negative key does not move next_index.
+  EXPECT_EQ(a.entries()[3].first.int_key(), 2);
+  EXPECT_EQ(a.Find(ArrayKey(int64_t{2}))->as_int(), 12);
+}
+
+TEST(ArrayObject, AppendAfterMaxKeyReusesIt) {
+  ArrayObject a;
+  a.Set(ArrayKey(INT64_MAX), Value::Int(1));
+  EXPECT_EQ(a.next_index(), INT64_MAX);  // Saturates instead of overflowing.
+  a.Append(Value::Int(2));
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.Find(ArrayKey(INT64_MAX))->as_int(), 2);
+}
+
+// The oracle: a plain vector of pairs, looked up by linear scan, with PHP's next-index rule.
+struct ModelArray {
+  std::vector<std::pair<ArrayKey, int64_t>> entries;
+  int64_t next_index = 0;
+
+  size_t Position(const ArrayKey& k) const {
+    for (size_t i = 0; i < entries.size(); i++) {
+      if (entries[i].first == k) {
+        return i;
+      }
+    }
+    return entries.size();
+  }
+  void Set(const ArrayKey& k, int64_t v) {
+    size_t pos = Position(k);
+    if (pos < entries.size()) {
+      entries[pos].second = v;
+      return;
+    }
+    entries.emplace_back(k, v);
+    if (k.is_int() && k.int_key() >= next_index) {
+      next_index = k.int_key() + 1;
+    }
+  }
+  void Append(int64_t v) { Set(ArrayKey(next_index), v); }
+  void Erase(const ArrayKey& k) {
+    size_t pos = Position(k);
+    if (pos < entries.size()) {
+      entries.erase(entries.begin() + static_cast<ptrdiff_t>(pos));
+    }
+  }
+  bool IsList() const {
+    for (size_t i = 0; i < entries.size(); i++) {
+      if (!(entries[i].first == ArrayKey(static_cast<int64_t>(i)))) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+ArrayKey RandomKey(Rng& rng) {
+  switch (rng.UniformInt(0, 9)) {
+    case 0:
+      return ArrayKey(rng.UniformInt(-4, -1));
+    case 1:
+    case 2:
+      return ArrayKey(std::to_string(rng.UniformInt(-2, 24)));  // Canonical: an int key.
+    case 3: {
+      static const char* const kOdd[] = {"-0", "05", "", "x", "1.0"};
+      return ArrayKey(std::string(kOdd[rng.UniformInt(0, 4)]));
+    }
+    case 4:
+    case 5:
+      return ArrayKey("k" + std::to_string(rng.UniformInt(0, 14)));
+    default:
+      return ArrayKey(rng.UniformInt(0, 24));
+  }
+}
+
+::testing::AssertionResult SameAsModel(const ArrayObject& a, const ModelArray& m) {
+  if (a.size() != m.entries.size()) {
+    return ::testing::AssertionFailure() << "size " << a.size() << " != " << m.entries.size();
+  }
+  if (a.next_index() != m.next_index) {
+    return ::testing::AssertionFailure()
+           << "next_index " << a.next_index() << " != " << m.next_index;
+  }
+  for (size_t i = 0; i < m.entries.size(); i++) {
+    const auto& [key, value] = a.entries()[i];
+    if (!(key == m.entries[i].first) || !value.is_int() ||
+        value.as_int() != m.entries[i].second) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": " << key.ToString() << " vs "
+             << m.entries[i].first.ToString();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Seeded random Set/Append/Erase/Find/Has sequences against the oracle. Sequences start as
+// lists (appends), grow past the scan limit, leave the packed layout, and are copied
+// midway (copy-on-write through Value) with both copies mutated afterwards.
+TEST(ArrayObject, MatchesReferenceModel) {
+  const uint64_t base_seed = TestBaseSeed(0xA77A7);
+  SCOPED_TRACE(SeedTraceMessage(base_seed));
+  int lists_past_limit = 0;
+  int unpacked_past_limit = 0;
+  for (uint64_t seq = 0; seq < 120; seq++) {
+    Rng rng(base_seed + seq);
+    Value arrays[2] = {Value::Array(), Value()};
+    ModelArray models[2];
+    int live = 1;
+    const int ops = static_cast<int>(rng.UniformInt(40, 260));
+    const int copy_at = static_cast<int>(rng.UniformInt(5, ops - 5));
+    const int leading_appends = static_cast<int>(rng.UniformInt(0, 20));
+    for (int op = 0; op < ops; op++) {
+      if (op == copy_at) {
+        arrays[1] = arrays[0];  // Shares storage until the first write.
+        models[1] = models[0];
+        live = 2;
+      }
+      const int which = live == 2 ? static_cast<int>(rng.UniformInt(0, 1)) : 0;
+      Value& value = arrays[which];
+      ModelArray& model = models[which];
+      const int64_t payload = static_cast<int64_t>(seq) * 1000 + op;
+      const ArrayKey key = RandomKey(rng);
+      const int64_t kind = op < leading_appends ? 0 : rng.UniformInt(0, 9);
+      SCOPED_TRACE("seq " + std::to_string(seq) + " op " + std::to_string(op) + " kind " +
+                   std::to_string(kind) + " key " + key.ToString());
+      if (kind <= 2) {
+        value.MutableArray().Append(Value::Int(payload));
+        model.Append(payload);
+      } else if (kind <= 5) {
+        value.MutableArray().Set(key, Value::Int(payload));
+        model.Set(key, payload);
+      } else if (kind == 6) {
+        value.MutableArray().Erase(key);
+        model.Erase(key);
+      } else {
+        const Value* found = value.array().Find(key);
+        const size_t pos = model.Position(key);
+        ASSERT_EQ(found != nullptr, pos < model.entries.size());
+        ASSERT_EQ(value.array().Has(key), found != nullptr);
+        if (found != nullptr) {
+          ASSERT_EQ(found->as_int(), model.entries[pos].second);
+        }
+      }
+      for (int i = 0; i < live; i++) {
+        ASSERT_TRUE(SameAsModel(arrays[i].array(), models[i])) << "copy " << i;
+      }
+      // Every key the model holds must be found, whichever lookup path serves it.
+      for (const auto& [k, v] : model.entries) {
+        const Value* found = value.array().Find(k);
+        ASSERT_NE(found, nullptr) << k.ToString();
+        ASSERT_EQ(found->as_int(), v);
+      }
+      if (model.entries.size() > ArrayObject::kScanLimit) {
+        (model.IsList() ? lists_past_limit : unpacked_past_limit)++;
+      }
+    }
+  }
+  // The sweep must exercise both large layouts, not just small scans.
+  EXPECT_GT(lists_past_limit, 0);
+  EXPECT_GT(unpacked_past_limit, 0);
 }
 
 TEST(Value, CopyOnWriteIsolation) {
