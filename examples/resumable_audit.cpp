@@ -42,9 +42,10 @@ class KillSwitchLoader : public TraceChunkLoader {
 
   Status Load(const StreamTraceSet& set, size_t index, TraceEvent* event) override {
     if (loads_.fetch_add(1) >= allowed_) {
+      const std::string& path = set.file_path(set.loc(index).file);
       return Status::Error("io: verifier killed at payload load " +
-                           std::to_string(allowed_) + " in " +
-                           set.file_path(set.loc(index).file));
+                           std::to_string(allowed_) + " in " + path)
+          .At(path, set.loc(index).offset);
     }
     return real_.Load(set, index, event);
   }
@@ -125,9 +126,11 @@ bool RunDemo() {
   if (ClassifyAuditOutcome(killed) != AuditOutcome::kIoError) {
     return Fail("a mid-audit kill must classify as an I/O error: " + killed.error());
   }
-  AuditIoError info = ParseAuditIoError(killed.error());
-  std::printf("run 1: killed mid-pass-2 -> I/O error in %s (epoch unconsumed)\n",
-              info.file.c_str());
+  // The error carries its location: the file and the offset of the failed load.
+  std::printf("run 1: killed mid-pass-2 -> I/O error in %s at offset %llu (epoch "
+              "unconsumed)\n",
+              killed.status().file().c_str(),
+              static_cast<unsigned long long>(killed.status().offset()));
   Result<bool> left = Env::Default()->FileExists(options.checkpoint_path);
   if (!left.ok() || !left.value()) {
     return Fail("checkpoint journal should survive the kill");

@@ -46,8 +46,6 @@ obs::Counter* IoReadsRecovered() {
   return c;
 }
 
-constexpr char kTransientPrefix[] = "io-transient: ";
-
 // Bounded exponential backoff for transient errors: 4 attempts, 50us base doubling.
 constexpr int kMaxIoAttempts = 4;
 constexpr int kBackoffBaseMicros = 50;
@@ -177,8 +175,7 @@ class PosixEnv : public Env {
   Result<std::unique_ptr<ReadableFile>> OpenRead(const std::string& path) override {
     int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) {
-      return Result<std::unique_ptr<ReadableFile>>::Error(
-          ErrnoDetail("cannot open", path));
+      return Status::Error(ErrnoDetail("cannot open", path)).At(path);
     }
     return std::unique_ptr<ReadableFile>(new PosixReadableFile(fd, path));
   }
@@ -248,14 +245,6 @@ std::unique_ptr<PendingRead> Env::StartReadAt(ReadableFile* file, const std::str
   return std::make_unique<CompletedRead>(ReadFullAt(file, path, offset, n, buf));
 }
 
-std::string MakeTransientIoError(const std::string& detail) {
-  return kTransientPrefix + detail;
-}
-
-bool IsTransientIoError(const std::string& error) {
-  return error.compare(0, sizeof(kTransientPrefix) - 1, kTransientPrefix) == 0;
-}
-
 Result<size_t> ReadUpToAt(ReadableFile* file, const std::string& path, uint64_t offset,
                           size_t n, char* buf) {
   size_t done = 0;
@@ -263,20 +252,19 @@ Result<size_t> ReadUpToAt(ReadableFile* file, const std::string& path, uint64_t 
   while (done < n) {
     Result<size_t> got = file->PReadSome(offset + done, n - done, buf + done);
     if (!got.ok()) {
-      if (IsTransientIoError(got.error()) && ++attempts < kMaxIoAttempts) {
+      if (got.status().code() == StatusCode::kTransient && ++attempts < kMaxIoAttempts) {
         IoReadRetries()->Inc();
         std::this_thread::sleep_for(
             std::chrono::microseconds(kBackoffBaseMicros << attempts));
         continue;
       }
-      return Result<size_t>::Error(got.error());
+      return got.status().At(path, offset + done);
     }
     if (got.value() == 0) {
       break;  // EOF.
     }
     done += got.value();
   }
-  (void)path;
   if (attempts > 0) {
     IoReadsRecovered()->Inc();
   }
@@ -288,11 +276,12 @@ Status ReadFullAt(ReadableFile* file, const std::string& path, uint64_t offset, 
                   char* buf) {
   Result<size_t> got = ReadUpToAt(file, path, offset, n, buf);
   if (!got.ok()) {
-    return Status::Error(got.error());
+    return got.status();
   }
   if (got.value() < n) {
     return Status::Error("io: unexpected end of file at offset " +
-                         std::to_string(offset + got.value()) + " in " + path);
+                         std::to_string(offset + got.value()) + " in " + path)
+        .At(path, offset + got.value());
   }
   return Status::Ok();
 }
@@ -310,7 +299,7 @@ Status AtomicFileWriter::Open(Env* env, const std::string& path) {
   tmp_path_ = path + ".tmp";
   Result<std::unique_ptr<WritableFile>> f = env_->OpenWrite(tmp_path_);
   if (!f.ok()) {
-    return Status::Error(f.error());
+    return f.status();
   }
   file_ = std::move(f).value();
   committed_ = false;
@@ -405,9 +394,9 @@ Result<size_t> FaultReadableFile::PReadSome(uint64_t offset, size_t n, char* buf
   const FaultOptions& o = env_->options_;
   if (d < o.p_read_transient) {
     env_->CountFault();
-    return Result<size_t>::Error(MakeTransientIoError(
-        "injected transient read error at offset " + std::to_string(offset) + " in " +
-        path_));
+    return Status::Error(StatusCode::kTransient,
+                         "injected transient read error at offset " +
+                             std::to_string(offset) + " in " + path_);
   }
   d -= o.p_read_transient;
   if (d < o.p_read_error) {

@@ -3,11 +3,12 @@
 // FaultInjectingEnv to replay a deterministic schedule of EIO / short-read / ENOSPC /
 // crash-point faults, so the fault-tolerance claims are provable instead of aspirational.
 //
-// Error taxonomy (the verdict must never conflate these):
-//   - transient errors ("io-transient: ..."): worth retrying; ReadFullAt absorbs them
-//     with bounded exponential backoff.
-//   - permanent I/O errors ("io: ..." and "wire: ..."): corruption, truncation, ENOSPC,
-//     crash — surfaced to the caller as an I/O failure, never as a tamper rejection.
+// Error taxonomy, by StatusCode (the verdict must never conflate these):
+//   - kTransient: worth retrying; ReadFullAt absorbs these with bounded exponential
+//     backoff.
+//   - kError / kCorruption: permanent I/O errors (truncation, ENOSPC, crash; bytes that
+//     fail their checksum) — surfaced to the caller as an I/O failure, never as a tamper
+//     rejection. A failed read is located at its {file, offset}.
 #ifndef SRC_COMMON_IO_ENV_H_
 #define SRC_COMMON_IO_ENV_H_
 
@@ -82,17 +83,11 @@ class Env {
 // nullptr resolves to Env::Default() — every Env-threaded API takes an optional Env*.
 inline Env* ResolveEnv(Env* env) { return env != nullptr ? env : Env::Default(); }
 
-// --- error taxonomy helpers ---
-
-// Tags an error message as transient (retry-worthy). IsTransientIoError detects the tag.
-std::string MakeTransientIoError(const std::string& detail);
-bool IsTransientIoError(const std::string& error);
-
 // --- exact reads with transient-retry ---
 
 // Reads up to `n` bytes at `offset`, looping over short reads and retrying transient
 // errors with bounded exponential backoff. Returns the byte count read; < n only when
-// EOF intervened.
+// EOF intervened. A read error keeps its code and is located at `path` and its offset.
 Result<size_t> ReadUpToAt(ReadableFile* file, const std::string& path, uint64_t offset,
                           size_t n, char* buf);
 

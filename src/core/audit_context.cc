@@ -54,7 +54,7 @@ Status AuditContext::Prepare() {
     }
     Result<ProcessedReports> processed = ProcessOpReports(*trace_, *reports_);
     if (!processed.ok()) {
-      return Status::Error(processed.error());
+      return processed.status();
     }
     processed_ = std::move(processed).value();
   }
@@ -331,7 +331,7 @@ Result<std::shared_ptr<const SqlStatement>> AuditContext::ParseCached(const std:
   // SELECT, both parse and the first insert wins (identical content either way).
   Result<SqlStatement> parsed = ParseSql(sql);
   if (!parsed.ok()) {
-    return R::Error(parsed.error());
+    return parsed.status();
   }
   auto stmt = std::make_shared<const SqlStatement>(std::move(parsed).value());
   if (stmt->kind != SqlStmtKind::kSelect) {
@@ -347,7 +347,7 @@ Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
   QueryCacheShard& shard = CacheShard(sql);
   Result<std::shared_ptr<const SqlStatement>> parsed = ParseCached(sql, shard);
   if (!parsed.ok()) {
-    return R::Error(parsed.error());
+    return parsed.status();
   }
   const std::shared_ptr<const SqlStatement>& stmt = parsed.value();
   if (stmt->kind != SqlStmtKind::kSelect) {
@@ -386,7 +386,7 @@ Result<Value> AuditContext::RunSelect(const std::string& sql, uint64_t ts,
   // process tracer once per chunk.
   ws->stats->phases.Add(obs::Phase::kDbQuery, select_timer.Seconds());
   if (!r.ok()) {
-    return R::Error(r.error());
+    return r.status();
   }
   Value value = StmtResultToValue(r.value());
   if (options_.enable_query_dedup) {

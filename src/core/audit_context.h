@@ -123,7 +123,7 @@ class OpLogScanner {
   virtual Status Scan(size_t object,
                       const std::function<Status(const OpRecord&, uint64_t)>& fn) = 0;
   // True when the last Scan error came from paging (a file-level problem, not an audit
-  // verdict) — mirrors AuditExecOutcome::gate_failed.
+  // verdict) — mirrors AuditExecOutcome::gate_error.
   virtual bool io_failed() const { return false; }
 };
 

@@ -108,12 +108,12 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
   Result<size_t> threads = ResolveAuditThreads(options);
   if (!threads.ok()) {
     // A malformed OROCHI_AUDIT_THREADS is a configuration error, not an audit verdict;
-    // gate_failed routes it out of the verdict path (callers pre-validate, so this is a
+    // gate_error routes it out of the verdict path (callers pre-validate, so this is a
     // backstop for direct engine users).
     AuditExecOutcome out;
     out.fail_order = 0;
     out.fail_reason = threads.error();
-    out.gate_failed = true;
+    out.gate_error = threads.status();
     return out;
   }
   const std::vector<AuditTask>& tasks = plan.tasks;
@@ -121,7 +121,7 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
   // so merged stats (group_stats in particular) are independent of scheduling.
   std::vector<AuditStats> task_stats(tasks.size());
   std::vector<std::string> task_error(tasks.size());
-  std::vector<uint8_t> task_gate_failed(tasks.size(), 0);
+  std::vector<Status> task_gate_error(tasks.size());
   std::atomic<size_t> first_fail{plan.fail_order};
   {
     auto record_failure = [&](size_t task_order) {
@@ -153,8 +153,7 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
         // Budget waits + the chunk's preads.
         obs::TraceSpan span(&task_stats[i].phases, obs::Phase::kPass2IoWait);
         if (Status st = gate->Acquire(task); !st.ok()) {
-          task_error[i] = st.error();
-          task_gate_failed[i] = 1;
+          task_gate_error[i] = st;
           record_failure(task.order);
           return;
         }
@@ -219,7 +218,7 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
   for (size_t i = 0; i < tasks.size(); i++) {
     if (tasks[i].order == out.fail_order) {
       out.fail_reason = task_error[i];
-      out.gate_failed = task_gate_failed[i] != 0;
+      out.gate_error = task_gate_error[i];
       break;
     }
   }

@@ -93,9 +93,9 @@ class AuditTaskJournal {
 struct AuditExecOutcome {
   size_t fail_order = kNoAuditFailure;  // kNoAuditFailure: every task succeeded.
   std::string fail_reason;
-  // True when the winning failure came from the gate (an I/O problem paging the chunk in),
-  // which callers surface as a file-level error rather than an audit REJECT.
-  bool gate_failed = false;
+  // Not OK when the winning failure came from the gate (an I/O problem paging the chunk
+  // in), which callers surface as a file-level error rather than an audit REJECT.
+  Status gate_error;
 };
 
 // Runs the plan's tasks: parallel chunks costliest-first over a work-stealing pool of

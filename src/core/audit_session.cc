@@ -15,7 +15,7 @@ Result<AuditSession> AuditSession::OpenFromStateFile(const Application* app,
                                                      const std::string& state_path) {
   Result<InitialState> state = ReadInitialStateFile(state_path, options.io_env);
   if (!state.ok()) {
-    return Result<AuditSession>::Error(state.error());
+    return state.status();
   }
   return AuditSession(app, std::move(options), std::move(state).value());
 }
@@ -29,15 +29,15 @@ Result<AuditResult> AuditSession::FeedEpochFiles(const std::string& trace_path,
   // Config errors (malformed OROCHI_AUDIT_THREADS) surface as a hard error before any
   // file is read — the epoch is unconsumed, like any other error Result.
   if (Result<size_t> threads = ResolveAuditThreads(options_); !threads.ok()) {
-    return Result<AuditResult>::Error(threads.error());
+    return threads.status();
   }
   Result<Trace> trace = ReadTraceFile(trace_path, options_.io_env);
   if (!trace.ok()) {
-    return Result<AuditResult>::Error(trace.error());
+    return trace.status();
   }
   Result<Reports> reports = ReadReportsFile(reports_path, options_.io_env);
   if (!reports.ok()) {
-    return Result<AuditResult>::Error(reports.error());
+    return reports.status();
   }
   return FeedEpoch(trace.value(), reports.value());
 }

@@ -11,43 +11,17 @@
 namespace orochi {
 
 AuditOutcome ClassifyAuditOutcome(const Result<AuditResult>& result) {
-  if (result.ok()) {
-    return result.value().accepted ? AuditOutcome::kAccepted : AuditOutcome::kRejected;
-  }
-  const std::string& e = result.error();
-  if (e.compare(0, 8, "config: ") == 0 ||
-      e.find("OROCHI_AUDIT_THREADS") != std::string::npos ||
-      e.find("OROCHI_AUDIT_BUDGET") != std::string::npos) {
-    return AuditOutcome::kConfigError;
+  switch (result.status().code()) {
+    case StatusCode::kOk:
+      return result.value().accepted ? AuditOutcome::kAccepted : AuditOutcome::kRejected;
+    case StatusCode::kConfig:
+      return AuditOutcome::kConfigError;
+    case StatusCode::kError:
+    case StatusCode::kTransient:
+    case StatusCode::kCorruption:
+      break;
   }
   return AuditOutcome::kIoError;
-}
-
-AuditIoError ParseAuditIoError(const std::string& error) {
-  AuditIoError out;
-  out.detail = error;
-  // Error messages end "... in <path>" and, when localizable, carry
-  // "at offset <N>" before it. Parse from the back so payload text containing " in "
-  // cannot confuse the extraction of the trailing path.
-  size_t in_pos = error.rfind(" in ");
-  if (in_pos != std::string::npos && in_pos + 4 < error.size()) {
-    out.file = error.substr(in_pos + 4);
-  }
-  size_t off_pos = error.rfind(" at offset ");
-  if (off_pos != std::string::npos) {
-    size_t start = off_pos + 11;
-    uint64_t v = 0;
-    bool any = false;
-    while (start < error.size() && error[start] >= '0' && error[start] <= '9') {
-      v = v * 10 + static_cast<uint64_t>(error[start] - '0');
-      start++;
-      any = true;
-    }
-    if (any) {
-      out.offset = v;
-    }
-  }
-  return out;
 }
 
 Result<size_t> ResolveAuditThreads(const AuditOptions& options) {
@@ -59,8 +33,10 @@ Result<size_t> ResolveAuditThreads(const AuditOptions& options) {
     if (!v.ok()) {
       // A malformed thread count must not silently change how the audit runs: it is a
       // config error the caller reports before consuming an epoch.
-      return Result<size_t>::Error("config: OROCHI_AUDIT_THREADS='" + std::string(env) +
-                                   "' is not a valid thread count (" + v.error() + ")");
+      return Status::Error(StatusCode::kConfig, "config: OROCHI_AUDIT_THREADS='" +
+                                                    std::string(env) +
+                                                    "' is not a valid thread count (" +
+                                                    v.error() + ")");
     }
     if (v.value() > 0) {
       return static_cast<size_t>(v.value());

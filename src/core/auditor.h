@@ -37,24 +37,11 @@ enum class AuditOutcome {
   kConfigError,
 };
 
-// Structured context parsed out of an I/O-failure error string: which file, where, and
-// the raw detail. Fields are best-effort (offset == UINT64_MAX when the error carries
-// none); `detail` always holds the full message.
-struct AuditIoError {
-  std::string file;
-  uint64_t offset = UINT64_MAX;
-  std::string detail;
-};
-
-// Classifies a Feed* result into the taxonomy above. Error Results split into
-// kConfigError (message names a config knob) and kIoError (everything else: wire
-// corruption, short files, failed reads/writes, crashed spills); ok Results map to
-// kAccepted/kRejected from the verdict.
+// Classifies a Feed* result into the taxonomy above by its StatusCode: kConfig is
+// kConfigError, every other error code (kError, kTransient, kCorruption) is kIoError; ok
+// Results map to kAccepted/kRejected from the verdict. An I/O error's Status carries its
+// {file, offset} location when the failure is localizable (status().file()/offset()).
 AuditOutcome ClassifyAuditOutcome(const Result<AuditResult>& result);
-
-// Parses file/offset context from a kIoError message ("... at offset N in <path>" /
-// "... in <path>" shapes). Always fills `detail`.
-AuditIoError ParseAuditIoError(const std::string& error);
 
 // Worker-thread count an AuditOptions resolves to: num_threads when nonzero, else the
 // OROCHI_AUDIT_THREADS environment variable (0 = auto, like the option), else

@@ -125,7 +125,7 @@ AuditResult OOOAudit(const Application* app, const Trace& trace, const Reports& 
         case StepResult::Kind::kNondet: {
           Result<Value> v = ctx.NextNondet(rid, step.nondet);
           if (!v.ok()) {
-            return Status::Error(v.error());
+            return v.status();
           }
           t->interp->ProvideValue(std::move(v).value());
           break;

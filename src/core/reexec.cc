@@ -40,18 +40,18 @@ Status ReplaySingleRequest(const Application* app, const InterpreterOptions& int
       opnum++;
       Result<OpLocation> loc = ctx->CheckOp(rid, opnum, step.op, ws);
       if (!loc.ok()) {
-        return Status::Error(loc.error());
+        return loc.status();
       }
       Result<Value> v = ctx->SimOp(step.op, loc.value(), ws);
       if (!v.ok()) {
-        return Status::Error(v.error());
+        return v.status();
       }
       interp.ProvideValue(std::move(v).value());
       continue;
     }
     Result<Value> v = ctx->NextNondet(rid, step.nondet);
     if (!v.ok()) {
-      return Status::Error(v.error());
+      return v.status();
     }
     interp.ProvideValue(std::move(v).value());
   }
@@ -139,11 +139,11 @@ Status RunGroupChunk(const Application* app, const InterpreterOptions& interp_op
         for (size_t j = 0; j < n; j++) {
           Result<OpLocation> loc = ctx->CheckOp(rids[j], opnum, step.ops[j], ws);
           if (!loc.ok()) {
-            return Status::Error(loc.error());
+            return loc.status();
           }
           Result<Value> v = ctx->SimOp(step.ops[j], loc.value(), ws);
           if (!v.ok()) {
-            return Status::Error(v.error());
+            return v.status();
           }
           results[j] = std::move(v).value();
         }
@@ -155,7 +155,7 @@ Status RunGroupChunk(const Application* app, const InterpreterOptions& interp_op
         for (size_t j = 0; j < n; j++) {
           Result<Value> v = ctx->NextNondet(rids[j], step.nondets[j]);
           if (!v.ok()) {
-            return Status::Error(v.error());
+            return v.status();
           }
           results[j] = std::move(v).value();
         }

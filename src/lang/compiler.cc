@@ -547,7 +547,7 @@ Result<Program> CompileScript(const ScriptAst& ast, const std::string& script_na
   {
     ChunkCompiler cc(&prog.chunks[0], &prog.function_index);
     if (Status st = cc.CompileBody(ast.top_level); !st.ok()) {
-      return Result<Program>::Error(st.error());
+      return st;
     }
   }
   for (const FunctionDecl& fn : ast.functions) {
@@ -558,7 +558,7 @@ Result<Program> CompileScript(const ScriptAst& ast, const std::string& script_na
       cc.SlotFor(p);
     }
     if (Status st = cc.CompileBody(fn.body); !st.ok()) {
-      return Result<Program>::Error(st.error());
+      return st;
     }
   }
   return prog;
@@ -567,7 +567,7 @@ Result<Program> CompileScript(const ScriptAst& ast, const std::string& script_na
 Result<Program> CompileSource(const std::string& source, const std::string& script_name) {
   Result<ScriptAst> ast = ParseScript(source);
   if (!ast.ok()) {
-    return Result<Program>::Error(ast.error());
+    return ast.status();
   }
   return CompileScript(ast.value(), script_name);
 }

@@ -65,7 +65,7 @@ class Lexer {
       }
       Result<Token> tok = Next();
       if (!tok.ok()) {
-        return Result<std::vector<Token>>::Error(tok.error());
+        return tok.status();
       }
       out.push_back(std::move(tok).value());
     }

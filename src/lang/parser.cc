@@ -96,7 +96,7 @@ class Parser {
     fn.line = Peek().line;
     fn.name = Advance().text;
     if (Status s = Expect(TokenKind::kLParen, "'('"); !s.ok()) {
-      return Result<FunctionDecl>::Error(s.error());
+      return s;
     }
     if (!Check(TokenKind::kRParen)) {
       while (true) {
@@ -110,10 +110,10 @@ class Parser {
       }
     }
     if (Status s = Expect(TokenKind::kRParen, "')'"); !s.ok()) {
-      return Result<FunctionDecl>::Error(s.error());
+      return s;
     }
     if (Status s = Expect(TokenKind::kLBrace, "'{'"); !s.ok()) {
-      return Result<FunctionDecl>::Error(s.error());
+      return s;
     }
     while (!Check(TokenKind::kRBrace)) {
       if (AtEnd()) {
@@ -121,7 +121,7 @@ class Parser {
       }
       Result<StmtPtr> st = ParseStatement();
       if (!st.ok()) {
-        return Result<FunctionDecl>::Error(st.error());
+        return st.status();
       }
       fn.body.push_back(std::move(st).value());
     }
@@ -159,36 +159,36 @@ class Parser {
       if (!Check(TokenKind::kSemicolon)) {
         Result<ExprPtr> e = ParseExpr();
         if (!e.ok()) {
-          return Result<StmtPtr>::Error(e.error());
+          return e.status();
         }
         s->expr = std::move(e).value();
       }
       if (Status st = Expect(TokenKind::kSemicolon, "';'"); !st.ok()) {
-        return Result<StmtPtr>::Error(st.error());
+        return st;
       }
       return Result<StmtPtr>(std::move(s));
     }
     if (CheckIdent("break")) {
       Advance();
       if (Status st = Expect(TokenKind::kSemicolon, "';'"); !st.ok()) {
-        return Result<StmtPtr>::Error(st.error());
+        return st;
       }
       return Result<StmtPtr>(NewStmt(StmtKind::kBreak, line));
     }
     if (CheckIdent("continue")) {
       Advance();
       if (Status st = Expect(TokenKind::kSemicolon, "';'"); !st.ok()) {
-        return Result<StmtPtr>::Error(st.error());
+        return st;
       }
       return Result<StmtPtr>(NewStmt(StmtKind::kContinue, line));
     }
     // Expression statement.
     Result<ExprPtr> e = ParseExpr();
     if (!e.ok()) {
-      return Result<StmtPtr>::Error(e.error());
+      return e.status();
     }
     if (Status st = Expect(TokenKind::kSemicolon, "';'"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     auto s = NewStmt(StmtKind::kExpr, line);
     s->expr = std::move(e).value();
@@ -217,14 +217,14 @@ class Parser {
     int line = Peek().line;
     Advance();  // 'if'
     if (Status st = Expect(TokenKind::kLParen, "'('"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     Result<ExprPtr> cond = ParseExpr();
     if (!cond.ok()) {
-      return Result<StmtPtr>::Error(cond.error());
+      return cond.status();
     }
     if (Status st = Expect(TokenKind::kRParen, "')'"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     Result<StmtPtr> body = ParseStatement();
     if (!body.ok()) {
@@ -254,14 +254,14 @@ class Parser {
     int line = Peek().line;
     Advance();
     if (Status st = Expect(TokenKind::kLParen, "'('"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     Result<ExprPtr> cond = ParseExpr();
     if (!cond.ok()) {
-      return Result<StmtPtr>::Error(cond.error());
+      return cond.status();
     }
     if (Status st = Expect(TokenKind::kRParen, "')'"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     Result<StmtPtr> body = ParseStatement();
     if (!body.ok()) {
@@ -277,38 +277,38 @@ class Parser {
     int line = Peek().line;
     Advance();
     if (Status st = Expect(TokenKind::kLParen, "'('"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     auto s = NewStmt(StmtKind::kFor, line);
     if (!Check(TokenKind::kSemicolon)) {
       Result<ExprPtr> init = ParseExpr();
       if (!init.ok()) {
-        return Result<StmtPtr>::Error(init.error());
+        return init.status();
       }
       s->init = std::move(init).value();
     }
     if (Status st = Expect(TokenKind::kSemicolon, "';'"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     if (!Check(TokenKind::kSemicolon)) {
       Result<ExprPtr> cond = ParseExpr();
       if (!cond.ok()) {
-        return Result<StmtPtr>::Error(cond.error());
+        return cond.status();
       }
       s->expr = std::move(cond).value();
     }
     if (Status st = Expect(TokenKind::kSemicolon, "';'"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     if (!Check(TokenKind::kRParen)) {
       Result<ExprPtr> step = ParseExpr();
       if (!step.ok()) {
-        return Result<StmtPtr>::Error(step.error());
+        return step.status();
       }
       s->step = std::move(step).value();
     }
     if (Status st = Expect(TokenKind::kRParen, "')'"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     Result<StmtPtr> body = ParseStatement();
     if (!body.ok()) {
@@ -322,11 +322,11 @@ class Parser {
     int line = Peek().line;
     Advance();
     if (Status st = Expect(TokenKind::kLParen, "'('"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     Result<ExprPtr> subject = ParseExpr();
     if (!subject.ok()) {
-      return Result<StmtPtr>::Error(subject.error());
+      return subject.status();
     }
     if (!MatchIdent("as")) {
       return Error<StmtPtr>("expected 'as' in foreach");
@@ -347,7 +347,7 @@ class Parser {
       s->value_var = first;
     }
     if (Status st = Expect(TokenKind::kRParen, "')'"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     Result<StmtPtr> body = ParseStatement();
     if (!body.ok()) {
@@ -364,7 +364,7 @@ class Parser {
     while (true) {
       Result<ExprPtr> e = ParseExpr();
       if (!e.ok()) {
-        return Result<StmtPtr>::Error(e.error());
+        return e.status();
       }
       s->echoes.push_back(std::move(e).value());
       if (!Match(TokenKind::kComma)) {
@@ -372,7 +372,7 @@ class Parser {
       }
     }
     if (Status st = Expect(TokenKind::kSemicolon, "';'"); !st.ok()) {
-      return Result<StmtPtr>::Error(st.error());
+      return st;
     }
     return Result<StmtPtr>(std::move(s));
   }
@@ -446,7 +446,7 @@ class Parser {
       return then_e;
     }
     if (Status st = Expect(TokenKind::kColon, "':'"); !st.ok()) {
-      return Result<ExprPtr>::Error(st.error());
+      return st;
     }
     Result<ExprPtr> else_e = ParseExpr();
     if (!else_e.ok()) {
@@ -626,7 +626,7 @@ class Parser {
           return idx;
         }
         if (Status st = Expect(TokenKind::kRBracket, "']'"); !st.ok()) {
-          return Result<ExprPtr>::Error(st.error());
+          return st;
         }
         auto e = NewExpr(ExprKind::kIndex, line);
         e->a = std::move(base).value();
@@ -675,7 +675,7 @@ class Parser {
         return inner;
       }
       if (Status st = Expect(TokenKind::kRParen, "')'"); !st.ok()) {
-        return Result<ExprPtr>::Error(st.error());
+        return st;
       }
       return inner;
     }
@@ -724,7 +724,7 @@ class Parser {
           }
         }
         if (Status st = Expect(TokenKind::kRParen, "')'"); !st.ok()) {
-          return Result<ExprPtr>::Error(st.error());
+          return st;
         }
         return Result<ExprPtr>(std::move(e));
       }
@@ -767,7 +767,7 @@ class Parser {
       }
     }
     if (Status st = Expect(closer, closer == TokenKind::kRBracket ? "']'" : "')'"); !st.ok()) {
-      return Result<ExprPtr>::Error(st.error());
+      return st;
     }
     return Result<ExprPtr>(std::move(e));
   }
@@ -781,7 +781,7 @@ class Parser {
 Result<ScriptAst> ParseScript(const std::string& source) {
   Result<std::vector<Token>> toks = Tokenize(source);
   if (!toks.ok()) {
-    return Result<ScriptAst>::Error(toks.error());
+    return toks.status();
   }
   return Parser(std::move(toks).value()).Run();
 }

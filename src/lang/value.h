@@ -208,6 +208,8 @@ class Value {
 // Parses a canonical serialization. Reports are untrusted, so this never aborts on
 // malformed input; it returns an error Result instead.
 Result<Value> DeserializeValue(std::string_view bytes);
+// The interpreter's hot Result: its error side costs one pointer.
+static_assert(sizeof(Result<Value>) <= sizeof(std::optional<Value>) + sizeof(Status));
 
 // True if the value is a multivalue or an array (transitively) containing one.
 bool ContainsMulti(const Value& v);

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/hash.h"
-#include "src/common/io_env.h"
 
 namespace orochi {
 
@@ -18,28 +17,28 @@ class FaultConnection : public Connection {
 
   Result<size_t> ReadSome(char* buf, size_t n) override {
     if (dead_.load()) {
-      return Result<size_t>::Error(DeadError("recv"));
+      return DeadError("recv");
     }
     if (owner_->Draw() < owner_->options().p_disconnect_read) {
       Die("recv");
-      return Result<size_t>::Error(DeadError("recv"));
+      return DeadError("recv");
     }
     return base_->ReadSome(buf, n);
   }
 
   Status WriteAll(const char* data, size_t n) override {
     if (dead_.load()) {
-      return Status::Error(DeadError("send"));
+      return DeadError("send");
     }
     const NetFaultOptions& o = owner_->options();
     if (owner_->TakeKillSlot()) {
       Die("send");
-      return Status::Error(DeadError("send"));
+      return DeadError("send");
     }
     double d = owner_->Draw();
     if (d < o.p_disconnect_write) {
       Die("send");
-      return Status::Error(DeadError("send"));
+      return DeadError("send");
     }
     d -= o.p_disconnect_write;
     if (d < o.p_short_write && n > 1) {
@@ -50,8 +49,8 @@ class FaultConnection : public Connection {
                               (n - 1));
       (void)base_->WriteAll(data, prefix);
       Die("send");
-      return Status::Error(DeadError("send (short write, " + std::to_string(prefix) +
-                                     " of " + std::to_string(n) + " bytes landed)"));
+      return DeadError("send (short write, " + std::to_string(prefix) + " of " +
+                       std::to_string(n) + " bytes landed)");
     }
     d -= o.p_short_write;
     if (d < o.p_corrupt_write && n > 0) {
@@ -72,9 +71,9 @@ class FaultConnection : public Connection {
   const std::string& peer() const override { return base_->peer(); }
 
  private:
-  std::string DeadError(const std::string& op) {
-    return MakeTransientIoError("net: injected disconnect during " + op + " to " +
-                                base_->peer());
+  Status DeadError(const std::string& op) {
+    return Status::Error(StatusCode::kTransient,
+                         "net: injected disconnect during " + op + " to " + base_->peer());
   }
 
   void Die(const char* op) {

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "src/common/crc32c.h"
-#include "src/common/io_env.h"
 #include "src/objects/wire_format.h"
 #include "src/objects/wire_primitives.h"
 
@@ -155,6 +154,10 @@ Result<ErrorFrame> DecodeError(const std::string& payload) {
 }
 
 Result<bool> FrameReader::Next(uint8_t* type, std::string* payload) {
+  auto closed_mid_frame = [&] {
+    return Status::Error(StatusCode::kTransient, "net: connection to " + conn_->peer() +
+                                                     " closed mid-frame (short frame)");
+  };
   // Read the fixed 13-byte frame first. A clean peer close is only legal here, before
   // any byte of a frame has arrived.
   char frame[wire::kRecordFrameBytesV2];
@@ -162,14 +165,13 @@ Result<bool> FrameReader::Next(uint8_t* type, std::string* payload) {
   while (have < sizeof(frame)) {
     Result<size_t> got = conn_->ReadSome(frame + have, sizeof(frame) - have);
     if (!got.ok()) {
-      return Result<bool>::Error(got.error());
+      return got.status();
     }
     if (got.value() == 0) {
       if (have == 0) {
         return false;
       }
-      return Result<bool>::Error(MakeTransientIoError(
-          "net: connection to " + conn_->peer() + " closed mid-frame (short frame)"));
+      return closed_mid_frame();
     }
     have += got.value();
   }
@@ -177,28 +179,28 @@ Result<bool> FrameReader::Next(uint8_t* type, std::string* payload) {
   uint32_t crc = 0;
   wire::ParseRecordFrameV2(frame, sizeof(frame), type, &len, &crc);
   if (len > kMaxFramePayloadBytes) {
-    return Result<bool>::Error("wire: oversized frame (" + std::to_string(len) +
-                               " bytes) from " + conn_->peer());
+    return Status::Error(StatusCode::kCorruption, "wire: oversized frame (" +
+                                                      std::to_string(len) +
+                                                      " bytes) from " + conn_->peer());
   }
   payload->resize(len);
   have = 0;
   while (have < len) {
     Result<size_t> got = conn_->ReadSome(&(*payload)[have], len - have);
     if (!got.ok()) {
-      return Result<bool>::Error(got.error());
+      return got.status();
     }
     if (got.value() == 0) {
-      return Result<bool>::Error(MakeTransientIoError(
-          "net: connection to " + conn_->peer() + " closed mid-frame (short frame)"));
+      return closed_mid_frame();
     }
     have += got.value();
   }
   if (Crc32c(*payload) != crc) {
     // Localized in-flight corruption: the frame is dropped here, never spooled; the
     // sender re-sends it after the resume handshake.
-    return Result<bool>::Error("wire: frame crc mismatch (type " + std::to_string(*type) +
-                               ", " + std::to_string(len) + " bytes) from " +
-                               conn_->peer());
+    return Status::Error(StatusCode::kCorruption,
+                         "wire: frame crc mismatch (type " + std::to_string(*type) + ", " +
+                             std::to_string(len) + " bytes) from " + conn_->peer());
   }
   frames_read_++;
   bytes_read_ += sizeof(frame) + len;

@@ -17,8 +17,8 @@
 //   ◄─ Error{code, message}                   any time: retryable / corruption / protocol
 //
 // Failure taxonomy: a disconnect or a frame cut off mid-stream is retryable I/O
-// ("io-transient: net: ..." — reconnect and resume, NEVER tamper evidence); a frame whose
-// CRC does not match is localized corruption ("wire: ..."), never silently accepted — the
+// (StatusCode::kTransient — reconnect and resume, NEVER tamper evidence); a frame whose
+// CRC does not match is localized corruption (kCorruption), never silently accepted — the
 // record is not spooled and the sender re-sends it after the resume handshake.
 #ifndef SRC_NET_FRAME_H_
 #define SRC_NET_FRAME_H_
@@ -121,8 +121,8 @@ class FrameReader {
   explicit FrameReader(Connection* conn) : conn_(conn) {}
 
   // True: *type/*payload hold the next frame (CRC verified). False: the peer closed
-  // cleanly at a frame boundary. Errors: a close mid-frame is transient-tagged
-  // ("io-transient: net: ..."), a CRC mismatch is "wire: ..." corruption.
+  // cleanly at a frame boundary. Errors: a close mid-frame is kTransient, a CRC mismatch
+  // or an oversized frame is kCorruption.
   Result<bool> Next(uint8_t* type, std::string* payload);
 
   uint64_t frames_read() const { return frames_read_; }

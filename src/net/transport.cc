@@ -11,8 +11,6 @@
 
 #include <utility>
 
-#include "src/common/io_env.h"
-
 namespace orochi {
 
 namespace {
@@ -20,9 +18,9 @@ namespace {
 std::string Errno(const std::string& what) { return what + ": " + std::strerror(errno); }
 
 // A disconnect-shaped socket error: the peer can reconnect and resume, so it is
-// transient-tagged like a retryable file read.
+// transient like a retryable file read.
 Status TransientNetError(const std::string& detail) {
-  return Status::Error(MakeTransientIoError("net: " + detail));
+  return Status::Error(StatusCode::kTransient, "net: " + detail);
 }
 
 struct ParsedAddress {
@@ -95,8 +93,7 @@ class SocketConnection : public Connection {
       if (errno == EINTR) {
         continue;
       }
-      return Result<size_t>::Error(
-          MakeTransientIoError("net: recv from " + peer_ + ": " + std::strerror(errno)));
+      return TransientNetError("recv from " + peer_ + ": " + std::strerror(errno));
     }
   }
 
@@ -177,7 +174,7 @@ class PosixTransport : public Transport {
   Result<std::unique_ptr<Listener>> Listen(const std::string& address) override {
     Result<ParsedAddress> parsed = ParseAddress(address);
     if (!parsed.ok()) {
-      return Result<std::unique_ptr<Listener>>::Error(parsed.error());
+      return parsed.status();
     }
     const ParsedAddress& a = parsed.value();
     if (a.is_unix) {
@@ -193,7 +190,7 @@ class PosixTransport : public Transport {
           ::listen(fd, 64) < 0) {
         Status st = Status::Error(Errno("net: bind/listen on " + address));
         ::close(fd);
-        return Result<std::unique_ptr<Listener>>::Error(st.error());
+        return st;
       }
       return Result<std::unique_ptr<Listener>>(
           std::make_unique<SocketListener>(fd, address, a.path));
@@ -216,7 +213,7 @@ class PosixTransport : public Transport {
         ::listen(fd, 64) < 0) {
       Status st = Status::Error(Errno("net: bind/listen on " + address));
       ::close(fd);
-      return Result<std::unique_ptr<Listener>>::Error(st.error());
+      return st;
     }
     // Resolve the ephemeral port so "tcp:...:0" listeners can tell clients where they are.
     sockaddr_in bound{};
@@ -224,7 +221,7 @@ class PosixTransport : public Transport {
     if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
       Status st = Status::Error(Errno("net: getsockname on " + address));
       ::close(fd);
-      return Result<std::unique_ptr<Listener>>::Error(st.error());
+      return st;
     }
     std::string actual = "tcp:" + a.host + ":" + std::to_string(ntohs(bound.sin_port));
     return Result<std::unique_ptr<Listener>>(
@@ -234,7 +231,7 @@ class PosixTransport : public Transport {
   Result<std::unique_ptr<Connection>> Connect(const std::string& address) override {
     Result<ParsedAddress> parsed = ParseAddress(address);
     if (!parsed.ok()) {
-      return Result<std::unique_ptr<Connection>>::Error(parsed.error());
+      return parsed.status();
     }
     const ParsedAddress& a = parsed.value();
     if (a.is_unix) {
@@ -250,7 +247,7 @@ class PosixTransport : public Transport {
         Status st = TransientNetError("connect to " + address + ": " +
                                       std::strerror(errno));
         ::close(fd);
-        return Result<std::unique_ptr<Connection>>::Error(st.error());
+        return st;
       }
       return Result<std::unique_ptr<Connection>>(
           std::make_unique<SocketConnection>(fd, address));
@@ -270,7 +267,7 @@ class PosixTransport : public Transport {
     if (::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) < 0) {
       Status st = TransientNetError("connect to " + address + ": " + std::strerror(errno));
       ::close(fd);
-      return Result<std::unique_ptr<Connection>>::Error(st.error());
+      return st;
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

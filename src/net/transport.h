@@ -11,8 +11,8 @@
 //   "unix:/path"     — Unix-domain stream socket at /path (removed and rebound on listen).
 //
 // Error taxonomy (shared with the file layer, so AuditOutcome classification just works):
-//   - disconnects, resets, and reads cut off mid-stream tag transient
-//     ("io-transient: net: ..."): the peer can reconnect and resume.
+//   - disconnects, resets, and reads cut off mid-stream are StatusCode::kTransient
+//     ("net: ..."): the peer can reconnect and resume.
 //   - malformed addresses and bind/listen failures are permanent ("net: ...").
 #ifndef SRC_NET_TRANSPORT_H_
 #define SRC_NET_TRANSPORT_H_
@@ -33,9 +33,9 @@ class Connection {
   virtual ~Connection() = default;
 
   // One best-effort read of up to `n` bytes. Returns the count read; 0 means the peer
-  // closed cleanly. Errors are transient-tagged when they amount to a disconnect.
+  // closed cleanly. Errors are kTransient when they amount to a disconnect.
   virtual Result<size_t> ReadSome(char* buf, size_t n) = 0;
-  // Writes all `n` bytes or errors (transient-tagged on disconnect mid-write).
+  // Writes all `n` bytes or errors (kTransient on disconnect mid-write).
   virtual Status WriteAll(const char* data, size_t n) = 0;
   Status WriteAll(const std::string& data) { return WriteAll(data.data(), data.size()); }
   // Half-kills both directions: a blocked ReadSome returns, later writes fail.

@@ -56,7 +56,7 @@ Result<Value> ParseRegisterWriteContents(const std::string& contents) {
 Result<KvSetContents> ParseKvSetContents(const std::string& contents) {
   Result<Value> v = DeserializeValue(contents);
   if (!v.ok()) {
-    return Result<KvSetContents>::Error(v.error());
+    return v.status();
   }
   const Value& root = v.value();
   if (!root.is_array() || root.array().size() != 2) {
@@ -76,7 +76,7 @@ Result<KvSetContents> ParseKvSetContents(const std::string& contents) {
 Result<DbContents> ParseDbContents(const std::string& contents) {
   Result<Value> v = DeserializeValue(contents);
   if (!v.ok()) {
-    return Result<DbContents>::Error(v.error());
+    return v.status();
   }
   const Value& root = v.value();
   if (!root.is_array() || root.array().size() != 3) {

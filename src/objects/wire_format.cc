@@ -87,36 +87,24 @@ class Sink {
     Write(footer);
   }
 
-  bool failed() const { return failed_; }
-  const std::string& error() const { return error_; }
+  // OK, or the first failed append (sticky).
+  const Status& status() const { return status_; }
   size_t bytes() const { return bytes_; }
   uint64_t records() const { return records_; }
 
  private:
   void Write(const std::string& s) {
-    if (file_ != nullptr && !failed_) {
-      if (Status st = file_->Append(s); !st.ok()) {
-        failed_ = true;
-        error_ = st.error();
-      }
+    if (file_ != nullptr && status_.ok()) {
+      status_ = file_->Append(s);
     }
     bytes_ += s.size();
   }
 
   WritableFile* file_ = nullptr;
-  bool failed_ = false;
-  std::string error_;
+  Status status_;
   size_t bytes_ = 0;
   uint64_t records_ = 0;
 };
-
-Status SinkStatus(const Sink& sink, const std::string& path) {
-  if (sink.failed()) {
-    return sink.error().empty() ? Status::Error("wire: short write to " + path)
-                                : Status::Error(sink.error());
-  }
-  return Status::Ok();
-}
 
 // Validates the 13-byte envelope header: magic, a format version readers accept, and the
 // expected section kind.
@@ -178,7 +166,7 @@ void AppendEndRecordFrame(std::string* out, uint64_t records, uint64_t end_offse
 
 // Record stream over one open section file: validates the envelope header on Open, then
 // yields records until the end record, verifying per-record CRCs and the footer. All
-// reads retry transient faults (ReadFullAt); every error names the file and the byte
+// reads retry transient faults (ReadFullAt); every error is located in the file at a byte
 // offset, so corruption localizes to an exact record.
 class RecordStream {
  public:
@@ -186,20 +174,20 @@ class RecordStream {
     path_ = path;
     Result<std::unique_ptr<ReadableFile>> f = ResolveEnv(env)->OpenRead(path);
     if (!f.ok()) {
-      return Status::Error(f.error());
+      return f.status();
     }
     file_ = std::move(f).value();
     unsigned char h[kEnvelopeHeaderBytes];
     Result<size_t> got = ReadUpToAt(file_.get(), path_, 0, sizeof(h),
                                     reinterpret_cast<char*>(h));
     if (!got.ok()) {
-      return Status::Error(got.error());
+      return got.status();
     }
     if (got.value() != sizeof(h)) {
-      return Status::Error("wire: truncated header in " + path_);
+      return Corrupt("wire: truncated header", 0);
     }
     if (Status st = CheckHeader(h, want, path_); !st.ok()) {
-      return st;
+      return st.At(path_, 0);
     }
     pos_ = kEnvelopeHeaderBytes;
     return Status::Ok();
@@ -213,11 +201,12 @@ class RecordStream {
     Result<size_t> got = ReadUpToAt(file_.get(), path_, frame_start, kRecordFrameBytesV2,
                                     reinterpret_cast<char*>(frame));
     if (!got.ok()) {
-      return Result<bool>::Error(got.error());
+      return got.status();
     }
     if (got.value() != kRecordFrameBytesV2) {
-      return Result<bool>::Error("wire: truncated record frame at offset " +
-                                 std::to_string(frame_start) + " in " + path_);
+      return Corrupt(
+          "wire: truncated record frame at offset " + std::to_string(frame_start),
+          frame_start);
     }
     *type = frame[0];
     uint64_t len = 0;
@@ -232,8 +221,8 @@ class RecordStream {
       return FinishAtEnd(frame_start, len, crc);
     }
     if (len > kMaxRecordBytes) {
-      return Result<bool>::Error("wire: record length " + std::to_string(len) +
-                                 " exceeds limit in " + path_);
+      return Corrupt("wire: record length " + std::to_string(len) + " exceeds limit",
+                     frame_start);
     }
     const uint64_t payload_offset = frame_start + kRecordFrameBytesV2;
     payload->resize(static_cast<size_t>(len));
@@ -241,19 +230,20 @@ class RecordStream {
       Result<size_t> body = ReadUpToAt(file_.get(), path_, payload_offset,
                                        payload->size(), &(*payload)[0]);
       if (!body.ok()) {
-        return Result<bool>::Error(body.error());
+        return body.status();
       }
       if (body.value() != payload->size()) {
-        return Result<bool>::Error("wire: truncated record payload at offset " +
-                                   std::to_string(payload_offset) + " in " + path_);
+        return Corrupt("wire: truncated record payload at offset " +
+                           std::to_string(payload_offset),
+                       payload_offset);
       }
     }
     const uint32_t payload_crc = Crc32c(*payload);
     if (payload_crc != crc) {
-      return Result<bool>::Error(
-          "wire: crc mismatch in record " + std::to_string(records_) + " (type " +
-          std::to_string(*type) + ") at offset " + std::to_string(frame_start) + " in " +
-          path_);
+      return Corrupt("wire: crc mismatch in record " + std::to_string(records_) +
+                         " (type " + std::to_string(*type) + ") at offset " +
+                         std::to_string(frame_start),
+                     frame_start);
     }
     pos_ = payload_offset + payload->size();
     records_++;
@@ -267,43 +257,50 @@ class RecordStream {
   uint32_t last_crc() const { return last_crc_; }
 
  private:
+  // A framing or checksum failure: "<what> in <path>", located at `offset` of the file.
+  Status Corrupt(const std::string& what, uint64_t offset) const {
+    return Status::Error(StatusCode::kCorruption, what + " in " + path_).At(path_, offset);
+  }
+
   Result<bool> FinishAtEnd(uint64_t frame_start, uint64_t len, uint32_t crc) {
     if (len != kFooterPayloadBytes) {
-      return Result<bool>::Error("wire: malformed end record at offset " +
-                                 std::to_string(frame_start) + " in " + path_);
+      return Corrupt("wire: malformed end record at offset " + std::to_string(frame_start),
+                     frame_start);
     }
     char footer[kFooterPayloadBytes];
     const uint64_t footer_offset = frame_start + kRecordFrameBytesV2;
     Result<size_t> got = ReadUpToAt(file_.get(), path_, footer_offset, sizeof(footer), footer);
     if (!got.ok()) {
-      return Result<bool>::Error(got.error());
+      return got.status();
     }
     if (got.value() != sizeof(footer)) {
-      return Result<bool>::Error("wire: truncated footer in " + path_);
+      return Corrupt("wire: truncated footer", footer_offset);
     }
     if (Crc32c(footer, sizeof(footer)) != crc) {
-      return Result<bool>::Error("wire: crc mismatch in footer of " + path_);
+      return Status::Error(StatusCode::kCorruption,
+                           "wire: crc mismatch in footer of " + path_)
+          .At(path_, frame_start);
     }
     Cursor c{reinterpret_cast<const unsigned char*>(footer), sizeof(footer)};
     uint64_t record_count = 0, end_offset = 0;
     (void)c.TakeU64(&record_count);
     (void)c.TakeU64(&end_offset);
     if (record_count != records_) {
-      return Result<bool>::Error(
-          "wire: footer record count " + std::to_string(record_count) + " != " +
-          std::to_string(records_) + " records read in " + path_);
+      return Corrupt("wire: footer record count " + std::to_string(record_count) + " != " +
+                         std::to_string(records_) + " records read",
+                     frame_start);
     }
     if (end_offset != frame_start) {
-      return Result<bool>::Error("wire: footer end-offset mismatch in " + path_);
+      return Corrupt("wire: footer end-offset mismatch", frame_start);
     }
     const uint64_t after = footer_offset + sizeof(footer);  // First byte past the section.
     char probe;
     Result<size_t> trailing = ReadUpToAt(file_.get(), path_, after, 1, &probe);
     if (!trailing.ok()) {
-      return Result<bool>::Error(trailing.error());
+      return trailing.status();
     }
     if (trailing.value() != 0) {
-      return Result<bool>::Error("wire: trailing bytes after end record in " + path_);
+      return Corrupt("wire: trailing bytes after end record", after);
     }
     return false;
   }
@@ -506,8 +503,8 @@ Status WriteSectionFileAtomically(const std::string& path, Env* env, WriteFn&& w
   }
   Sink sink(atomic.file());
   write_fn(&sink);
-  if (Status st = SinkStatus(sink, path); !st.ok()) {
-    return st;
+  if (!sink.status().ok()) {
+    return sink.status();
   }
   return atomic.Commit();
 }
@@ -1026,7 +1023,7 @@ Status ReadSectionFile(const std::string& path, wire::Section section, Env* env,
     uint8_t type = 0;
     Result<bool> more = stream.Next(&type, &payload);
     if (!more.ok()) {
-      return Status::Error(more.error());
+      return more.status();
     }
     if (!more.value()) {
       return Status::Ok();
@@ -1051,10 +1048,8 @@ Status TraceWriter::Open(const std::string& path, uint32_t shard_id, Env* env) {
     return st;
   }
   open_ = true;
-  path_ = path;
   bytes_ = 0;
   records_ = 0;
-  error_.clear();
   Sink sink(atomic_.file(), bytes_, records_);
   sink.WriteHeader(wire::Section::kTrace);
   if (shard_id != 0) {
@@ -1064,48 +1059,39 @@ Status TraceWriter::Open(const std::string& path, uint32_t shard_id, Env* env) {
   }
   bytes_ = sink.bytes();
   records_ = sink.records();
-  if (Status st = SinkStatus(sink, path_); !st.ok()) {
-    error_ = st.error();
-    return st;
-  }
-  return Status::Ok();
+  error_ = sink.status();
+  return error_;
 }
 
 Status TraceWriter::Append(const TraceEvent& event) {
   if (!open_) {
     return Status::Error("wire: TraceWriter is not open");
   }
-  if (!error_.empty()) {
-    return Status::Error(error_);
+  if (!error_.ok()) {
+    return error_;
   }
   EncodeTraceEvent(event, &scratch_);
   Sink sink(atomic_.file(), bytes_, records_);
   sink.WriteRecord(TraceEventRecordType(event), scratch_);
   bytes_ = sink.bytes();
   records_ = sink.records();
-  if (Status st = SinkStatus(sink, path_); !st.ok()) {
-    error_ = st.error();
-    return st;
-  }
-  return Status::Ok();
+  error_ = sink.status();
+  return error_;
 }
 
 Status TraceWriter::Finish() {
   if (!open_) {
     return Status::Error("wire: TraceWriter is not open");
   }
-  if (!error_.empty()) {
-    return Status::Error(error_);
+  if (!error_.ok()) {
+    return error_;
   }
   Sink sink(atomic_.file(), bytes_, records_);
   sink.WriteEnd();
   bytes_ = sink.bytes();
   open_ = false;  // One way or another, this writer is finished.
-  if (Status st = SinkStatus(sink, path_); !st.ok()) {
-    error_ = st.error();
-    return st;
-  }
-  return atomic_.Commit();
+  error_ = sink.status();
+  return error_.ok() ? atomic_.Commit() : error_;
 }
 
 TraceReader::TraceReader() = default;
@@ -1127,25 +1113,28 @@ Status TraceReader::Open(const std::string& path, Env* env) {
 Result<bool> TraceReader::Next(TraceEvent* event) {
   if (done_) {
     // A clean end stays a clean end on repeated calls; a failure stays sticky.
-    if (!error_.empty()) {
-      return Result<bool>::Error(error_);
+    if (!error_.ok()) {
+      return error_;
     }
     return false;
   }
   if (stream_ == nullptr) {
     return Result<bool>::Error("wire: TraceReader is not open");
   }
-  auto fail = [&](const std::string& message) {
+  auto fail = [&](Status error) {
     done_ = true;
     stream_.reset();
-    error_ = message;
-    return Result<bool>::Error(error_);
+    error_ = std::move(error);
+    return Result<bool>(error_);
+  };
+  auto fail_in_file = [&](const std::string& what) {
+    return fail(Status::Error("wire: " + what + " in " + stream_->path()));
   };
   while (true) {
     uint8_t type = 0;
     Result<bool> more = stream_->Next(&type, &scratch_);
     if (!more.ok()) {
-      return fail(more.error());
+      return fail(more.status());
     }
     if (!more.value()) {
       done_ = true;
@@ -1156,18 +1145,18 @@ Result<bool> TraceReader::Next(TraceEvent* event) {
       // An in-section header: positional like the envelope header, so it must come first
       // and must not repeat (a late or second one is a splice, not a valid layout).
       if (saw_shard_info_) {
-        return fail("wire: duplicate shard-info record in " + stream_->path());
+        return fail_in_file("duplicate shard-info record");
       }
       if (records_seen_ != 0) {
-        return fail("wire: out-of-order shard-info record in " + stream_->path());
+        return fail_in_file("out-of-order shard-info record");
       }
       Cursor c = MakeCursor(scratch_);
       uint32_t id = 0;
       if (!c.TakeU32(&id) || !c.AtEnd()) {
-        return fail("wire: malformed shard-info record in " + stream_->path());
+        return fail_in_file("malformed shard-info record");
       }
       if (id == 0) {
-        return fail("wire: shard-info record with shard id 0 in " + stream_->path());
+        return fail_in_file("shard-info record with shard id 0");
       }
       saw_shard_info_ = true;
       records_seen_++;
@@ -1177,7 +1166,7 @@ Result<bool> TraceReader::Next(TraceEvent* event) {
     records_seen_++;
     Result<TraceEvent> decoded = DecodeTraceEvent(type, scratch_, stream_->path());
     if (!decoded.ok()) {
-      return fail(decoded.error());
+      return fail(decoded.status());
     }
     *event = std::move(decoded).value();
     last_payload_offset_ = stream_->last_payload_offset();
@@ -1205,14 +1194,14 @@ Status WriteTraceFile(const std::string& path, const Trace& trace, uint32_t shar
 Result<Trace> ReadTraceFile(const std::string& path, Env* env) {
   TraceReader reader;
   if (Status st = reader.Open(path, env); !st.ok()) {
-    return Result<Trace>::Error(st.error());
+    return st;
   }
   Trace trace;
   while (true) {
     TraceEvent e;
     Result<bool> more = reader.Next(&e);
     if (!more.ok()) {
-      return Result<Trace>::Error(more.error());
+      return more.status();
     }
     if (!more.value()) {
       break;
@@ -1301,7 +1290,7 @@ Result<ShardManifest> ReadShardManifestFile(const std::string& path, Env* env) {
         }
       });
   if (!st.ok()) {
-    return Result<ShardManifest>::Error(st.error());
+    return st;
   }
   return out;
 }
@@ -1320,7 +1309,7 @@ Result<Reports> ReportsReader::ReadFile(const std::string& path, Env* env) {
   // the two paths accept exactly the same byte streams with exactly the same errors.
   ReportsRecordReader reader;
   if (Status st = reader.Open(path, env); !st.ok()) {
-    return Result<Reports>::Error(st.error());
+    return st;
   }
   Reports out;
   ReportsDecodeState state;
@@ -1329,14 +1318,14 @@ Result<Reports> ReportsReader::ReadFile(const std::string& path, Env* env) {
   while (true) {
     Result<bool> more = reader.Next(&type, &payload);
     if (!more.ok()) {
-      return Result<Reports>::Error(more.error());
+      return more.status();
     }
     if (!more.value()) {
       break;
     }
     if (Status st = DecodeReportsRecordPayload(type, payload, path, &state, &out);
         !st.ok()) {
-      return Result<Reports>::Error(st.error());
+      return st;
     }
   }
   return out;
@@ -1361,8 +1350,8 @@ Status ReportsRecordReader::Open(const std::string& path, Env* env) {
 Result<bool> ReportsRecordReader::Next(uint8_t* type, std::string* payload) {
   if (done_) {
     // A clean end stays a clean end on repeated calls; a failure stays sticky.
-    if (!error_.empty()) {
-      return Result<bool>::Error(error_);
+    if (!error_.ok()) {
+      return error_;
     }
     return false;
   }
@@ -1374,8 +1363,8 @@ Result<bool> ReportsRecordReader::Next(uint8_t* type, std::string* payload) {
     done_ = true;
     stream_.reset();
     if (!more.ok()) {
-      error_ = more.error();
-      return Result<bool>::Error(error_);
+      error_ = more.status();
+      return error_;
     }
     return false;
   }
@@ -1403,7 +1392,7 @@ Result<InitialState> ReadInitialStateFile(const std::string& path, Env* env) {
                                                          &saw_kv, &out);
                               });
   if (!st.ok()) {
-    return Result<InitialState>::Error(st.error());
+    return st;
   }
   return out;
 }

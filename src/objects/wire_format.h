@@ -152,9 +152,8 @@ class TraceWriter {
  private:
   AtomicFileWriter atomic_;
   bool open_ = false;
-  std::string path_;
   std::string scratch_;
-  std::string error_;  // Sticky: a failed write poisons the rest of the file.
+  Status error_;  // Sticky: a failed write poisons the rest of the file.
   size_t bytes_ = 0;
   uint64_t records_ = 0;
 };
@@ -191,7 +190,7 @@ class TraceReader {
   std::unique_ptr<wire::RecordStream> stream_;
   std::string scratch_;
   bool done_ = false;
-  std::string error_;  // Nonempty once a read has failed.
+  Status error_;  // Not OK once a read has failed.
   uint64_t records_seen_ = 0;
   bool saw_shard_info_ = false;
   uint32_t shard_id_ = 0;
@@ -256,7 +255,7 @@ class ReportsRecordReader {
  private:
   std::unique_ptr<wire::RecordStream> stream_;
   bool done_ = false;
-  std::string error_;  // Nonempty once a read has failed.
+  Status error_;  // Not OK once a read has failed.
   uint64_t last_payload_offset_ = 0;
   uint64_t last_payload_bytes_ = 0;
   uint32_t last_payload_crc_ = 0;

@@ -47,7 +47,7 @@ Status StatsServer::Start(const std::string& address, Transport* transport) {
   }
   auto listener = ResolveTransport(transport)->Listen(address);
   if (!listener.ok()) {
-    return Status::Error("obs: stats listen failed: " + listener.error());
+    return listener.status().Prefixed("obs: stats listen failed: ");
   }
   listener_ = std::move(listener).value();
   address_ = listener_->address();

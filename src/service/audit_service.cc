@@ -64,7 +64,7 @@ struct ServiceMetrics {
   }
 };
 
-// One env knob: overrides *out when set, hard "config: ..." error when malformed.
+// One env knob: overrides *out when set, hard kConfig "config: ..." error when malformed.
 Status ApplyUint64Knob(const char* name, const char* what, uint64_t* out) {
   const char* env = std::getenv(name);
   if (env == nullptr) {
@@ -72,8 +72,9 @@ Status ApplyUint64Knob(const char* name, const char* what, uint64_t* out) {
   }
   Result<uint64_t> v = ParseUint64(env);
   if (!v.ok()) {
-    return Status::Error("config: " + std::string(name) + "='" + env + "' is not a valid " +
-                         what + " (" + v.error() + ")");
+    return Status::Error(StatusCode::kConfig, "config: " + std::string(name) + "='" + env +
+                                                  "' is not a valid " + what + " (" +
+                                                  v.error() + ")");
   }
   *out = v.value();
   return Status::Ok();
@@ -92,8 +93,8 @@ bool ValidReportsRecordType(uint8_t type) {
 Result<ServiceOptions> ResolveServiceOptions(ServiceOptions base) {
   if (const char* env = std::getenv("OROCHI_LISTEN_ADDRESS")) {
     if (*env == '\0') {
-      return Result<ServiceOptions>::Error(
-          "config: OROCHI_LISTEN_ADDRESS is set but empty");
+      return Status::Error(StatusCode::kConfig,
+                           "config: OROCHI_LISTEN_ADDRESS is set but empty");
     }
     base.listen_address = env;
   }
@@ -106,27 +107,29 @@ Result<ServiceOptions> ResolveServiceOptions(ServiceOptions base) {
   if (Status st = ApplyUint64Knob("OROCHI_MAX_INFLIGHT_BYTES", "byte bound",
                                   &base.max_in_flight_bytes);
       !st.ok()) {
-    return Result<ServiceOptions>::Error(st.error());
+    return st;
   }
   if (Status st = ApplyUint64Knob("OROCHI_ACK_INTERVAL", "record count",
                                   &base.ack_interval_records);
       !st.ok()) {
-    return Result<ServiceOptions>::Error(st.error());
+    return st;
   }
   uint64_t shards = base.shards_per_epoch;
   if (Status st = ApplyUint64Knob("OROCHI_SHARDS_PER_EPOCH", "shard count", &shards);
       !st.ok()) {
-    return Result<ServiceOptions>::Error(st.error());
+    return st;
   }
   if (shards == 0 || shards > UINT32_MAX) {
-    return Result<ServiceOptions>::Error(
+    return Status::Error(
+        StatusCode::kConfig,
         "config: OROCHI_SHARDS_PER_EPOCH must be a positive shard count, got " +
-        std::to_string(shards));
+            std::to_string(shards));
   }
   base.shards_per_epoch = static_cast<uint32_t>(shards);
   if (base.ack_interval_records == 0) {
     // A client bounded by max_in_flight_bytes waits on acks; never acking would wedge it.
-    return Result<ServiceOptions>::Error(
+    return Status::Error(
+        StatusCode::kConfig,
         "config: OROCHI_ACK_INTERVAL must be positive (a bounded sender waits on acks)");
   }
   return base;
@@ -176,7 +179,7 @@ Status AuditService::Start() {
   Result<std::unique_ptr<Listener>> listener =
       ResolveTransport(options_.transport)->Listen(options_.listen_address);
   if (!listener.ok()) {
-    return Status::Error(listener.error());
+    return listener.status();
   }
   listener_ = std::move(listener.value());
   address_ = listener_->address();
@@ -409,7 +412,7 @@ Status AuditService::ServeStream(Connection* conn, net::FrameReader* reader,
     std::string payload;
     Result<bool> next = reader->Next(&type, &payload);
     if (!next.ok()) {
-      if (!IsTransientIoError(next.error())) {
+      if (next.status().code() == StatusCode::kCorruption) {
         // A frame that failed its CRC: tell the client, drop the connection, keep the
         // received counts — the record was never spooled and the resume re-sends it.
         ServiceMetrics::Get()->corrupt_frames->Inc();
@@ -419,7 +422,7 @@ Status AuditService::ServeStream(Connection* conn, net::FrameReader* reader,
         }
         send_error(net::ErrorCode::kCorruption, next.error());
       }
-      return Status::Error(next.error());
+      return next.status();
     }
     if (!next.value()) {
       return Status::Ok();  // Clean close at a frame boundary.
@@ -432,7 +435,7 @@ Status AuditService::ServeStream(Connection* conn, net::FrameReader* reader,
         Result<net::RecordFrame> rec = net::DecodeRecord(payload);
         if (!rec.ok()) {
           send_error(net::ErrorCode::kProtocol, rec.error());
-          return Status::Error(rec.error());
+          return rec.status();
         }
         bool type_ok = is_trace ? ValidTraceRecordType(rec.value().record_type)
                                 : ValidReportsRecordType(rec.value().record_type);
@@ -479,7 +482,7 @@ Status AuditService::ServeStream(Connection* conn, net::FrameReader* reader,
         Result<net::EndEpochFrame> end = net::DecodeEndEpoch(payload);
         if (!end.ok()) {
           send_error(net::ErrorCode::kProtocol, end.error());
-          return Status::Error(end.error());
+          return end.status();
         }
         if (!stream->sealed) {
           if (Status st = SealShard(epoch, stream, end.value()); !st.ok()) {
@@ -687,6 +690,10 @@ std::string AuditService::EpochsJson() const {
       if (!vit->second.ok()) {
         state = "error";
         out += ", \"error\": \"" + obs::JsonEscape(vit->second.error()) + "\"";
+        // Retry once the spool is restored ("io") or fix the verifier first ("config").
+        out += ClassifyAuditOutcome(vit->second) == AuditOutcome::kConfigError
+                   ? ", \"error_class\": \"config\""
+                   : ", \"error_class\": \"io\"";
       } else {
         const AuditResult& v = vit->second.value();
         state = v.accepted ? "accepted" : "rejected";

@@ -2,7 +2,6 @@
 
 #include <deque>
 
-#include "src/common/io_env.h"
 #include "src/objects/wire_format.h"
 #include "src/obs/metrics.h"
 
@@ -51,8 +50,7 @@ Status ServiceError(const net::ErrorFrame& e) {
   switch (e.code) {
     case net::ErrorCode::kRetryable:
     case net::ErrorCode::kCorruption:
-      return Status::Error(IsTransientIoError(e.message) ? e.message
-                                                         : MakeTransientIoError(e.message));
+      return Status::Error(StatusCode::kTransient, e.message);
     case net::ErrorCode::kProtocol:
       break;
   }
@@ -67,7 +65,7 @@ Status CollectorClient::RunAttempt(
     const std::vector<std::pair<uint8_t, std::string>>& reports_records, bool* sealed) {
   Result<std::unique_ptr<Connection>> dial = transport_->Connect(address_);
   if (!dial.ok()) {
-    return Status::Error(dial.error());
+    return dial.status();
   }
   std::unique_ptr<Connection> conn = std::move(dial.value());
   net::FrameReader reader(conn.get());
@@ -84,15 +82,15 @@ Status CollectorClient::RunAttempt(
   std::string payload;
   Result<bool> next = reader.Next(&type, &payload);
   if (!next.ok()) {
-    return Status::Error(next.error());
+    return next.status();
   }
   if (!next.value()) {
-    return Status::Error(
-        MakeTransientIoError("net: service closed before answering the hello"));
+    return Status::Error(StatusCode::kTransient,
+                         "net: service closed before answering the hello");
   }
   if (type == net::kFrameError) {
     Result<net::ErrorFrame> e = net::DecodeError(payload);
-    return e.ok() ? ServiceError(e.value()) : Status::Error(e.error());
+    return e.ok() ? ServiceError(e.value()) : e.status();
   }
   if (type != net::kFrameHelloAck) {
     return Status::Error("net: expected a hello-ack, got frame type " +
@@ -100,7 +98,7 @@ Status CollectorClient::RunAttempt(
   }
   Result<net::HelloAckFrame> hello_ack = net::DecodeHelloAck(payload);
   if (!hello_ack.ok()) {
-    return Status::Error(hello_ack.error());
+    return hello_ack.status();
   }
   const net::HelloAckFrame& resume = hello_ack.value();
   if (resume.sealed != 0) {
@@ -131,17 +129,17 @@ Status CollectorClient::RunAttempt(
     std::string p;
     Result<bool> got = reader.Next(&t, &p);
     if (!got.ok()) {
-      return Status::Error(got.error());
+      return got.status();
     }
     if (!got.value()) {
-      return Status::Error(
-          MakeTransientIoError("net: service closed before sealing the epoch"));
+      return Status::Error(StatusCode::kTransient,
+                           "net: service closed before sealing the epoch");
     }
     switch (t) {
       case net::kFrameAck: {
         Result<net::AckFrame> a = net::DecodeAck(p);
         if (!a.ok()) {
-          return Status::Error(a.error());
+          return a.status();
         }
         stats_.acks_received++;
         ClientMetrics::Get()->acks->Inc();
@@ -157,7 +155,7 @@ Status CollectorClient::RunAttempt(
       case net::kFrameEpochSealed: {
         Result<net::EpochSealedFrame> s = net::DecodeEpochSealed(p);
         if (!s.ok()) {
-          return Status::Error(s.error());
+          return s.status();
         }
         if (s.value().epoch != epoch) {
           return Status::Error("net: service sealed epoch " +
@@ -169,7 +167,7 @@ Status CollectorClient::RunAttempt(
       }
       case net::kFrameError: {
         Result<net::ErrorFrame> e = net::DecodeError(p);
-        return e.ok() ? ServiceError(e.value()) : Status::Error(e.error());
+        return e.ok() ? ServiceError(e.value()) : e.status();
       }
       default:
         return Status::Error("net: unexpected frame type " + std::to_string(t) +
@@ -267,15 +265,16 @@ Status CollectorClient::StreamEpoch(uint64_t epoch, Collector* collector,
     if (last.ok() && sealed) {
       return Status::Ok();
     }
-    if (!last.ok() && !IsTransientIoError(last.error())) {
+    if (!last.ok() && last.code() != StatusCode::kTransient) {
       break;  // Protocol-level: re-dialing the same bytes cannot succeed.
     }
   }
   // Out of attempts (or refused): give the epoch's traffic back to the collector so
   // nothing recorded is lost — a later StreamEpoch or Flush carries it.
   collector->Restore(std::move(trace));
-  return last.ok() ? Status::Error(MakeTransientIoError(
-                         "net: ran out of reconnect attempts before the epoch sealed"))
+  return last.ok() ? Status::Error(
+                         StatusCode::kTransient,
+                         "net: ran out of reconnect attempts before the epoch sealed")
                    : last;
 }
 

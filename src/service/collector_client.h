@@ -10,8 +10,8 @@
 //     unacked on the wire, waiting on Ack frames past that bound.
 //   - When every reconnect attempt is exhausted the recorded trace is restored into the
 //     collector (Collector::Restore) so no recorded traffic is lost, and the error is
-//     transient-tagged when the failure was a disconnect — operators retry, they do not
-//     treat a network flap as tamper evidence.
+//     kTransient when the failure was a disconnect — operators retry, they do not treat
+//     a network flap as tamper evidence.
 #ifndef SRC_SERVICE_COLLECTOR_CLIENT_H_
 #define SRC_SERVICE_COLLECTOR_CLIENT_H_
 
@@ -48,16 +48,16 @@ class CollectorClient {
 
   // Closes `collector`'s current epoch (TakeTrace) and streams it with `reports` to the
   // service as epoch `epoch`, blocking until the service confirms the seal. On failure
-  // the taken trace is restored into the collector and an error returns: transient-tagged
-  // ("io-transient: net: ...") when retrying later can succeed, permanent for protocol
-  // errors. The collector's shard id stamps the stream and must be nonzero.
+  // the taken trace is restored into the collector and an error returns: kTransient when
+  // retrying later can succeed, permanent (kError) for protocol errors. The collector's
+  // shard id stamps the stream and must be nonzero.
   Status StreamEpoch(uint64_t epoch, Collector* collector, const Reports& reports);
 
   const ClientStats& stats() const { return stats_; }
 
  private:
   // One connection attempt: handshake, send everything not yet acked, wait for the seal.
-  // A transient-tagged error (or `false` with no seal) means reconnect and resume.
+  // A kTransient error (or `false` with no seal) means reconnect and resume.
   Status RunAttempt(uint64_t epoch, uint32_t shard_id,
                     const std::vector<std::pair<uint8_t, std::string>>& trace_records,
                     const std::vector<std::pair<uint8_t, std::string>>& reports_records,

@@ -10,7 +10,7 @@ namespace orochi {
 Result<StmtResult> Database::ExecuteText(const std::string& sql) {
   Result<SqlStatement> stmt = ParseSql(sql);
   if (!stmt.ok()) {
-    return Result<StmtResult>::Error(stmt.error());
+    return stmt.status();
   }
   return Execute(stmt.value());
 }
@@ -51,7 +51,7 @@ Result<StmtResult> Database::Execute(const SqlStatement& stmt) {
         for (size_t i = 0; i < exprs.size(); i++) {
           Result<SqlValue> v = EvalSqlExpr(*exprs[i], t.schema, kEmptyRow);
           if (!v.ok()) {
-            return Result<StmtResult>::Error(v.error());
+            return v.status();
           }
           size_t idx = static_cast<size_t>(targets[i]);
           row[idx] = CoerceToColumnType(v.value(), t.schema[idx].type);
@@ -74,7 +74,7 @@ Result<StmtResult> Database::Execute(const SqlStatement& stmt) {
       for (const SqlRow& row : t.rows) {
         Result<bool> keep = EvalWhere(stmt.where.get(), t.schema, row);
         if (!keep.ok()) {
-          return Result<StmtResult>::Error(keep.error());
+          return keep.status();
         }
         if (keep.value()) {
           filtered.push_back(&row);
@@ -103,7 +103,7 @@ Result<StmtResult> Database::Execute(const SqlStatement& stmt) {
         const SqlRow& row = t.rows[ri];
         Result<bool> match = EvalWhere(stmt.where.get(), t.schema, row);
         if (!match.ok()) {
-          return Result<StmtResult>::Error(match.error());
+          return match.status();
         }
         if (!match.value()) {
           continue;
@@ -112,7 +112,7 @@ Result<StmtResult> Database::Execute(const SqlStatement& stmt) {
         for (const auto& [idx, expr] : sets) {
           Result<SqlValue> v = EvalSqlExpr(*expr, t.schema, row);
           if (!v.ok()) {
-            return Result<StmtResult>::Error(v.error());
+            return v.status();
           }
           size_t i = static_cast<size_t>(idx);
           updated[i] = CoerceToColumnType(v.value(), t.schema[i].type);
@@ -141,7 +141,7 @@ Result<StmtResult> Database::Execute(const SqlStatement& stmt) {
       for (size_t i = 0; i < t.rows.size(); i++) {
         Result<bool> match = EvalWhere(stmt.where.get(), t.schema, t.rows[i]);
         if (!match.ok()) {
-          return Result<StmtResult>::Error(match.error());
+          return match.status();
         }
         doomed[i] = match.value();
         if (doomed[i]) {

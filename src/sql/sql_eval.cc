@@ -153,7 +153,7 @@ Result<bool> EvalWhere(const SqlExpr* where, const std::vector<ColumnDef>& schem
   }
   Result<SqlValue> v = EvalSqlExpr(*where, schema, row);
   if (!v.ok()) {
-    return Result<bool>::Error(v.error());
+    return v.status();
   }
   return v.value().ToInt() != 0;
 }

@@ -675,7 +675,7 @@ Result<SqlStatement> ParseSql(const std::string& sql) {
   SqlLexer lexer(sql);
   Result<std::vector<Tok>> toks = lexer.Run();
   if (!toks.ok()) {
-    return Result<SqlStatement>::Error(toks.error());
+    return toks.status();
   }
   return SqlParser(std::move(toks).value()).Run();
 }

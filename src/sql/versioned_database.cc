@@ -93,7 +93,7 @@ Status VersionedDatabase::ForEachMatch(const VTable& t, const SqlExpr* where, ui
     }
     Result<bool> match = EvalWhere(where, t.schema, vrow.values);
     if (!match.ok()) {
-      return Status::Error(match.error());
+      return match.status();
     }
     if (match.value()) {
       if (Status st = fn(pos); !st.ok()) {
@@ -107,7 +107,7 @@ Status VersionedDatabase::ForEachMatch(const VTable& t, const SqlExpr* where, ui
 Result<StmtResult> VersionedDatabase::ApplyWriteText(const std::string& sql, uint64_t ts) {
   Result<SqlStatement> stmt = ParseSql(sql);
   if (!stmt.ok()) {
-    return Result<StmtResult>::Error(stmt.error());
+    return stmt.status();
   }
   return ApplyWrite(stmt.value(), ts);
 }
@@ -154,7 +154,7 @@ Result<StmtResult> VersionedDatabase::ApplyWrite(const SqlStatement& stmt, uint6
         for (size_t i = 0; i < exprs.size(); i++) {
           Result<SqlValue> v = EvalSqlExpr(*exprs[i], t.schema, kEmptyRow);
           if (!v.ok()) {
-            return Result<StmtResult>::Error(v.error());
+            return v.status();
           }
           size_t idx = static_cast<size_t>(targets[i]);
           row[idx] = CoerceToColumnType(v.value(), t.schema[idx].type);
@@ -194,7 +194,7 @@ Result<StmtResult> VersionedDatabase::ApplyWrite(const SqlStatement& stmt, uint6
         for (const auto& [idx, expr] : sets) {
           Result<SqlValue> v = EvalSqlExpr(*expr, t.schema, values);
           if (!v.ok()) {
-            return Status::Error(v.error());
+            return v.status();
           }
           size_t i = static_cast<size_t>(idx);
           updated[i] = CoerceToColumnType(v.value(), t.schema[i].type);
@@ -203,7 +203,7 @@ Result<StmtResult> VersionedDatabase::ApplyWrite(const SqlStatement& stmt, uint6
         return Status::Ok();
       });
       if (!st.ok()) {
-        return Result<StmtResult>::Error(st.error());
+        return st;
       }
       if (commit) {
         for (auto& [ri, updated] : staged) {
@@ -231,7 +231,7 @@ Result<StmtResult> VersionedDatabase::ApplyWrite(const SqlStatement& stmt, uint6
         return Status::Ok();
       });
       if (!st.ok()) {
-        return Result<StmtResult>::Error(st.error());
+        return st;
       }
       if (commit) {
         for (size_t ri : doomed) {
@@ -255,7 +255,7 @@ Result<StmtResult> VersionedDatabase::ApplyWrite(const SqlStatement& stmt, uint6
 Result<StmtResult> VersionedDatabase::SelectText(const std::string& sql, uint64_t ts) const {
   Result<SqlStatement> stmt = ParseSql(sql);
   if (!stmt.ok()) {
-    return Result<StmtResult>::Error(stmt.error());
+    return stmt.status();
   }
   return Select(stmt.value(), ts);
 }
@@ -275,7 +275,7 @@ Result<StmtResult> VersionedDatabase::Select(const SqlStatement& stmt, uint64_t 
     return Status::Ok();
   });
   if (!st.ok()) {
-    return Result<StmtResult>::Error(st.error());
+    return st;
   }
   return RunSelectPipeline(stmt, t.schema, InRowIdOrder(std::move(filtered)));
 }

@@ -294,7 +294,7 @@ Result<std::unique_ptr<CheckpointJournal>> CheckpointJournal::Open(Env* env,
   // any torn tail in place, so appends always extend a well-formed prefix.
   Result<std::unique_ptr<WritableFile>> out = env->OpenWrite(path);
   if (!out.ok()) {
-    return R::Error("checkpoint: cannot open " + path + ": " + out.error());
+    return out.status().Prefixed("checkpoint: cannot open " + path + ": ");
   }
   journal->out_ = std::move(out).value();
   std::string buf = wire::EnvelopeHeader(wire::Section::kCheckpoint);
@@ -312,10 +312,10 @@ Result<std::unique_ptr<CheckpointJournal>> CheckpointJournal::Open(Env* env,
     wire::AppendRecordFrame(&buf, kCompareRecord, payload);
   }
   if (Status st = journal->out_->Append(buf); !st.ok()) {
-    return R::Error("checkpoint: cannot write " + path + ": " + st.error());
+    return st.Prefixed("checkpoint: cannot write " + path + ": ");
   }
   if (Status st = journal->out_->Sync(); !st.ok()) {
-    return R::Error("checkpoint: cannot sync " + path + ": " + st.error());
+    return st.Prefixed("checkpoint: cannot sync " + path + ": ");
   }
   return R(std::move(journal));
 }

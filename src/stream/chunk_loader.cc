@@ -16,6 +16,14 @@ namespace orochi {
 
 namespace {
 
+// A spill file whose bytes no longer match what pass 1 indexed: corruption at `offset`.
+Status ChangedDuringAudit(const std::string& path, uint64_t offset,
+                          const std::string& what) {
+  return Status::Error(StatusCode::kCorruption,
+                       "stream: " + path + " changed during the audit: " + what)
+      .At(path, offset);
+}
+
 // Budget-gate instruments: every chunk admission in the streamed audit funnels through
 // ChunkBudget::Acquire, so this is where stalls and oversized one-at-a-time admissions
 // become visible.
@@ -89,8 +97,10 @@ Result<uint64_t> ResolveAuditBudget(const AuditOptions& options) {
     Result<uint64_t> v = ParseUint64(env);
     if (!v.ok()) {
       // A malformed budget must not silently audit unbounded: it is a config error.
-      return Result<uint64_t>::Error("config: OROCHI_AUDIT_BUDGET='" + std::string(env) +
-                                     "' is not a valid byte budget (" + v.error() + ")");
+      return Status::Error(StatusCode::kConfig, "config: OROCHI_AUDIT_BUDGET='" +
+                                                    std::string(env) +
+                                                    "' is not a valid byte budget (" +
+                                                    v.error() + ")");
     }
     return v;  // 0 keeps its documented meaning: unlimited.
   }
@@ -173,9 +183,8 @@ Result<std::shared_ptr<ReadableFile>> FileTraceChunkLoader::OpenFile(
   if (files_[file] == nullptr) {
     Result<std::unique_ptr<ReadableFile>> opened = env_->OpenRead(set.file_path(file));
     if (!opened.ok()) {
-      return Result<std::shared_ptr<ReadableFile>>::Error(
-          "stream: cannot reopen " + set.file_path(file) +
-          " for chunk load: " + opened.error());
+      return opened.status().Prefixed("stream: cannot reopen " + set.file_path(file) +
+                                      " for chunk load: ");
     }
     files_[file] = std::move(opened).value();
   }
@@ -187,20 +196,18 @@ Status FileTraceChunkLoader::InstallPayload(const StreamTraceSet& set, size_t in
                                             size_t n) {
   const TraceEventLoc& loc = set.loc(index);
   if (Crc32c(payload, n) != loc.crc) {
-    return Status::Error("stream: " + set.file_path(loc.file) +
-                         " changed during the audit: payload at offset " +
-                         std::to_string(loc.offset) + " failed checksum");
+    return ChangedDuringAudit(set.file_path(loc.file), loc.offset,
+                              "payload at offset " + std::to_string(loc.offset) +
+                                  " failed checksum");
   }
   Result<TraceEvent> decoded =
       DecodeTraceEventPayload(loc.record_type, std::string(payload, n));
   if (!decoded.ok()) {
-    return Status::Error("stream: " + set.file_path(loc.file) +
-                         " changed during the audit: " + decoded.error());
+    return ChangedDuringAudit(set.file_path(loc.file), loc.offset, decoded.error());
   }
   if (decoded.value().rid != event->rid) {
-    return Status::Error("stream: " + set.file_path(loc.file) +
-                         " changed during the audit: rid mismatch at offset " +
-                         std::to_string(loc.offset));
+    return ChangedDuringAudit(set.file_path(loc.file), loc.offset,
+                              "rid mismatch at offset " + std::to_string(loc.offset));
   }
   if (event->kind == TraceEvent::Kind::kRequest) {
     event->params = std::move(decoded.value().params);
@@ -215,7 +222,7 @@ Status FileTraceChunkLoader::Load(const StreamTraceSet& set, size_t index,
   const TraceEventLoc& loc = set.loc(index);
   Result<std::shared_ptr<ReadableFile>> file = OpenFile(set, loc.file);
   if (!file.ok()) {
-    return Status::Error(file.error());
+    return file.status();
   }
   std::string payload(static_cast<size_t>(loc.bytes), '\0');
   ReadMetrics::Get()->issued->Inc();
@@ -267,7 +274,7 @@ Status FileTraceChunkLoader::LoadBatch(const StreamTraceSet& set,
     }
     Result<std::shared_ptr<ReadableFile>> file = OpenFile(set, head.file);
     if (!file.ok()) {
-      return fail(Status::Error(file.error()));
+      return fail(file.status());
     }
     const TraceEventLoc& tail = set.loc(sorted[span_start + span_len - 1]);
     const size_t span_bytes = static_cast<size_t>(tail.offset + tail.bytes - head.offset);
@@ -363,8 +370,8 @@ Status FileReportsChunkLoader::LoadRun(StreamReportsSet* set, size_t object,
       Result<std::unique_ptr<ReadableFile>> opened =
           env_->OpenRead(set->file_path(head.file));
       if (!opened.ok()) {
-        return Status::Error("stream: cannot reopen " + set->file_path(head.file) +
-                             " for op-log load: " + opened.error());
+        return opened.status().Prefixed("stream: cannot reopen " +
+                                        set->file_path(head.file) + " for op-log load: ");
       }
       files_[head.file] = std::move(opened).value();
     }
@@ -399,9 +406,9 @@ Status FileReportsChunkLoader::LoadRun(StreamReportsSet* set, size_t object,
     if (!st.ok() || decoded.rid != entry.rid || decoded.opnum != entry.opnum ||
         decoded.type != entry.type) {
       Evict(set, object, first_seqnum, i);
-      return Status::Error("stream: " + set->file_path(head.file) +
-                           " changed during the audit: op-log entry mismatch at offset " +
-                           std::to_string(loc.offset));
+      return ChangedDuringAudit(set->file_path(head.file), loc.offset,
+                                "op-log entry mismatch at offset " +
+                                    std::to_string(loc.offset));
     }
     entry.contents = std::move(decoded.contents);
   }

@@ -39,7 +39,7 @@ Status StreamReportsSet::AppendFile(const std::string& path, Env* env) {
   while (true) {
     Result<bool> more = reader.Next(&type, &payload);
     if (!more.ok()) {
-      return Status::Error(more.error());
+      return more.status();
     }
     if (!more.value()) {
       break;
@@ -97,7 +97,7 @@ Status StreamReportsSet::AppendFile(const std::string& path, Env* env) {
   if (Status st = AppendReports(&skeleton_, file_reports, &map); !st.ok()) {
     // Merge-level errors (possible only past the first file) name the offending file so
     // shard-merge callers surface the same "path: reason" shape decode errors carry.
-    return Status::Error(path + ": " + st.error());
+    return st.Prefixed(path + ": ");
   }
   locs_.resize(skeleton_.op_logs.size());
   for (size_t i = 0; i < file_locs.size(); i++) {
@@ -114,7 +114,7 @@ Status StreamReportsSet::AppendFile(const std::string& path, Env* env) {
 Status StreamReportsSet::Absorb(StreamReportsSet&& other, const std::string& label) {
   ReportsMergeMap map;
   if (Status st = AppendReports(&skeleton_, other.skeleton_, &map); !st.ok()) {
-    return Status::Error(label + ": " + st.error());
+    return st.Prefixed(label + ": ");
   }
   const uint32_t file_base = static_cast<uint32_t>(files_.size());
   for (std::string& path : other.files_) {

@@ -17,12 +17,12 @@ namespace {
 Result<uint32_t> PeekTraceShardId(const std::string& path, Env* env) {
   TraceReader reader;
   if (Status st = reader.Open(path, env); !st.ok()) {
-    return Result<uint32_t>::Error(st.error());
+    return st;
   }
   TraceEvent event;
   Result<bool> more = reader.Next(&event);
   if (!more.ok()) {
-    return Result<uint32_t>::Error(more.error());
+    return more.status();
   }
   return reader.shard_id();
 }
@@ -63,7 +63,7 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
   for (size_t i = 0; i < shards.size(); i++) {
     Result<uint32_t> stamped = PeekTraceShardId(shards[i].trace_path, env);
     if (!stamped.ok()) {
-      return R::Error("shard merge: " + stamped.error());
+      return stamped.status().Prefixed("shard merge: ");
     }
     uint32_t id = stamped.value();
     if (!expected_ids.empty()) {
@@ -92,7 +92,7 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
   struct ShardLoad {
     StreamTraceSet traces;
     StreamReportsSet reports;
-    std::string error;  // Nonempty = this shard failed to stream.
+    Status error;  // Not OK = this shard failed to stream.
     obs::PhaseBreakdown phases;
   };
   std::vector<ShardLoad> loads(order.size());
@@ -111,12 +111,10 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
       const ShardEpochFiles& shard = shards[order[i].pos];
       Result<uint32_t> appended = load.traces.AppendFile(shard.trace_path, env);
       if (!appended.ok()) {
-        load.error = appended.error();
+        load.error = appended.status();
         return;
       }
-      if (Status st = load.reports.AppendFile(shard.reports_path, env); !st.ok()) {
-        load.error = st.error();
-      }
+      load.error = load.reports.AppendFile(shard.reports_path, env);
     });
   }
 
@@ -132,12 +130,12 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
       const Entry& e = order[i];
       const ShardEpochFiles& shard = shards[e.pos];
       ShardLoad& load = loads[i];
-      if (!load.error.empty()) {
+      if (!load.error.ok()) {
         // Quarantine: name the shard and both of its files, so the operator knows exactly
         // which collector's spill to restore — the other shards streamed clean.
-        return R::Error("shard merge: quarantined shard " + std::to_string(e.id) +
-                        " (trace " + shard.trace_path + ", reports " +
-                        shard.reports_path + "): " + load.error);
+        return load.error.Prefixed("shard merge: quarantined shard " +
+                                   std::to_string(e.id) + " (trace " + shard.trace_path +
+                                   ", reports " + shard.reports_path + "): ");
       }
       // Rid-disjointness across shard traces. (Duplicates *within* one shard stay for the
       // audit's balanced-trace check to reject, exactly as the unsharded path would.)
@@ -159,7 +157,7 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
       // "path: reason" from the index itself, same as the sequential stream would report.
       if (Status st = out.reports.Absorb(std::move(load.reports), shard.reports_path);
           !st.ok()) {
-        return R::Error("shard merge: " + st.error());
+        return st.Prefixed("shard merge: ");
       }
       out.shard_ids.push_back(e.id);
     }
@@ -171,7 +169,7 @@ Result<MergedShards> MergeShardsFromManifest(const std::string& manifest_path, E
                                              size_t num_threads) {
   Result<ShardManifest> manifest = ReadShardManifestFile(manifest_path, env);
   if (!manifest.ok()) {
-    return Result<MergedShards>::Error(manifest.error());
+    return manifest.status();
   }
   const std::string dir = DirOf(manifest_path);
   std::vector<ShardEpochFiles> shards;

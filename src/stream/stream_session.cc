@@ -273,13 +273,13 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   // Config errors are hard errors before the epoch is consumed.
   Result<size_t> threads = ResolveAuditThreads(options_);
   if (!threads.ok()) {
-    return R::Error(threads.error());
+    return threads.status();
   }
   uint64_t budget_bytes = 0;
   if (hooks == nullptr || hooks->budget == nullptr) {
     Result<uint64_t> resolved = ResolveAuditBudget(options_);
     if (!resolved.ok()) {
-      return R::Error(resolved.error());
+      return resolved.status();
     }
     budget_bytes = resolved.value();
   }
@@ -323,7 +323,7 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
         StreamEpochFingerprint(state_, merged.traces, merged.reports, options_));
     if (!opened.ok()) {
       epochs_fed_--;
-      return R::Error(opened.error());
+      return opened.status();
     }
     journal = std::move(opened).value();
   }
@@ -337,7 +337,7 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
       // Paging a log segment in failed (spill file vanished or changed mid-audit): a
       // file-level error, not a verdict — the epoch is unconsumed.
       epochs_fed_--;
-      return R::Error(st.error());
+      return st;
     }
     return reject(st.error());
   }
@@ -355,12 +355,12 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   StreamTaskGate gate(&merged.traces, loader, &merged.reports, reports_loader, budget,
                       &ctx);
   AuditExecOutcome exec = ExecuteAuditPlan(&ctx, app_, options_, plan, &gate, journal.get());
-  if (exec.gate_failed) {
+  if (!exec.gate_error.ok()) {
     // Paging a chunk in failed (spill file vanished or changed mid-audit): a file-level
     // error, not a verdict — the epoch is unconsumed, exactly like a corrupt
     // FeedEpochFiles. The checkpoint survives for the retry.
     epochs_fed_--;
-    return R::Error(exec.fail_reason);
+    return exec.gate_error;
   }
   if (exec.fail_order != kNoAuditFailure) {
     spend_checkpoint();
@@ -377,7 +377,7 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
     if (!st.ok()) {
       // The journal keeps the compare watermark retired so far for the retry.
       epochs_fed_--;
-      return R::Error(st.error());
+      return st;
     }
   }
   if (!compare_reason.empty()) {
@@ -392,7 +392,6 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
 Result<AuditResult> AuditSession::FeedEpochFilesStreamed(const std::string& trace_path,
                                                          const std::string& reports_path,
                                                          const StreamAuditHooks* hooks) {
-  using R = Result<AuditResult>;
   // Built directly (not via MergeShards) so single-file error messages stay identical to
   // FeedEpochFiles' — the degenerate one-shard case is a drop-in replacement.
   MergedShards merged;
@@ -400,10 +399,10 @@ Result<AuditResult> AuditSession::FeedEpochFilesStreamed(const std::string& trac
     obs::TraceSpan span(&merged.phases, obs::Phase::kPass1Skeleton);
     Result<uint32_t> shard = merged.traces.AppendFile(trace_path, options_.io_env);
     if (!shard.ok()) {
-      return R::Error(shard.error());
+      return shard.status();
     }
     if (Status st = merged.reports.AppendFile(reports_path, options_.io_env); !st.ok()) {
-      return R::Error(st.error());
+      return st;
     }
     merged.shard_ids.push_back(shard.value());
   }
@@ -416,12 +415,12 @@ Result<AuditResult> AuditSession::FeedShardedEpoch(const std::vector<ShardEpochF
   // surfaces before any shard is read.
   Result<size_t> threads = ResolveAuditThreads(options_);
   if (!threads.ok()) {
-    return Result<AuditResult>::Error(threads.error());
+    return threads.status();
   }
   Result<MergedShards> merged =
       MergeShards(shards, {}, options_.io_env, threads.value());
   if (!merged.ok()) {
-    return Result<AuditResult>::Error(merged.error());
+    return merged.status();
   }
   return FeedMergedEpochStreamed(std::move(merged).value(), hooks);
 }
@@ -430,12 +429,12 @@ Result<AuditResult> AuditSession::FeedShardedEpoch(const std::string& manifest_p
                                                    const StreamAuditHooks* hooks) {
   Result<size_t> threads = ResolveAuditThreads(options_);
   if (!threads.ok()) {
-    return Result<AuditResult>::Error(threads.error());
+    return threads.status();
   }
   Result<MergedShards> merged =
       MergeShardsFromManifest(manifest_path, options_.io_env, threads.value());
   if (!merged.ok()) {
-    return Result<AuditResult>::Error(merged.error());
+    return merged.status();
   }
   return FeedMergedEpochStreamed(std::move(merged).value(), hooks);
 }

@@ -9,7 +9,7 @@ namespace orochi {
 Result<uint32_t> StreamTraceSet::AppendFile(const std::string& path, Env* env) {
   TraceReader reader;
   if (Status st = reader.Open(path, env); !st.ok()) {
-    return Result<uint32_t>::Error(st.error());
+    return st;
   }
   const uint32_t file = static_cast<uint32_t>(files_.size());
   files_.push_back(path);
@@ -17,7 +17,7 @@ Result<uint32_t> StreamTraceSet::AppendFile(const std::string& path, Env* env) {
     TraceEvent event;
     Result<bool> more = reader.Next(&event);
     if (!more.ok()) {
-      return Result<uint32_t>::Error(more.error());
+      return more.status();
     }
     if (!more.value()) {
       break;

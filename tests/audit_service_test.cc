@@ -16,6 +16,7 @@
 //   5. Observability: the registry counters mirror the per-client stats exactly, and a
 //      seeded fault schedule shows up in them 1:1 — reconnects equal the scripted
 //      disconnects, transient-read retries equal the faults the injected Env fired.
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -123,6 +124,22 @@ ServiceOptions TestServiceOptions(const std::string& spool_dir, uint32_t shards)
   options.max_in_flight_bytes = 8 * 1024;
   options.ack_interval_records = 16;
   return options;
+}
+
+// The body of the service's /epochs endpoint, scraped over HTTP like an operator would.
+std::string ScrapeEpochs(const std::string& stats_address) {
+  Result<std::unique_ptr<Connection>> conn = Transport::Default()->Connect(stats_address);
+  if (!conn.ok() ||
+      !conn.value()->WriteAll(std::string("GET /epochs HTTP/1.0\r\n\r\n")).ok()) {
+    return "";
+  }
+  std::string response;
+  char buf[4096];
+  for (Result<size_t> n = conn.value()->ReadSome(buf, sizeof(buf)); n.ok() && n.value() > 0;
+       n = conn.value()->ReadSome(buf, sizeof(buf))) {
+    response.append(buf, n.value());
+  }
+  return response;
 }
 
 std::string MakeSpoolDir(const std::string& name) {
@@ -284,7 +301,7 @@ TEST(AuditService, FaultSweepNeverCrashesNeverFalselyAccepts) {
     } else {
       // Reconnects exhausted: the failure must classify as retryable I/O — a network
       // flap is never reported as tamper evidence.
-      EXPECT_TRUE(IsTransientIoError(st.error()))
+      EXPECT_EQ(st.code(), StatusCode::kTransient)
           << "schedule " << s << " misclassified an injected fault: " << st.error();
       transient_failures++;
     }
@@ -394,6 +411,50 @@ TEST(AuditService, ShardLyingAboutTotalsIsQuarantinedNeverAudited) {
   service.Stop();
   EXPECT_EQ(stats.shards_quarantined, 1u);
   EXPECT_EQ(stats.epochs_audited, 0u);
+}
+
+// /epochs classifies a failed epoch by its error code, so an operator can tell a
+// retryable spool problem ("io") from a misconfigured verifier ("config") without reading
+// the message: unreadable spools are "io", a malformed OROCHI_AUDIT_BUDGET is "config".
+TEST(AuditService, EpochsEndpointClassifiesAuditErrors) {
+  Result<Workload> workload = CounterWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Workload& w = workload.value();
+  ServerCore core(&w.app, w.initial, ServerOptions{.record_reports = true});
+  ShardSlice slice = ServeSlice(/*shard_id=*/1, /*epoch=*/1, /*requests=*/16, &core);
+  FaultOptions unreadable;
+  unreadable.p_read_error = 1.0;  // Every spool read fails permanently (EIO).
+  FaultInjectingEnv eio(nullptr, unreadable);
+  for (bool config : {false, true}) {
+    SCOPED_TRACE(config ? "config" : "io");
+    AuditOptions audit_options;
+    audit_options.io_env = config ? nullptr : &eio;
+    ServiceOptions service_options =
+        TestServiceOptions(MakeSpoolDir(config ? "config" : "eio"), 1);
+    service_options.stats_address = "tcp:127.0.0.1:0";
+    // Set before any service thread starts and cleared after they are joined.
+    if (config) {
+      ASSERT_EQ(setenv("OROCHI_AUDIT_BUDGET", "lots", 1), 0);
+    }
+    AuditService service(&w.app, audit_options, w.initial, service_options);
+    if (Status started = service.Start(); !started.ok()) {
+      unsetenv("OROCHI_AUDIT_BUDGET");
+      FAIL() << started.error();
+    }
+    Status streamed = StreamSlice(service.address(), slice, 1, nullptr, 8);
+    Result<AuditResult> verdict = streamed.ok() ? service.WaitEpochVerdict(1) : streamed;
+    const std::string epochs = ScrapeEpochs(service.stats_address());
+    service.Stop();
+    unsetenv("OROCHI_AUDIT_BUDGET");
+    ASSERT_TRUE(streamed.ok()) << streamed.error();
+    ASSERT_FALSE(verdict.ok());
+    EXPECT_EQ(verdict.status().code(), config ? StatusCode::kConfig : StatusCode::kError)
+        << verdict.error();
+    EXPECT_NE(epochs.find("\"error\": "), std::string::npos) << epochs;
+    const char* error_class = config ? "\"error_class\": \"config\""
+                                     : "\"error_class\": \"io\"";
+    EXPECT_NE(epochs.find(error_class), std::string::npos) << epochs;
+  }
 }
 
 // A frame corrupted on the wire is counted, reported as ErrorCode::kCorruption, and the

@@ -15,6 +15,7 @@
 //      mid-Prepare reruns Prepare. A journal of another epoch or an older journal layout
 //      contributes nothing.
 #include <atomic>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -49,6 +50,19 @@ Workload CounterWorkload(size_t n) {
     w.items.push_back(std::move(item));
   }
   return w;
+}
+
+// An injected read fault surfaces with an I/O code — a permanent EIO as kError, a
+// transient error that outlived every retry as kTransient — located in one of the epoch's
+// two spill files at the failing read's offset.
+void ExpectLocatedReadFault(const Status& st, const std::string& trace_path,
+                            const std::string& reports_path, int schedule) {
+  EXPECT_TRUE(st.code() == StatusCode::kError || st.code() == StatusCode::kTransient)
+      << "schedule " << schedule << ": " << st.error();
+  EXPECT_TRUE(st.file() == trace_path || st.file() == reports_path)
+      << "schedule " << schedule << " located the fault in '" << st.file() << "'";
+  EXPECT_NE(st.offset(), Status::kNoOffset)
+      << "schedule " << schedule << ": " << st.error();
 }
 
 // --- 1. The 200-schedule fault sweep ---
@@ -88,6 +102,7 @@ TEST(FaultInjection, SweepNeverFalselyAcceptsOrMisreportsFaults) {
       // A failed spill is an error at write time — and an atomic one: the audit below
       // must not even see a file from this schedule, so skip to the next.
       EXPECT_FALSE(absorbable_only) << "schedule " << s << ": " << wt.error() << wr.error();
+      EXPECT_EQ(wt.ok() ? wr.code() : wt.code(), StatusCode::kError);
       write_failures++;
       faults_fired += env.faults_injected();
       continue;
@@ -112,8 +127,7 @@ TEST(FaultInjection, SweepNeverFalselyAcceptsOrMisreportsFaults) {
         EXPECT_FALSE(absorbable_only)
             << "schedule " << s << " surfaced an absorbable fault: " << r.error();
         io_errors++;
-        AuditIoError info = ParseAuditIoError(r.error());
-        EXPECT_FALSE(info.detail.empty());
+        ExpectLocatedReadFault(r.status(), trace_path, reports_path, s);
         break;
       }
       case AuditOutcome::kRejected:
@@ -474,8 +488,7 @@ TEST(FaultInjection, SeededEioDuringStreamedPass2KeepsTheOutcomeTaxonomy) {
         EXPECT_FALSE(absorbable_only)
             << "schedule " << s << " surfaced an absorbable fault: " << r.error();
         io_errors++;
-        AuditIoError info = ParseAuditIoError(r.error());
-        EXPECT_FALSE(info.detail.empty());
+        ExpectLocatedReadFault(r.status(), trace_path, reports_path, s);
         // A failed audit consumes nothing: the epoch can be retried.
         EXPECT_EQ(session.epochs_fed(), 0u);
         break;
@@ -652,22 +665,78 @@ TEST(FaultInjection, FlushAndExportPropagateWriteFailuresAndKeepData) {
           .ok());
 }
 
-TEST(FaultInjection, OutcomeTaxonomyParsing) {
-  AuditIoError e = ParseAuditIoError(
-      "wire: crc mismatch in record 3 (type 2) at offset 123 in /tmp/epoch_trace.bin");
-  EXPECT_EQ(e.file, "/tmp/epoch_trace.bin");
-  EXPECT_EQ(e.offset, 123u);
-  EXPECT_FALSE(e.detail.empty());
+// A CRC error in a spill file is located by the error itself, not by parsing its text:
+// the full path at the corrupt record's offset, classified kIoError on both feeds — even
+// when the directory name contains " in " or names a config knob.
+TEST(FaultInjection, CorruptRecordIsLocatedByPathAndOffsetOnBothFeeds) {
+  Workload w = CounterWorkload(12);
+  ServedWorkload served = ServeWorkload(w);
+  for (const std::string dir_name : {"spool in transit", "OROCHI_AUDIT_BUDGET-spool"}) {
+    SCOPED_TRACE(dir_name);
+    const std::string dir = ::testing::TempDir() + "/fi_probe/" + dir_name;
+    ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+    const std::string trace_path = dir + "/epoch.trace";
+    const std::string reports_path = dir + "/epoch.reports";
+    ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
+    ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
+    // The first record's frame starts right after the 13-byte envelope header; flip a
+    // byte of its payload so its CRC fails.
+    {
+      std::fstream f(trace_path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(wire::kEnvelopeHeaderBytes + wire::kRecordFrameBytesV2 + 2);
+      char c = 0;
+      f.read(&c, 1);
+      f.seekp(wire::kEnvelopeHeaderBytes + wire::kRecordFrameBytesV2 + 2);
+      c = static_cast<char>(c ^ 0x5A);
+      f.write(&c, 1);
+    }
+    for (bool streamed : {false, true}) {
+      AuditSession session = AuditSession::Open(&w.app, AuditOptions(), served.initial);
+      Result<AuditResult> r = streamed
+                                  ? session.FeedEpochFilesStreamed(trace_path, reports_path)
+                                  : session.FeedEpochFiles(trace_path, reports_path);
+      ASSERT_FALSE(r.ok()) << (streamed ? "streamed" : "in-memory");
+      EXPECT_NE(r.error().find("crc mismatch"), std::string::npos) << r.error();
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.error();
+      EXPECT_EQ(r.status().file(), trace_path) << r.error();
+      EXPECT_EQ(r.status().offset(), 13u) << r.error();
+      EXPECT_EQ(ClassifyAuditOutcome(r), AuditOutcome::kIoError) << r.error();
+    }
+  }
+}
 
-  Result<AuditResult> config = Result<AuditResult>::Error(
-      "config: OROCHI_AUDIT_THREADS='x' is not a valid thread count");
+// Classification is a switch on the code: message text (a "config: " prefix, a knob
+// name) plays no part.
+TEST(FaultInjection, OutcomeTaxonomyFollowsTheCode) {
+  Result<AuditResult> config = Status::Error(
+      StatusCode::kConfig, "config: OROCHI_AUDIT_THREADS='x' is not a valid thread count");
   EXPECT_EQ(ClassifyAuditOutcome(config), AuditOutcome::kConfigError);
-  Result<AuditResult> io =
-      Result<AuditResult>::Error("io: unexpected end of file at offset 9 in /tmp/t.bin");
+  Result<AuditResult> io = Result<AuditResult>::Error(
+      "config: io: unexpected end of file at offset 9 in /tmp/OROCHI_AUDIT_THREADS/t.bin");
   EXPECT_EQ(ClassifyAuditOutcome(io), AuditOutcome::kIoError);
   AuditResult rejected;
   rejected.reason = "output: rid 4 response does not match re-execution";
   EXPECT_EQ(ClassifyAuditOutcome(Result<AuditResult>(rejected)), AuditOutcome::kRejected);
+}
+
+// Wrapping an error in context keeps what callers branch on: a transient read error under
+// the shard merge's "shard merge: " prefix is still transient and still located.
+TEST(FaultInjection, ShardMergePrefixKeepsTheTransientCode) {
+  ServedWorkload served = ServeWorkload(CounterWorkload(8));
+  const std::string trace_path = ::testing::TempDir() + "/fi_merge_prefix.trace";
+  const std::string reports_path = ::testing::TempDir() + "/fi_merge_prefix.reports";
+  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace, /*shard_id=*/1).ok());
+  ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
+  FaultOptions fo;
+  fo.p_read_transient = 1.0;  // Every attempt fails: the retries run out.
+  FaultInjectingEnv env(nullptr, fo);
+  Result<MergedShards> merged =
+      MergeShards({{trace_path, reports_path}}, {}, &env, /*num_threads=*/1);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.error().rfind("shard merge: ", 0), 0u) << merged.error();
+  EXPECT_EQ(merged.status().code(), StatusCode::kTransient) << merged.error();
+  EXPECT_EQ(merged.status().file(), trace_path);
+  EXPECT_EQ(merged.status().offset(), 0u);
 }
 
 }  // namespace

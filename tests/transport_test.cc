@@ -157,7 +157,7 @@ TEST(FrameTaxonomy, CrcMismatchIsWireCorruptionNotTransient) {
   Result<bool> got = reader.Next(&type, &payload);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.error().rfind("wire:", 0), 0u) << got.error();
-  EXPECT_FALSE(IsTransientIoError(got.error())) << got.error();
+  EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << got.error();
   EXPECT_NE(got.error().find("crc mismatch"), std::string::npos) << got.error();
 }
 
@@ -175,7 +175,7 @@ TEST(FrameTaxonomy, MidFrameCloseIsTransientIo) {
   std::string payload;
   Result<bool> got = reader.Next(&type, &payload);
   ASSERT_FALSE(got.ok());
-  EXPECT_TRUE(IsTransientIoError(got.error())) << got.error();
+  EXPECT_EQ(got.status().code(), StatusCode::kTransient) << got.error();
   EXPECT_NE(got.error().find("closed mid-frame"), std::string::npos) << got.error();
 }
 
@@ -232,12 +232,12 @@ TEST(FaultTransport, ScriptedKillFiresOnceAndIsSticky) {
   }
   Status killed = pair.client->WriteAll(chunk);
   ASSERT_FALSE(killed.ok());
-  EXPECT_TRUE(IsTransientIoError(killed.error())) << killed.error();
+  EXPECT_EQ(killed.code(), StatusCode::kTransient) << killed.error();
   EXPECT_EQ(faulty.disconnects(), 1u);
   // The connection is dead for good; the schedule does not resurrect it.
   Status after = pair.client->WriteAll(chunk);
   ASSERT_FALSE(after.ok());
-  EXPECT_TRUE(IsTransientIoError(after.error()));
+  EXPECT_EQ(after.code(), StatusCode::kTransient);
   EXPECT_EQ(faulty.disconnects(), 1u) << "one scripted kill must count once";
   // The un-faulted peer observes a real disconnect, not a hang: read drains the three
   // delivered chunks, then sees close.
@@ -261,7 +261,7 @@ TEST(FaultTransport, InjectedDisconnectsAreRetryableIo) {
   Loopback pair = Connect(&faulty);
   Status st = pair.client->WriteAll("x", 1);
   ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(IsTransientIoError(st.error()))
+  EXPECT_EQ(st.code(), StatusCode::kTransient)
       << "an injected disconnect must classify as retryable I/O: " << st.error();
   EXPECT_GE(faulty.faults_injected(), 1u);
 }
@@ -378,7 +378,7 @@ TEST(Transport, MalformedAddressesArePermanentErrors) {
   for (const char* bad : {"", "tcp:", "tcp:127.0.0.1", "carrier-pigeon:coop", "tcp:host:notaport"}) {
     Result<std::unique_ptr<Listener>> listener = Transport::Default()->Listen(bad);
     ASSERT_FALSE(listener.ok()) << bad;
-    EXPECT_FALSE(IsTransientIoError(listener.error())) << listener.error();
+    EXPECT_EQ(listener.status().code(), StatusCode::kError) << listener.error();
   }
   Result<std::unique_ptr<Connection>> conn = Transport::Default()->Connect("tcp:127.0.0.1:1");
   // Nothing listens on port 1: connecting must fail with a retryable error, not crash.
