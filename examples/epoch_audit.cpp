@@ -109,14 +109,14 @@ bool RunDemo() {
   }
   AuditSession session = std::move(opened).value();
 
-  Result<AuditResult> r1 = session.FeedEpochFiles(trace_paths[0], reports_paths[0]);
+  Result<AuditResult> r1 = session.FeedEpochFilesStreamed(trace_paths[0], reports_paths[0]);
   if (!r1.ok() || !r1.value().accepted) {
     return Fail("epoch 1 should accept: " + (r1.ok() ? r1.value().reason : r1.error()));
   }
   std::printf("audit epoch 1: ACCEPT (%llu groups)\n",
               static_cast<unsigned long long>(r1.value().stats.num_groups));
 
-  Result<AuditResult> r2bad = session.FeedEpochFiles(tampered_path, reports_paths[1]);
+  Result<AuditResult> r2bad = session.FeedEpochFilesStreamed(tampered_path, reports_paths[1]);
   if (!r2bad.ok()) {
     return Fail(r2bad.error());
   }
@@ -127,14 +127,14 @@ bool RunDemo() {
 
   // A rejection leaves the session state untouched, so the pristine epoch 2 — re-fetched
   // from the trusted collector's spill — audits against the same state and accepts.
-  Result<AuditResult> r2 = session.FeedEpochFiles(trace_paths[1], reports_paths[1]);
+  Result<AuditResult> r2 = session.FeedEpochFilesStreamed(trace_paths[1], reports_paths[1]);
   if (!r2.ok() || !r2.value().accepted) {
     return Fail("pristine epoch 2 should accept: " +
                 (r2.ok() ? r2.value().reason : r2.error()));
   }
   std::printf("audit epoch 2 (pristine): ACCEPT\n");
 
-  Result<AuditResult> r3 = session.FeedEpochFiles(trace_paths[2], reports_paths[2]);
+  Result<AuditResult> r3 = session.FeedEpochFilesStreamed(trace_paths[2], reports_paths[2]);
   if (!r3.ok() || !r3.value().accepted) {
     return Fail("epoch 3 should accept: " + (r3.ok() ? r3.value().reason : r3.error()));
   }

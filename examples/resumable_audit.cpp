@@ -6,7 +6,7 @@
 //   run 1: FeedEpochFilesStreamed + checkpoint_path ── killed mid-pass-2 ──► kIoError,
 //          journal of completed chunks survives (fsynced per chunk, torn-tail tolerant)
 //   run 2: same files + same checkpoint_path ──► ACCEPT, checkpoint_chunks_reused > 0,
-//          end state == the in-memory reference audit; the verdict spends the journal
+//          end state == an uninterrupted reference audit; the verdict spends the journal
 //
 // Build & run:  cmake -B build && cmake --build build && ./build/resumable_audit
 // OROCHI_BENCH_SCALE scales the request count (CI smoke-runs with a small scale).
@@ -101,11 +101,11 @@ bool RunDemo() {
   options.max_resident_bytes = 16 * 1024;
   options.checkpoint_path = dir + "/audit.ckpt";
 
-  // Uninterrupted in-memory reference: what the resumed run must reproduce exactly.
+  // Uninterrupted reference (no checkpoint): what the resumed run must reproduce exactly.
   AuditOptions ref_options;
   ref_options.max_group_size = 16;
   AuditSession ref_session = AuditSession::Open(&w.app, ref_options, w.initial);
-  Result<AuditResult> ref = ref_session.FeedEpochFiles(trace_path, reports_path);
+  Result<AuditResult> ref = ref_session.FeedEpochFilesStreamed(trace_path, reports_path);
   if (!ref.ok() || !ref.value().accepted) {
     return Fail("reference audit: " + (ref.ok() ? ref.value().reason : ref.error()));
   }

@@ -41,11 +41,11 @@ struct AuditOptions {
   // Worker threads for grouped re-execution. 0 = auto: OROCHI_AUDIT_THREADS when set,
   // else std::thread::hardware_concurrency().
   size_t num_threads = 0;
-  // Memory budget (bytes) for trace payloads resident during an out-of-core streaming
-  // audit (AuditSession::FeedEpochFilesStreamed / FeedShardedEpoch): workers block until
-  // their chunk fits, and a single chunk larger than the whole budget is admitted only
-  // while nothing else is resident. 0 = auto: OROCHI_AUDIT_BUDGET when set, else
-  // unlimited. Ignored by the in-memory path.
+  // Memory budget (bytes) for trace payloads and op-log contents resident together
+  // during a spill-file audit (AuditSession::FeedEpochFilesStreamed / FeedShardedEpoch):
+  // workers block until their chunk fits, and a single chunk larger than the whole budget
+  // is admitted only while nothing else is resident. 0 = auto: OROCHI_AUDIT_BUDGET when
+  // set, else unlimited. Ignored by FeedEpoch, whose epoch is already in RAM.
   size_t max_resident_bytes = 0;
   // Ignored; kept only until ledger/bench_ledger.cpp stops naming it.
   size_t prefetch_depth = 0;
@@ -53,9 +53,10 @@ struct AuditOptions {
   // production posix environment; tests install a FaultInjectingEnv here to drive the
   // whole pipeline through injected faults. Not owned.
   Env* io_env = nullptr;
-  // When nonempty, FeedEpochFilesStreamed journals completed pass-2 chunks to this
-  // sidecar file and, on a later run over the same epoch, resumes without re-executing
-  // them. Removed once a verdict (accept or reject) is reached.
+  // When nonempty, FeedEpochFilesStreamed and FeedShardedEpoch journal completed pass-2
+  // chunks and the pass-3 compare watermark to this sidecar file and, on a later run over
+  // the same epoch, resume without redoing that work. Removed once a verdict (accept or
+  // reject) is reached; an I/O-failed run keeps it for the retry.
   std::string checkpoint_path;
   InterpreterOptions interp;
 };
@@ -82,7 +83,7 @@ struct AuditStats {
   uint64_t compare_records_resumed = 0;
   // Largest record payload pass 1 transiently materialized while indexing the reports
   // spill (max-merged, not summed). Bounded by ~wire::kMaxOpLogSegmentBytes for v3
-  // spills; a v1/v2 file pays its largest monolithic op-log record.
+  // spills; a v2 file pays its largest monolithic op-log record.
   uint64_t pass1_transient_peak_bytes = 0;
 
   struct GroupStat {

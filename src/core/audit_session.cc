@@ -24,24 +24,6 @@ Status AuditSession::SaveState(const std::string& path) const {
   return WriteInitialStateFile(path, state_, options_.io_env);
 }
 
-Result<AuditResult> AuditSession::FeedEpochFiles(const std::string& trace_path,
-                                                 const std::string& reports_path) {
-  // Config errors (malformed OROCHI_AUDIT_THREADS) surface as a hard error before any
-  // file is read — the epoch is unconsumed, like any other error Result.
-  if (Result<size_t> threads = ResolveAuditThreads(options_); !threads.ok()) {
-    return threads.status();
-  }
-  Result<Trace> trace = ReadTraceFile(trace_path, options_.io_env);
-  if (!trace.ok()) {
-    return trace.status();
-  }
-  Result<Reports> reports = ReadReportsFile(reports_path, options_.io_env);
-  if (!reports.ok()) {
-    return reports.status();
-  }
-  return FeedEpoch(trace.value(), reports.value());
-}
-
 void AuditSession::CommitAccepted(AuditContext* ctx, AuditResult* out) {
   out->accepted = true;
   out->final_state = ctx->ExtractFinalState();

@@ -5,8 +5,9 @@
 // the steady state the paper assumes between audit periods.
 //
 //   AuditSession session = AuditSession::Open(&app, options, initial);
-//   AuditResult r1 = session.FeedEpoch(trace1, reports1);           // in-memory epoch
-//   Result<AuditResult> r2 = session.FeedEpochFiles(t2_path, r2_path);  // spilled epoch
+//   AuditResult r1 = session.FeedEpoch(trace1, reports1);  // in-memory epoch
+//   Result<AuditResult> r2 =
+//       session.FeedEpochFilesStreamed(t2_path, r2_path);   // spilled epoch, paged in
 //
 // A REJECTed epoch does not advance the session state, so a corrected copy of the same
 // epoch (e.g. re-fetched from the trusted collector after detecting tampering in transit)
@@ -58,21 +59,19 @@ class AuditSession {
   // counts (same guarantee as the single-shot audit).
   AuditResult FeedEpoch(const Trace& trace, const Reports& reports);
 
-  // Reads the epoch's trace and reports from wire-format spill files, then FeedEpoch.
-  // A file-level error (missing, corrupt, truncated) is an error Result — distinct from
-  // a well-formed epoch whose audit REJECTs.
-  Result<AuditResult> FeedEpochFiles(const std::string& trace_path,
-                                     const std::string& reports_path);
-
-  // --- Out-of-core streaming audits (implemented in src/stream/stream_session.cc) ---
+  // --- Spill-file audits (implemented in src/stream/stream_session.cc) ---
   //
-  // Same contract as FeedEpochFiles, but the trace payloads never materialize in full:
-  // pass 1 streams the trace file record-by-record to build a group plan plus a byte
-  // -offset index, pass 2 re-executes chunks whose request payloads are paged in from the
-  // file on demand under AuditOptions::max_resident_bytes (env OROCHI_AUDIT_BUDGET), and
-  // the final output comparison pages response bodies in one at a time. The
-  // verdict, rejection reason, and final_state are bit-identical to FeedEpochFiles at
-  // every thread count — both paths drive the engine in src/core/audit_plan.h.
+  // The only way to audit wire-format spill files; in-RAM callers decode with
+  // ReadTraceFile/ReadReportsFile and call FeedEpoch. A file-level error (missing,
+  // corrupt, truncated, or a file that changes mid-audit) is an error Result that
+  // consumes no epoch — distinct from a well-formed epoch whose audit REJECTs. Neither
+  // file materializes in full: pass 1 streams both files record-by-record into payload
+  // -free skeletons plus byte-offset indexes, Prepare pages op-log contents and pass 2
+  // pages request payloads and op-log contents in on demand under
+  // AuditOptions::max_resident_bytes (env OROCHI_AUDIT_BUDGET), and the final output
+  // comparison pages response bodies in one at a time. The verdict, rejection reason,
+  // and final_state are bit-identical to FeedEpoch over the decoded files at every
+  // thread count and budget — both paths drive the engine in src/core/audit_plan.h.
   // `hooks` injects a counting loader/budget for tests and benches; nullptr = defaults.
   Result<AuditResult> FeedEpochFilesStreamed(const std::string& trace_path,
                                              const std::string& reports_path,

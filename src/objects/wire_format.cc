@@ -1295,16 +1295,15 @@ Result<ShardManifest> ReadShardManifestFile(const std::string& path, Env* env) {
   return out;
 }
 
-// --- ReportsWriter / ReportsReader ---
+// --- Reports files ---
 
-Status ReportsWriter::WriteFile(const std::string& path, const Reports& reports,
-                                Env* env) {
+Status WriteReportsFile(const std::string& path, const Reports& reports, Env* env) {
   return WriteSectionFileAtomically(path, env, [&](Sink* sink) {
     WriteReportsToSink(sink, reports, /*nondet_only=*/false);
   });
 }
 
-Result<Reports> ReportsReader::ReadFile(const std::string& path, Env* env) {
+Result<Reports> ReadReportsFile(const std::string& path, Env* env) {
   // Drives the same streaming reader + per-record decoder the out-of-core index uses, so
   // the two paths accept exactly the same byte streams with exactly the same errors.
   ReportsRecordReader reader;
@@ -1399,11 +1398,12 @@ Result<InitialState> ReadInitialStateFile(const std::string& path, Env* env) {
 
 // --- exact wire sizes ---
 
-size_t TraceWireBytes(const Trace& trace) {
+// Declared in trace.h / reports.h; defined here next to the encoders they price.
+size_t Trace::WireBytes() const {
   // Sum record sizes directly instead of re-encoding: framing + fixed fields + strings.
   size_t bytes = kHeaderBytes +
                  kRecordFrameBytesV2 + wire::kFooterPayloadBytes;  // Header + end record.
-  for (const TraceEvent& e : trace.events) {
+  for (const TraceEvent& e : events) {
     bytes += kRecordFrameBytesV2 + 8;  // rid.
     if (e.kind == TraceEvent::Kind::kRequest) {
       bytes += StrWireBytes(e.script) + 4;
@@ -1417,9 +1417,9 @@ size_t TraceWireBytes(const Trace& trace) {
   return bytes;
 }
 
-size_t ReportsWireBytes(const Reports& reports, bool nondet_only) {
-  Sink sink;  // Counting only: same encoder as WriteFile, so the count is exact.
-  WriteReportsToSink(&sink, reports, nondet_only);
+size_t Reports::WireBytes(bool nondet_only) const {
+  Sink sink;  // Counting only: same encoder as WriteReportsFile, so the count is exact.
+  WriteReportsToSink(&sink, *this, nondet_only);
   return sink.bytes();
 }
 
@@ -1427,13 +1427,6 @@ size_t InitialStateWireBytes(const InitialState& state) {
   Sink sink;
   WriteStateToSink(&sink, state);
   return sink.bytes();
-}
-
-// Declared in trace.h / reports.h; defined here next to the encoders they price.
-size_t Trace::WireBytes() const { return TraceWireBytes(*this); }
-
-size_t Reports::WireBytes(bool nondet_only) const {
-  return ReportsWireBytes(*this, nondet_only);
 }
 
 }  // namespace orochi

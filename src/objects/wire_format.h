@@ -27,9 +27,9 @@
 // readers parse defensively, and errors localize corruption to an exact record with
 // file and byte-offset context.
 //
-// The same encoders back the exact byte accounting (`TraceWireBytes`, `ReportsWireBytes`,
-// `InitialStateWireBytes`) used by the Figure 8 overhead columns, so reported sizes equal
-// the bytes a spill file actually occupies.
+// The same encoders back the exact byte accounting (`Trace::WireBytes`,
+// `Reports::WireBytes`, `InitialStateWireBytes`) used by the Figure 8 overhead columns, so
+// reported sizes equal the bytes a spill file actually occupies.
 #ifndef SRC_OBJECTS_WIRE_FORMAT_H_
 #define SRC_OBJECTS_WIRE_FORMAT_H_
 
@@ -219,16 +219,9 @@ void EncodeTraceEventRecord(const TraceEvent& event, uint8_t* type, std::string*
 // non-empty log, group records, one op-counts record, nondet records (sorted by rid so the
 // encoding is canonical).
 
-class ReportsWriter {
- public:
-  static Status WriteFile(const std::string& path, const Reports& reports,
-                          Env* env = nullptr);
-};
-
-class ReportsReader {
- public:
-  static Result<Reports> ReadFile(const std::string& path, Env* env = nullptr);
-};
+Status WriteReportsFile(const std::string& path, const Reports& reports,
+                        Env* env = nullptr);
+Result<Reports> ReadReportsFile(const std::string& path, Env* env = nullptr);
 
 // Streaming reports-section reader mirroring TraceReader: yields raw records together
 // with their payload byte locations, so the out-of-core audit can build per-object
@@ -311,20 +304,12 @@ std::vector<OpLogEntrySpan> IndexOpLogSegmentEntries(const std::string& payload,
 Status DecodeOpLogEntry(const char* data, size_t size, OpRecord* out);
 
 // Enumerates the records a reports spill file for `reports` would contain, in file order
-// (the canonical encoding ReportsWriter produces), invoking `fn(type, payload)` per
-// record — the end record excluded. Shared by ReportsWriter::WriteFile and the network
+// (the canonical encoding WriteReportsFile produces), invoking `fn(type, payload)` per
+// record — the end record excluded. Shared by WriteReportsFile and the network
 // CollectorClient, so a reports stream spooled record-by-record is byte-identical to a
 // direct spill of the same Reports.
 void ForEachReportsRecord(const Reports& reports,
                           const std::function<void(uint8_t, const std::string&)>& fn);
-
-inline Status WriteReportsFile(const std::string& path, const Reports& reports,
-                               Env* env = nullptr) {
-  return ReportsWriter::WriteFile(path, reports, env);
-}
-inline Result<Reports> ReadReportsFile(const std::string& path, Env* env = nullptr) {
-  return ReportsReader::ReadFile(path, env);
-}
 
 // --- Shard manifest files ---
 // A tiny wire-format section (kind 4) naming the spill-file pair each collector shard
@@ -359,12 +344,9 @@ Status WriteInitialStateFile(const std::string& path, const InitialState& state,
 Result<InitialState> ReadInitialStateFile(const std::string& path, Env* env = nullptr);
 
 // --- Exact wire sizes ---
-// The byte count of the file the corresponding writer would produce (header and end
-// record included). `nondet_only` prices a reports file carrying only the nondeterminism
-// records — the paper's baseline is charged for exactly that advice (§5.1).
+// The byte count of the file WriteInitialStateFile would produce (header and end record
+// included); Trace::WireBytes and Reports::WireBytes price the other two sections.
 
-size_t TraceWireBytes(const Trace& trace);
-size_t ReportsWireBytes(const Reports& reports, bool nondet_only = false);
 size_t InitialStateWireBytes(const InitialState& state);
 
 }  // namespace orochi

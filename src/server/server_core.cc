@@ -73,7 +73,7 @@ Status ServerCore::ExportReports(const std::string& path) {
   // The shared writer emits wire v3: an object whose op-log outgrows
   // wire::kMaxOpLogSegmentBytes spills as byte-capped segment records, so a hot object
   // here never forces the verifier's pass 1 to materialize its whole log at once.
-  if (Status st = ReportsWriter::WriteFile(path, reports_, options_.io_env); !st.ok()) {
+  if (Status st = WriteReportsFile(path, reports_, options_.io_env); !st.ok()) {
     return st;
   }
   ResetReportsLocked();

@@ -313,7 +313,7 @@ Status AuditService::SealShard(EpochState* epoch, ShardStream* stream,
     cv_.notify_all();
     return Status::Error(reason);
   }
-  // Footer counts mirror TraceWriter/ReportsWriter exactly: the trace section carries one
+  // Footer counts mirror TraceWriter/WriteReportsFile exactly: the trace section carries one
   // extra non-end record (the shard-info header written at open).
   std::string tail;
   wire::AppendEndRecordFrame(&tail, stream->trace_received + 1, stream->trace_bytes);

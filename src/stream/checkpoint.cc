@@ -204,6 +204,7 @@ uint64_t StreamEpochFingerprint(const InitialState& initial, const StreamTraceSe
   uint64_t h = FnvHash(InitialStateFingerprint(initial));
   h = HashCombine(h, options.max_group_size);
   h = HashCombine(h, options.enable_query_dedup ? 1 : 0);
+  h = HashCombine(h, options.interp.max_instructions);
   // Trace side: event structure plus each payload's pass-1 CRC and length, so two epochs
   // with identical skeletons but different request params or response bodies cannot
   // collide (the skeleton sheds those bytes; the CRC still binds them).

@@ -34,11 +34,12 @@ class StreamReportsSet;
 // skeletons: initial-state fingerprint, every trace event's kind/rid/script plus its
 // payload CRC and length, the reports skeleton in full (objects, per-entry rid/opnum/type
 // plus entry-frame CRCs, groups, op counts, nondet records), and the options that change
-// what the audit computes (max_group_size, enable_query_dedup). Binding payload CRCs is
-// what makes replay sound: both runs' pass 1 read the spill files end to end, so a file
-// that changed between runs cannot fingerprint-match. The plan needs no separate binding
-// — it is a deterministic function of the skeletons and options, so task orders stay
-// stable across runs.
+// what the audit computes (max_group_size, enable_query_dedup, and
+// interp.max_instructions, whose trap decides which ops a runaway request issued).
+// Binding payload CRCs is what makes replay sound: both runs' pass 1 read the spill files
+// end to end, so a file that changed between runs cannot fingerprint-match. The plan
+// needs no separate binding — it is a deterministic function of the skeletons and
+// options, so task orders stay stable across runs.
 // Deliberately NOT hashed: thread count, memory budget, io_env, checkpoint_path — those
 // change scheduling, never the verdict, and a checkpoint must survive a resume under a
 // different thread count or budget.

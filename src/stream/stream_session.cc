@@ -13,9 +13,9 @@
 //           via the pass-1 index) and compare against the produced outputs, in trace order
 //
 // Verdict, rejection reason, and final_state are bit-identical to the in-memory
-// FeedEpoch/FeedEpochFiles path at every thread count: both paths run the same planner
-// and executor (src/core/audit_plan.h) over the same AuditContext — the streaming path
-// only changes *when* payload and contents bytes are resident, never what the audit
+// FeedEpoch over the decoded files at every thread count: both paths run the same
+// planner and executor (src/core/audit_plan.h) over the same AuditContext — the streaming
+// path only changes *when* payload and contents bytes are resident, never what the audit
 // computes.
 #include <algorithm>
 #include <memory>
@@ -288,11 +288,6 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   AuditContext ctx(&merged.traces.skeleton(), &merged.reports.skeleton(), app_, &state_,
                    options_);
   ctx.stats().phases = merged.phases;  // Pass 1 (and the shard fold) open the epoch.
-  auto reject = [&](std::string reason) {
-    out.reason = std::move(reason);
-    out.stats = ctx.stats();
-    return R(out);
-  };
 
   FileTraceChunkLoader default_loader(&merged.traces, options_.io_env);
   FileReportsChunkLoader default_reports_loader(&merged.reports, options_.io_env);
@@ -327,6 +322,20 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
     }
     journal = std::move(opened).value();
   }
+  // Once a verdict (accept or reject) is reached the checkpoint is spent: the next audit
+  // of this path starts from a different state, and leaving the file would only cost a
+  // fingerprint-mismatch discard. Removal failures are therefore ignorable.
+  auto spend_checkpoint = [&] {
+    if (journal != nullptr) {
+      journal->RemoveFile();
+    }
+  };
+  auto reject = [&](std::string reason) {
+    spend_checkpoint();
+    out.reason = std::move(reason);
+    out.stats = ctx.stats();
+    return R(out);
+  };
 
   // The versioned-store builds inside Prepare() consume spilled op-log contents as
   // budget-bounded segment scans instead of resident logs.
@@ -343,27 +352,18 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   }
 
   AuditPlan plan = PlanAuditTasks(&ctx, merged.reports.skeleton(), app_, options_);
-  // Once a verdict (accept or reject) is reached the checkpoint is spent: the next audit
-  // of this path starts from a different state, and leaving the file would only cost a
-  // fingerprint-mismatch discard. Removal failures are therefore ignorable.
-  auto spend_checkpoint = [&] {
-    if (journal != nullptr) {
-      journal->RemoveFile();
-    }
-  };
 
   StreamTaskGate gate(&merged.traces, loader, &merged.reports, reports_loader, budget,
                       &ctx);
   AuditExecOutcome exec = ExecuteAuditPlan(&ctx, app_, options_, plan, &gate, journal.get());
   if (!exec.gate_error.ok()) {
     // Paging a chunk in failed (spill file vanished or changed mid-audit): a file-level
-    // error, not a verdict — the epoch is unconsumed, exactly like a corrupt
-    // FeedEpochFiles. The checkpoint survives for the retry.
+    // error, not a verdict — the epoch is unconsumed, exactly like a spill file that
+    // fails pass 1. The checkpoint survives for the retry.
     epochs_fed_--;
     return exec.gate_error;
   }
   if (exec.fail_order != kNoAuditFailure) {
-    spend_checkpoint();
     return reject(exec.fail_reason);
   }
 
@@ -381,7 +381,6 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
     }
   }
   if (!compare_reason.empty()) {
-    spend_checkpoint();
     return reject(std::move(compare_reason));
   }
   spend_checkpoint();
@@ -393,7 +392,7 @@ Result<AuditResult> AuditSession::FeedEpochFilesStreamed(const std::string& trac
                                                          const std::string& reports_path,
                                                          const StreamAuditHooks* hooks) {
   // Built directly (not via MergeShards) so single-file error messages stay identical to
-  // FeedEpochFiles' — the degenerate one-shard case is a drop-in replacement.
+  // ReadTraceFile's and ReadReportsFile's — the one-shard case is a drop-in replacement.
   MergedShards merged;
   {
     obs::TraceSpan span(&merged.phases, obs::Phase::kPass1Skeleton);

@@ -189,7 +189,7 @@ TEST(AuditSession, FileRoundTripMatchesInMemoryChain) {
     std::string reports_path = dir + "/session_reports_" + std::to_string(i) + ".bin";
     ASSERT_TRUE(WriteTraceFile(trace_path, run.epochs[i].trace).ok());
     ASSERT_TRUE(WriteReportsFile(reports_path, run.epochs[i].reports).ok());
-    Result<AuditResult> r = session.FeedEpochFiles(trace_path, reports_path);
+    Result<AuditResult> r = FeedDecodedFiles(&session, trace_path, reports_path);
     ASSERT_TRUE(r.ok()) << r.error();
     ASSERT_TRUE(r.value().accepted) << r.value().reason;
   }
@@ -205,13 +205,13 @@ TEST(AuditSession, FileRoundTripMatchesInMemoryChain) {
             InitialStateFingerprint(session.state()));
 }
 
-TEST(AuditSession, FeedEpochFilesReportsFileErrorsDistinctFromRejection) {
+TEST(AuditSession, FileFeedReportsFileErrorsDistinctFromRejection) {
   Workload w = SmallCounterWorkload(30);
   EpochRun run = ServeInEpochs(w);
   AuditSession session = AuditSession::Open(&w.app, SessionOptions(1), run.initial);
   Result<AuditResult> r =
-      session.FeedEpochFiles(::testing::TempDir() + "/no_such_trace.bin",
-                             ::testing::TempDir() + "/no_such_reports.bin");
+      session.FeedEpochFilesStreamed(::testing::TempDir() + "/no_such_trace.bin",
+                                     ::testing::TempDir() + "/no_such_reports.bin");
   EXPECT_FALSE(r.ok());
   // A file error consumes no epoch.
   EXPECT_EQ(session.epochs_fed(), 0u);

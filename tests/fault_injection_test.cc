@@ -29,6 +29,7 @@
 #include "src/objects/wire_format.h"
 #include "src/objects/wire_primitives.h"
 #include "src/server/collector.h"
+#include "src/server/tamper.h"
 #include "src/stream/stream_audit.h"
 #include "tests/test_util.h"
 
@@ -247,7 +248,7 @@ TEST(FaultInjection, ResumeAfterMidAuditKillIsBitIdentical) {
   ref_opts.num_threads = 1;
   ref_opts.max_group_size = 8;
   AuditSession ref_session = AuditSession::Open(&w.app, ref_opts, served.initial);
-  Result<AuditResult> ref = ref_session.FeedEpochFiles(trace_path, reports_path);
+  Result<AuditResult> ref = FeedDecodedFiles(&ref_session, trace_path, reports_path);
   ASSERT_TRUE(ref.ok()) << ref.error();
   ASSERT_TRUE(ref.value().accepted) << ref.value().reason;
   const std::string ref_fp = InitialStateFingerprint(ref.value().final_state);
@@ -335,7 +336,7 @@ TEST(FaultInjection, ResumeAfterMidPrepareKillIsBitIdentical) {
   ref_opts.num_threads = 1;
   ref_opts.max_group_size = 8;
   AuditSession ref_session = AuditSession::Open(&w.app, ref_opts, served.initial);
-  Result<AuditResult> ref = ref_session.FeedEpochFiles(trace_path, reports_path);
+  Result<AuditResult> ref = FeedDecodedFiles(&ref_session, trace_path, reports_path);
   ASSERT_TRUE(ref.ok() && ref.value().accepted)
       << (ref.ok() ? ref.value().reason : ref.error());
   const std::string ref_fp = InitialStateFingerprint(ref.value().final_state);
@@ -390,7 +391,7 @@ TEST(FaultInjection, ResumeAfterMidCompareKillIsBitIdentical) {
   ref_opts.num_threads = 1;
   ref_opts.max_group_size = 8;
   AuditSession ref_session = AuditSession::Open(&w.app, ref_opts, served.initial);
-  Result<AuditResult> ref = ref_session.FeedEpochFiles(trace_path, reports_path);
+  Result<AuditResult> ref = FeedDecodedFiles(&ref_session, trace_path, reports_path);
   ASSERT_TRUE(ref.ok() && ref.value().accepted)
       << (ref.ok() ? ref.value().reason : ref.error());
   const std::string ref_fp = InitialStateFingerprint(ref.value().final_state);
@@ -554,6 +555,108 @@ TEST(FaultInjection, StaleCheckpointFromDifferentEpochIsIgnored) {
             InitialStateFingerprint(served.final_state));
 }
 
+// A verdict spends the checkpoint wherever it is reached: an accept and a reject found in
+// Prepare, in pass 2 or in the pass-3 compare all remove the sidecar. (A killed run keeps
+// it; StaleCheckpointFromDifferentEpochIsIgnored relies on that.)
+TEST(FaultInjection, EveryVerdictSpendsTheCheckpoint) {
+  Workload w = CounterWorkload(60);
+  ServedWorkload served = ServeWorkload(w);
+  const std::string dir = ::testing::TempDir();
+  const std::string trace_path = dir + "/fi_spend_trace.bin";
+  const std::string reports_path = dir + "/fi_spend_reports.bin";
+  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
+  ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
+
+  const RequestId victim = served.trace.events.front().rid;
+  Trace forged_body = served.trace;
+  ASSERT_TRUE(TamperResponseBody(&forged_body, victim, "forged"));
+  const std::string forged_body_path = dir + "/fi_spend_forged_trace.bin";
+  ASSERT_TRUE(WriteTraceFile(forged_body_path, forged_body).ok());
+  Reports forged_count = served.reports;
+  ASSERT_TRUE(TamperOpCount(&forged_count, victim, forged_count.op_counts[victim] + 2));
+  const std::string forged_count_path = dir + "/fi_spend_forged_reports.bin";
+  ASSERT_TRUE(WriteReportsFile(forged_count_path, forged_count).ok());
+
+  struct Case {
+    const char* name;
+    std::string trace_path;
+    std::string reports_path;
+    uint64_t max_instructions;
+    const char* reason_prefix;  // Empty: the epoch accepts.
+  };
+  const uint64_t kDefaultLimit = InterpreterOptions().max_instructions;
+  const Case cases[] = {
+      {"accept", trace_path, reports_path, kDefaultLimit, ""},
+      {"prepare", trace_path, forged_count_path, kDefaultLimit, "CheckLogs:"},
+      {"pass2", trace_path, reports_path, 20, "group re-exec:"},
+      {"compare", forged_body_path, reports_path, kDefaultLimit, "output"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    AuditOptions opts;
+    opts.num_threads = 2;
+    opts.max_group_size = 8;
+    opts.interp.max_instructions = c.max_instructions;
+    opts.checkpoint_path = dir + "/fi_spend_" + c.name + ".ckpt";
+    AuditSession session = AuditSession::Open(&w.app, opts, served.initial);
+    Result<AuditResult> got = session.FeedEpochFilesStreamed(c.trace_path, c.reports_path);
+    ASSERT_TRUE(got.ok()) << got.error();
+    const std::string prefix = c.reason_prefix;
+    EXPECT_EQ(got.value().accepted, prefix.empty()) << got.value().reason;
+    EXPECT_EQ(got.value().reason.substr(0, prefix.size()), prefix) << got.value().reason;
+    Result<bool> left = Env::Default()->FileExists(opts.checkpoint_path);
+    ASSERT_TRUE(left.ok());
+    EXPECT_FALSE(left.value()) << "the verdict left its checkpoint behind";
+  }
+}
+
+// interp.max_instructions decides where a runaway re-execution traps and so which ops
+// it issued: a journal written under one limit must not be replayed under another. The
+// run resumed at a new limit reuses nothing and rejects exactly as an uninterrupted run
+// at that limit does.
+TEST(FaultInjection, CheckpointFromAnotherInstructionLimitIsIgnored) {
+  Workload w = CounterWorkload(160);
+  ServedWorkload served = ServeWorkload(w);
+  const std::string trace_path = ::testing::TempDir() + "/fi_limit_trace.bin";
+  const std::string reports_path = ::testing::TempDir() + "/fi_limit_reports.bin";
+  const std::string checkpoint = ::testing::TempDir() + "/fi_limit.ckpt";
+  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
+  ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
+
+  AuditOptions opts;
+  opts.num_threads = 1;
+  opts.max_group_size = 8;
+  AuditOptions tight = opts;
+  tight.interp.max_instructions = 20;
+
+  AuditSession ref_session = AuditSession::Open(&w.app, tight, served.initial);
+  Result<AuditResult> ref = FeedDecodedFiles(&ref_session, trace_path, reports_path);
+  ASSERT_TRUE(ref.ok()) << ref.error();
+  ASSERT_FALSE(ref.value().accepted);
+
+  // Run 1 at the default limit, killed mid-pass-2 after ~19 of 20 chunk tasks retired.
+  opts.checkpoint_path = checkpoint;
+  StreamTraceSet probe;
+  ASSERT_TRUE(probe.AppendFile(trace_path).ok());
+  KillSwitchLoader killer(&probe, /*allowed=*/150);
+  StreamAuditHooks hooks;
+  hooks.loader = &killer;
+  AuditSession first = AuditSession::Open(&w.app, opts, served.initial);
+  Result<AuditResult> killed = first.FeedEpochFilesStreamed(trace_path, reports_path, &hooks);
+  ASSERT_FALSE(killed.ok());
+  Result<bool> left = Env::Default()->FileExists(checkpoint);
+  ASSERT_TRUE(left.ok() && left.value());
+
+  // Run 2 resumes at the tight limit.
+  tight.checkpoint_path = checkpoint;
+  AuditSession resumed = AuditSession::Open(&w.app, tight, served.initial);
+  Result<AuditResult> got = resumed.FeedEpochFilesStreamed(trace_path, reports_path);
+  ASSERT_TRUE(got.ok()) << got.error();
+  EXPECT_EQ(got.value().stats.checkpoint_chunks_reused, 0u);
+  EXPECT_FALSE(got.value().accepted);
+  EXPECT_EQ(got.value().reason, ref.value().reason);
+}
+
 // Rewrites a checkpoint journal into the layout earlier builds wrote: a bare-fingerprint
 // meta record, five f64 phase timings after each chunk record's order, and one Prepare
 // watermark record (kind 3). Returns the number of chunk records converted.
@@ -694,7 +797,7 @@ TEST(FaultInjection, CorruptRecordIsLocatedByPathAndOffsetOnBothFeeds) {
       AuditSession session = AuditSession::Open(&w.app, AuditOptions(), served.initial);
       Result<AuditResult> r = streamed
                                   ? session.FeedEpochFilesStreamed(trace_path, reports_path)
-                                  : session.FeedEpochFiles(trace_path, reports_path);
+                                  : FeedDecodedFiles(&session, trace_path, reports_path);
       ASSERT_FALSE(r.ok()) << (streamed ? "streamed" : "in-memory");
       EXPECT_NE(r.error().find("crc mismatch"), std::string::npos) << r.error();
       EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.error();

@@ -1,9 +1,10 @@
 // Out-of-core streaming audit (src/stream/): the streamed path must be bit-identical to
-// the in-memory FeedEpochFiles path — accept/reject, rejection reason, and final_state —
-// at 1/2/8 worker threads, while a counting chunk loader proves the configured memory
-// budget actually bounded the resident trace payloads. Sharded ingestion rides the same
-// engine: a single shard degenerates to FeedEpochFiles, shards merge deterministically,
-// and rid overlap across shards is a deterministic merge error.
+// FeedEpoch over the decoded files (FeedDecodedFiles) — accept/reject, rejection reason,
+// and final_state — at 1/2/8 worker threads, while a counting chunk loader proves the
+// configured memory budget actually bounded the resident trace payloads. Sharded
+// ingestion rides the same engine: a single shard degenerates to FeedEpochFilesStreamed,
+// shards merge deterministically, and rid overlap across shards is a deterministic merge
+// error.
 #include "src/stream/stream_audit.h"
 
 #include <algorithm>
@@ -234,7 +235,7 @@ TEST(StreamAudit, StreamedMatchesInMemoryAcrossThreadCounts) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     AuditSession in_memory =
         AuditSession::Open(&e.w.app, StreamOptions(threads, 0), e.initial);
-    Result<AuditResult> ref = in_memory.FeedEpochFiles(e.trace_path, e.reports_path);
+    Result<AuditResult> ref = FeedDecodedFiles(&in_memory, e.trace_path, e.reports_path);
     ASSERT_TRUE(ref.ok()) << ref.error();
     ASSERT_TRUE(ref.value().accepted) << ref.value().reason;
 
@@ -287,7 +288,7 @@ TEST(StreamAudit, TracePlusReportsBytesShareOneBudgetAcrossThreadCounts) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     AuditSession in_memory =
         AuditSession::Open(&e.w.app, StreamOptions(threads, 0), e.initial);
-    Result<AuditResult> ref = in_memory.FeedEpochFiles(e.trace_path, e.reports_path);
+    Result<AuditResult> ref = FeedDecodedFiles(&in_memory, e.trace_path, e.reports_path);
     ASSERT_TRUE(ref.ok()) << ref.error();
     ASSERT_TRUE(ref.value().accepted) << ref.value().reason;
 
@@ -395,7 +396,7 @@ TEST(StreamAudit, HotObjectSegmentedSpillAuditsWithinOneSegmentTransient) {
   options.max_group_size = 16;  // max_resident_bytes stays 0: the env variable decides.
 
   AuditSession in_memory = AuditSession::Open(&w.app, options, served.initial);
-  Result<AuditResult> ref = in_memory.FeedEpochFiles(trace_path, reports_path);
+  Result<AuditResult> ref = FeedDecodedFiles(&in_memory, trace_path, reports_path);
   ASSERT_TRUE(ref.ok()) << ref.error();
   ASSERT_TRUE(ref.value().accepted) << ref.value().reason;
 
@@ -527,7 +528,7 @@ TEST(StreamAudit, TamperedEpochRejectsIdenticallyInBothPathsAcrossThreads) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     AuditSession in_memory =
         AuditSession::Open(&e.w.app, StreamOptions(threads, 0), e.initial);
-    Result<AuditResult> ref = in_memory.FeedEpochFiles(tampered_path, e.reports_path);
+    Result<AuditResult> ref = FeedDecodedFiles(&in_memory, tampered_path, e.reports_path);
     ASSERT_TRUE(ref.ok()) << ref.error();
     ASSERT_FALSE(ref.value().accepted);
 
@@ -571,7 +572,7 @@ TEST(StreamAudit, BudgetSmallerThanLargestChunkLoadsOneChunkAtATime) {
   EXPECT_EQ(loader.peak_bytes(), loader.largest_chunk_bytes());
 
   AuditSession in_memory = AuditSession::Open(&e.w.app, StreamOptions(1, 0), e.initial);
-  Result<AuditResult> ref = in_memory.FeedEpochFiles(e.trace_path, e.reports_path);
+  Result<AuditResult> ref = FeedDecodedFiles(&in_memory, e.trace_path, e.reports_path);
   ASSERT_TRUE(ref.ok() && ref.value().accepted);
   EXPECT_EQ(InitialStateFingerprint(got.value().final_state),
             InitialStateFingerprint(ref.value().final_state));
@@ -582,7 +583,7 @@ TEST(StreamAudit, FileErrorsMatchInMemoryPathAndConsumeNoEpoch) {
   std::string missing = ::testing::TempDir() + "/stream_no_such_file.bin";
   AuditSession in_memory = AuditSession::Open(&w.app, StreamOptions(1, 0), w.initial);
   AuditSession streamed = AuditSession::Open(&w.app, StreamOptions(1, 0), w.initial);
-  Result<AuditResult> ref = in_memory.FeedEpochFiles(missing, missing);
+  Result<AuditResult> ref = FeedDecodedFiles(&in_memory, missing, missing);
   Result<AuditResult> got = streamed.FeedEpochFilesStreamed(missing, missing);
   ASSERT_FALSE(ref.ok());
   ASSERT_FALSE(got.ok());
@@ -619,10 +620,10 @@ ShardSpill ServeShard(const Workload& w, const std::vector<WorkItem>& items,
   return out;
 }
 
-TEST(ShardedAudit, SingleShardDegeneratesToFeedEpochFiles) {
+TEST(ShardedAudit, SingleShardDegeneratesToFeedEpochFilesStreamed) {
   SpilledEpoch e = SpillCounterEpoch("one_shard", 90);
   AuditSession via_files = AuditSession::Open(&e.w.app, StreamOptions(2, 0), e.initial);
-  Result<AuditResult> ref = via_files.FeedEpochFiles(e.trace_path, e.reports_path);
+  Result<AuditResult> ref = via_files.FeedEpochFilesStreamed(e.trace_path, e.reports_path);
   ASSERT_TRUE(ref.ok() && ref.value().accepted) << ref.error();
 
   AuditSession via_shards =
@@ -759,7 +760,7 @@ TEST(ShardedAudit, EmptyShardMergesCleanly) {
   ASSERT_TRUE(got.value().accepted) << got.value().reason;
 
   AuditSession alone = AuditSession::Open(&e.w.app, StreamOptions(2, 0), e.initial);
-  Result<AuditResult> ref = alone.FeedEpochFiles(e.trace_path, e.reports_path);
+  Result<AuditResult> ref = FeedDecodedFiles(&alone, e.trace_path, e.reports_path);
   ASSERT_TRUE(ref.ok() && ref.value().accepted);
   EXPECT_EQ(InitialStateFingerprint(got.value().final_state),
             InitialStateFingerprint(ref.value().final_state));
@@ -934,9 +935,6 @@ TEST(EnvConfig, MalformedThreadsEnvIsAHardErrorNotASilentFallback) {
   SpilledEpoch e = SpillCounterEpoch("env_threads", 20);
   // File-based feeds: a hard error Result before any file is read, no epoch consumed.
   AuditSession session = AuditSession::Open(&e.w.app, options, e.initial);
-  Result<AuditResult> r = session.FeedEpochFiles(e.trace_path, e.reports_path);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error().find("OROCHI_AUDIT_THREADS"), std::string::npos) << r.error();
   Result<AuditResult> rs = session.FeedEpochFilesStreamed(e.trace_path, e.reports_path);
   ASSERT_FALSE(rs.ok());
   EXPECT_NE(rs.error().find("OROCHI_AUDIT_THREADS"), std::string::npos) << rs.error();
@@ -956,7 +954,7 @@ TEST(EnvConfig, MalformedThreadsEnvIsAHardErrorNotASilentFallback) {
   AuditOptions pinned;
   pinned.num_threads = 2;
   AuditSession shadowed = AuditSession::Open(&e.w.app, pinned, e.initial);
-  Result<AuditResult> ok = shadowed.FeedEpochFiles(e.trace_path, e.reports_path);
+  Result<AuditResult> ok = shadowed.FeedEpochFilesStreamed(e.trace_path, e.reports_path);
   ASSERT_TRUE(ok.ok()) << ok.error();
   EXPECT_TRUE(ok.value().accepted);
   ASSERT_EQ(unsetenv("OROCHI_AUDIT_THREADS"), 0);

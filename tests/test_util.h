@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "src/common/strings.h"
+#include "src/core/audit_session.h"
+#include "src/objects/wire_format.h"
 #include "src/objects/reports.h"
 #include "src/objects/stores.h"
 #include "src/objects/trace.h"
@@ -46,6 +48,23 @@ inline ServedWorkload ServeWorkload(const Workload& workload, int num_workers = 
   out.reports = core.TakeReports();
   out.final_state = core.SnapshotState();
   return out;
+}
+
+// The in-memory reference for the spill-file feeds: decodes both files whole with
+// ReadTraceFile/ReadReportsFile, then audits them with FeedEpoch. A file-level error is
+// an error Result and feeds no epoch, as on the streamed feeds.
+inline Result<AuditResult> FeedDecodedFiles(AuditSession* session,
+                                            const std::string& trace_path,
+                                            const std::string& reports_path) {
+  Result<Trace> trace = ReadTraceFile(trace_path);
+  if (!trace.ok()) {
+    return trace.status();
+  }
+  Result<Reports> reports = ReadReportsFile(reports_path);
+  if (!reports.ok()) {
+    return reports.status();
+  }
+  return session->FeedEpoch(trace.value(), reports.value());
 }
 
 // Base seed for randomized sweeps: OROCHI_TEST_SEED when set (decimal or 0x-hex), else

@@ -96,7 +96,7 @@ void MaybeRegenerateGoldens() {
   opts.num_threads = 1;
   opts.max_group_size = 8;
   AuditSession session = AuditSession::Open(&w.app, opts, served.initial);
-  Result<AuditResult> got = session.FeedEpochFiles(TracePath(), ReportsPath());
+  Result<AuditResult> got = FeedDecodedFiles(&session, TracePath(), ReportsPath());
   ASSERT_TRUE(got.ok()) << got.error();
   ASSERT_TRUE(got.value().accepted) << got.value().reason;
   std::ofstream out(ExpectedPath(), std::ios::trunc);
@@ -144,7 +144,7 @@ TEST(WireCompat, OlderSpoolAuditsBitIdenticallyUnderCurrentBinary) {
               expected.final_state_hash);
 
     AuditSession in_memory = AuditSession::Open(&w.app, opts, w.initial);
-    Result<AuditResult> mem = in_memory.FeedEpochFiles(TracePath(), ReportsPath());
+    Result<AuditResult> mem = FeedDecodedFiles(&in_memory, TracePath(), ReportsPath());
     ASSERT_TRUE(mem.ok()) << mem.error();
     EXPECT_TRUE(mem.value().accepted) << mem.value().reason;
     EXPECT_EQ(FnvHash(InitialStateFingerprint(mem.value().final_state)),

@@ -359,7 +359,7 @@ TEST(WireFuzz, TraceAndReportsMutationsNeverCrashAndNeverFalselyAccept) {
       // the two paths share one validator, and this sweep keeps them honest.
       AuditSession in_memory =
           AuditSession::Open(&fx.w.app, FuzzOptions(), fx.epoch2_initial);
-      Outcome mem = FromFeed(in_memory.FeedEpochFiles(trace, reports));
+      Outcome mem = FromFeed(FeedDecodedFiles(&in_memory, trace, reports));
       EXPECT_TRUE(mem == got) << what << ": streamed {" << got.error << "|" << got.reason
                               << "} vs in-memory {" << mem.error << "|" << mem.reason
                               << "}";
@@ -523,7 +523,7 @@ TEST(WireFuzz, SegmentedOpLogPrefixForgeriesRejectIdenticallyOnBothPaths) {
     EXPECT_FALSE(got.error.empty()) << forgery.name;
 
     AuditSession in_memory = AuditSession::Open(&fx.w.app, FuzzOptions(), fx.w.initial);
-    Outcome mem = FromFeed(in_memory.FeedEpochFiles(fx.trace_path, mutated_path));
+    Outcome mem = FromFeed(FeedDecodedFiles(&in_memory, fx.trace_path, mutated_path));
     EXPECT_TRUE(mem == got) << forgery.name << ": streamed {" << got.error << "} vs "
                             << "in-memory {" << mem.error << "}";
   }
@@ -552,7 +552,7 @@ TEST(WireFuzz, SegmentedReportsMutationsNeverCrashAndNeverFalselyAccept) {
     CheckOutcomeAgainstReference(got, fx.reference, what + " (streamed)", &tally);
 
     AuditSession in_memory = AuditSession::Open(&fx.w.app, FuzzOptions(), fx.w.initial);
-    Outcome mem = FromFeed(in_memory.FeedEpochFiles(fx.trace_path, mutated_path));
+    Outcome mem = FromFeed(FeedDecodedFiles(&in_memory, fx.trace_path, mutated_path));
     EXPECT_TRUE(mem == got) << what << ": streamed {" << got.error << "|" << got.reason
                             << "} vs in-memory {" << mem.error << "|" << mem.reason
                             << "}";
