@@ -12,11 +12,12 @@
 // Phases are disjoint: no span encloses another on the same breakdown, and time recorded
 // quietly inside an open span (the db_query seconds of a chunk's SELECTs) is subtracted
 // from it. Parallel workers each own a breakdown, merged by the caller, so a breakdown
-// sums thread-seconds, not wall time. Every span is also mirrored into the process-wide
-// PhaseTracer, which feeds orochi_phase_<name>_micros_total / _spans_total counters and,
-// when OROCHI_TRACE_FILE is set, buffers one event per span and dumps Chrome-trace JSON
-// (load it in chrome://tracing or https://ui.perfetto.dev) at process exit or on
-// FlushChromeTrace().
+// sums thread-seconds, not wall time: passes 1, 2 and 3 all run on the audit's worker
+// pool, and each task or worker there times itself into a breakdown no other thread
+// touches. Every span is also mirrored into the process-wide PhaseTracer, which feeds
+// orochi_phase_<name>_micros_total / _spans_total counters and, when OROCHI_TRACE_FILE is
+// set, buffers one event per span and dumps Chrome-trace JSON (load it in
+// chrome://tracing or https://ui.perfetto.dev) at process exit or on FlushChromeTrace().
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -36,7 +37,8 @@ namespace obs {
 // The audit pipeline's phases, in pipeline order. Keep kPhaseNames in sync.
 enum class Phase : int {
   kShardMerge = 0,    // Sequential fold of per-shard skeletons into one epoch.
-  kPass1Skeleton,     // Streaming one trace/reports pair into skeletons + offset indexes.
+  kPass1Skeleton,     // Streaming spill files into skeletons + offset indexes: a span per
+                      // pool task (one file; a whole trace/reports pair at one thread).
   kProcOpReports,     // Balanced-trace check, per-rid slot pre-build, ProcessOpReports.
   kDbRedo,            // Versioned-store builds (register / KV / DB redo).
   kPass2IoWait,       // Worker time blocked in the chunk gate paging bytes in (budget
@@ -44,7 +46,7 @@ enum class Phase : int {
   kPass2Execute,      // Re-executing one group chunk, its db_query time excluded (PHP).
   kDbQuery,           // SELECTs run against versioned storage; a span per SELECT issued.
   kCheckpointReplay,  // Journaled chunks replayed instead of re-executed on resume.
-  kPass3Compare,      // Produced-output vs. trace comparison.
+  kPass3Compare,      // Produced-output vs. trace comparison: a span per compare worker.
 };
 inline constexpr int kNumPhases = 9;
 const char* PhaseName(Phase phase);

@@ -41,6 +41,41 @@ std::string Resolve(const std::string& dir, const std::string& file) {
 
 }  // namespace
 
+std::vector<ShardSkeletons> StreamShardSkeletons(const std::vector<ShardEpochFiles>& shards,
+                                                 Env* env, size_t num_threads,
+                                                 obs::PhaseBreakdown* phases) {
+  std::vector<ShardSkeletons> out(shards.size());
+  // Tasks per pair: on the pool a pair's two files are separate tasks (trace task 2i,
+  // reports task 2i + 1, so round-robin dealing puts them on different workers); at one
+  // thread a pair is one task, the order the files were always read in.
+  const size_t per_shard = num_threads > 1 ? 2 : 1;
+  std::vector<size_t> tasks(shards.size() * per_shard);
+  for (size_t t = 0; t < tasks.size(); t++) {
+    tasks[t] = t;
+  }
+  std::vector<obs::PhaseBreakdown> task_phases(tasks.size());
+  WorkStealPool(std::min(num_threads, tasks.size())).Run(tasks, [&](size_t t) {
+    obs::TraceSpan span(&task_phases[t], obs::Phase::kPass1Skeleton);
+    const ShardEpochFiles& files = shards[t / per_shard];
+    ShardSkeletons& pair = out[t / per_shard];
+    if (per_shard == 1 || t % 2 == 0) {
+      Result<uint32_t> appended = pair.traces.AppendFile(files.trace_path, env);
+      if (!appended.ok()) {
+        pair.trace_error = appended.status();
+        return;
+      }
+      pair.stamped_id = appended.value();
+    }
+    if (per_shard == 1 || t % 2 == 1) {
+      pair.reports_error = pair.reports.AppendFile(files.reports_path, env);
+    }
+  });
+  for (const obs::PhaseBreakdown& p : task_phases) {
+    phases->MergeFrom(p);
+  }
+  return out;
+}
+
 Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
                                  const std::vector<uint32_t>& expected_ids, Env* env,
                                  size_t num_threads) {
@@ -85,43 +120,17 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
     }
   }
 
-  // Pass 1 per shard, in parallel: each worker streams one shard's pair into its own
-  // skeleton set. Nothing is shared across workers, so the only synchronization is the
-  // pool's own join; determinism comes from the sequential fold below, which absorbs in
-  // sorted merge order regardless of which worker finished first.
-  struct ShardLoad {
-    StreamTraceSet traces;
-    StreamReportsSet reports;
-    Status error;  // Not OK = this shard failed to stream.
-    obs::PhaseBreakdown phases;
-  };
-  std::vector<ShardLoad> loads(order.size());
-  {
-    std::vector<size_t> tasks(order.size());
-    for (size_t i = 0; i < tasks.size(); i++) {
-      tasks[i] = i;
-    }
-    WorkStealPool pool(num_threads < 1 ? 1 : num_threads);
-    pool.Run(tasks, [&](size_t i) {
-      // One pass-1 span per shard build, into the shard's own breakdown: these overlap
-      // on the pool, so the phase's span count is the shard count and its seconds are
-      // summed worker time.
-      ShardLoad& load = loads[i];
-      obs::TraceSpan span(&load.phases, obs::Phase::kPass1Skeleton);
-      const ShardEpochFiles& shard = shards[order[i].pos];
-      Result<uint32_t> appended = load.traces.AppendFile(shard.trace_path, env);
-      if (!appended.ok()) {
-        load.error = appended.status();
-        return;
-      }
-      load.error = load.reports.AppendFile(shard.reports_path, env);
-    });
+  // Pass 1 in sorted merge order. Nothing is shared across the pool's tasks, and the
+  // sequential fold below absorbs in merge order regardless of which task finished
+  // first, so the merged epoch is the same at every thread count.
+  std::vector<ShardEpochFiles> sorted;
+  sorted.reserve(order.size());
+  for (const Entry& e : order) {
+    sorted.push_back(shards[e.pos]);
   }
-
   MergedShards out;
-  for (const ShardLoad& load : loads) {
-    out.phases.MergeFrom(load.phases);
-  }
+  std::vector<ShardSkeletons> loads =
+      StreamShardSkeletons(sorted, env, num_threads, &out.phases);
   {
     // The sequential fold in merge order, timed as shard_merge.
     obs::TraceSpan span(&out.phases, obs::Phase::kShardMerge);
@@ -129,13 +138,13 @@ Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
     for (size_t i = 0; i < order.size(); i++) {
       const Entry& e = order[i];
       const ShardEpochFiles& shard = shards[e.pos];
-      ShardLoad& load = loads[i];
-      if (!load.error.ok()) {
+      ShardSkeletons& load = loads[i];
+      if (!load.error().ok()) {
         // Quarantine: name the shard and both of its files, so the operator knows exactly
         // which collector's spill to restore — the other shards streamed clean.
-        return load.error.Prefixed("shard merge: quarantined shard " +
-                                   std::to_string(e.id) + " (trace " + shard.trace_path +
-                                   ", reports " + shard.reports_path + "): ");
+        return load.error().Prefixed("shard merge: quarantined shard " +
+                                     std::to_string(e.id) + " (trace " + shard.trace_path +
+                                     ", reports " + shard.reports_path + "): ");
       }
       // Rid-disjointness across shard traces. (Duplicates *within* one shard stay for the
       // audit's balanced-trace check to reject, exactly as the unsharded path would.)

@@ -33,20 +33,46 @@ struct MergedShards {
   // AppendReports semantics (object-id remap, group-tag merge) — contents stay on disk.
   StreamReportsSet reports;
   std::vector<uint32_t> shard_ids;  // Stamped ids in merge order (0 = unstamped).
-  // Time spent building this epoch so far: one pass1_skeleton span per shard plus the
-  // shard_merge fold. The audit continues the same breakdown (AuditStats::phases).
+  // Time spent building this epoch so far: the pass1_skeleton spans of
+  // StreamShardSkeletons plus the shard_merge fold. The audit continues the same
+  // breakdown (AuditStats::phases).
   obs::PhaseBreakdown phases;
 };
+
+// One spill pair after pass 1: its own trace and reports skeletons, not yet folded into
+// an epoch.
+struct ShardSkeletons {
+  StreamTraceSet traces;
+  StreamReportsSet reports;
+  uint32_t stamped_id = 0;  // The trace file's stamped shard id (0 = unstamped).
+  Status trace_error;
+  Status reports_error;
+
+  // The pair's pass-1 outcome: a trace-file error takes precedence over a reports-file
+  // error, whichever finished first.
+  const Status& error() const { return trace_error.ok() ? reports_error : trace_error; }
+};
+
+// Pass 1 over spill pairs, the shared front half of FeedEpochFilesStreamed and
+// MergeShards. With `num_threads` > 1, each pair's trace file and reports file are two
+// tasks on a work-stealing pool of up to `num_threads` workers, so even a single epoch
+// streams its two files at once. At one thread (0 or 1) each pair is one task run inline
+// in list order — trace file, then reports file, which is skipped once the trace failed.
+// Every task times itself as one pass1_skeleton span in its own breakdown; `phases`
+// receives their sum (worker-seconds). The result parallels `shards`.
+std::vector<ShardSkeletons> StreamShardSkeletons(const std::vector<ShardEpochFiles>& shards,
+                                                 Env* env, size_t num_threads,
+                                                 obs::PhaseBreakdown* phases);
 
 // `expected_ids`, when nonempty (the manifest path), must parallel `shards`; each entry is
 // checked against the trace file's stamped id — a collector that stamped shard 3 cannot be
 // passed off as the manifest's shard 2.
 //
-// Per-shard pass-1 skeleton builds run in parallel on a work-stealing pool of
-// `num_threads` workers (0 or 1 = sequential), then fold sequentially in merge order, so
-// the merged epoch is bit-identical at every thread count. A shard whose files fail to
-// stream is quarantined: the merge errors out naming the shard id and both file paths,
-// so the operator knows exactly which collector's spill to restore. Reads go through
+// Per-shard pass-1 skeleton builds run on StreamShardSkeletons' pool of `num_threads`
+// workers (0 or 1 = sequential), then fold sequentially in merge order, so the merged
+// epoch is bit-identical at every thread count. A shard whose files fail to stream is
+// quarantined: the merge errors out naming the shard id and both file paths, so the
+// operator knows exactly which collector's spill to restore. Reads go through
 // `env` (nullptr = the production posix environment).
 Result<MergedShards> MergeShards(const std::vector<ShardEpochFiles>& shards,
                                  const std::vector<uint32_t>& expected_ids = {},

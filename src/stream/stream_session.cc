@@ -1,16 +1,22 @@
 // The out-of-core members of AuditSession (declared in src/core/audit_session.h): the
 // two-pass streaming audit and its sharded-ingestion front door.
 //
-//   pass 1  StreamTraceSet + StreamReportsSet / ShardMerge — stream every spill record,
+//   pass 1  StreamShardSkeletons (+ the ShardMerge fold) — stream every spill record,
 //           keep trace and reports skeletons + byte-offset indexes (payloads and op-log
-//           contents stay on disk)
+//           contents stay on disk); each trace file and reports file is its own task on
+//           the worker pool
 //   prepare AuditContext::Prepare — the versioned-store builds consume each op log as a
 //           forward scan, paged in by SegmentedOpLogScanner in byte-capped segments
 //   pass 2  ExecuteAuditPlan + StreamTaskGate — re-execute chunks whose request payloads
 //           AND claimed op-log entry contents are paged in on demand, both charged to the
 //           one ChunkBudget
-//   pass 3  StreamedCompareOutputs — page response bodies in one at a time (point reads
-//           via the pass-1 index) and compare against the produced outputs, in trace order
+//   pass 3  StreamedCompareOutputs — workers claim responses in trace order, each paging
+//           one response body in at a time (point reads via the pass-1 index, charged
+//           to the ChunkBudget) and comparing it against the produced output; the
+//           failure with the smallest trace index is the verdict
+//
+// Passes 1, 2 and 3 run on AuditOptions::num_threads workers; only Prepare (and the shard
+// merge's fold) runs on one thread.
 //
 // Verdict, rejection reason, and final_state are bit-identical to the in-memory
 // FeedEpoch over the decoded files at every thread count: both paths run the same
@@ -18,6 +24,8 @@
 // path only changes *when* payload and contents bytes are resident, never what the audit
 // computes.
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/work_steal_pool.h"
 #include "src/core/audit_plan.h"
 #include "src/core/audit_session.h"
 #include "src/objects/wire_format.h"
@@ -209,36 +218,53 @@ class StreamTaskGate : public AuditTaskGate {
 constexpr uint64_t kCompareJournalEvery = 16;
 
 // Pass 3: AuditContext::CompareOutputs for an epoch whose skeleton holds no response
-// bodies — page each response body in by itself (a point read via the pass-1 index, so
-// the request payloads, the bulk of the file, are never re-read), run it through the
-// context's shared per-response check so both paths reject with the same reason from the
-// same code, and evict before moving on. Index order is trace order, and each body is
-// charged to the budget while resident, so the resident-byte guarantee covers the
-// compare pass too. With a journal, responses below the prior run's compare watermark
-// are skipped (their count lands in *resumed) — sound because the fingerprint binds each
-// response payload's CRC and a surviving journal means every compared response matched —
-// and the advancing watermark is journaled every kCompareJournalEvery responses.
-// *reject_reason carries the audit verdict (empty = outputs match); the Status is file
-// health only.
+// bodies, on up to `num_threads` workers. Workers claim responses in trace order from one
+// shared cursor; each pages its response body in by itself (a point read via the pass-1
+// index, so the request payloads, the bulk of the file, are never re-read), charged to
+// the budget while resident, runs it through the context's shared per-response check so
+// both paths reject with the same reason from the same code, and evicts it. The verdict
+// is the failure — a mismatch or a load error — with the smallest trace index, exactly
+// what a sequential loop would stop at: no index past a known failure is claimed, and
+// every index below the final one was claimed and matched. With a journal, responses
+// below the prior run's compare watermark are skipped (their count lands in *resumed) —
+// sound because the fingerprint binds each response payload's CRC and a surviving
+// journal means every response below its watermark matched — and whichever worker
+// extends the contiguous prefix of matched responses journals it every
+// kCompareJournalEvery responses, which keeps that meaning. At one thread the calling
+// thread compares alone, in trace order. Each worker times itself as one pass3_compare
+// span in its own breakdown; `phases` receives their sum. *reject_reason carries the
+// audit verdict (empty = outputs match); the Status is file health only.
 Status StreamedCompareOutputs(const AuditContext& ctx, StreamTraceSet* set,
                               TraceChunkLoader* loader, ChunkBudget* budget,
-                              CheckpointJournal* journal, uint64_t* resumed,
+                              CheckpointJournal* journal, size_t num_threads,
+                              obs::PhaseBreakdown* phases, uint64_t* resumed,
                               std::string* reject_reason) {
   reject_reason->clear();
-  *resumed = 0;
-  const uint64_t watermark = journal != nullptr ? journal->prior_compare_watermark() : 0;
-  uint64_t responses_seen = 0;
   Trace* skeleton = set->mutable_skeleton();
+  std::vector<size_t> responses;  // Event index of each response, in trace order.
   for (size_t i = 0; i < set->num_events(); i++) {
+    if (skeleton->events[i].kind == TraceEvent::Kind::kResponse) {
+      responses.push_back(i);
+    }
+  }
+  const size_t watermark = std::min<size_t>(
+      journal != nullptr ? journal->prior_compare_watermark() : 0, responses.size());
+  *resumed = watermark;
+
+  std::atomic<size_t> cursor{watermark};
+  std::atomic<size_t> first_fail{SIZE_MAX};  // Smallest failed response; SIZE_MAX = none.
+  // Guards everything below, and every store to first_fail; workers read first_fail
+  // without it only to stop claiming.
+  std::mutex mu;
+  std::vector<char> matched(responses.size(), 0);
+  size_t prefix = watermark;     // Responses [0, prefix) all matched.
+  size_t journaled = watermark;  // Highest watermark handed to the journal.
+  Status fail_load;
+  std::string fail_reason;
+
+  auto compare = [&](size_t k) {
+    const size_t i = responses[k];
     TraceEvent& event = skeleton->events[i];
-    if (event.kind != TraceEvent::Kind::kResponse) {
-      continue;
-    }
-    if (responses_seen < watermark) {
-      responses_seen++;
-      (*resumed)++;
-      continue;
-    }
     const uint64_t bytes = set->loc(i).bytes;
     budget->Acquire(bytes);
     loader->OnChunkResident(bytes);
@@ -250,18 +276,60 @@ Status StreamedCompareOutputs(const AuditContext& ctx, StreamTraceSet* set,
     }
     loader->OnChunkEvicted(bytes);
     budget->Release(bytes);
-    if (!load.ok()) {
-      return load;
+
+    uint64_t journal_at = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!load.ok() || !verdict.empty()) {
+        if (k < first_fail.load(std::memory_order_relaxed)) {
+          first_fail.store(k, std::memory_order_relaxed);
+          fail_load = std::move(load);
+          fail_reason = std::move(verdict);
+        }
+        return;
+      }
+      matched[k] = 1;
+      while (prefix < responses.size() && matched[prefix] != 0) {
+        prefix++;
+      }
+      if (prefix / kCompareJournalEvery > journaled / kCompareJournalEvery) {
+        journaled = prefix - prefix % kCompareJournalEvery;
+        journal_at = journaled;
+      }
     }
-    if (!verdict.empty()) {
-      *reject_reason = std::move(verdict);
-      return Status::Ok();
+    if (journal != nullptr && journal_at != 0) {
+      // Outside the lock: the journal keeps its on-disk watermark monotone itself.
+      journal->RecordCompareWatermark(journal_at);
     }
-    responses_seen++;
-    if (journal != nullptr && responses_seen % kCompareJournalEvery == 0) {
-      journal->RecordCompareWatermark(responses_seen);
-    }
+  };
+
+  const size_t workers =
+      std::max<size_t>(1, std::min(num_threads, responses.size() - watermark));
+  std::vector<obs::PhaseBreakdown> worker_phases(workers);
+  std::vector<size_t> worker_ids(workers);
+  for (size_t w = 0; w < workers; w++) {
+    worker_ids[w] = w;
   }
+  WorkStealPool(workers).Run(worker_ids, [&](size_t w) {
+    obs::TraceSpan span(&worker_phases[w], obs::Phase::kPass3Compare);
+    while (true) {
+      const size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (k >= responses.size() || k > first_fail.load(std::memory_order_relaxed)) {
+        return;
+      }
+      compare(k);
+    }
+  });
+  for (const obs::PhaseBreakdown& p : worker_phases) {
+    phases->MergeFrom(p);
+  }
+  if (first_fail.load() == SIZE_MAX) {
+    return Status::Ok();
+  }
+  if (!fail_load.ok()) {
+    return fail_load;
+  }
+  *reject_reason = std::move(fail_reason);
   return Status::Ok();
 }
 
@@ -368,17 +436,15 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   }
 
   std::string compare_reason;
-  {
-    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kPass3Compare);
-    uint64_t resumed = 0;
-    Status st = StreamedCompareOutputs(ctx, &merged.traces, loader, budget, journal.get(),
-                                       &resumed, &compare_reason);
-    ctx.stats().compare_records_resumed += resumed;
-    if (!st.ok()) {
-      // The journal keeps the compare watermark retired so far for the retry.
-      epochs_fed_--;
-      return st;
-    }
+  uint64_t resumed = 0;
+  Status compared = StreamedCompareOutputs(ctx, &merged.traces, loader, budget,
+                                           journal.get(), threads.value(),
+                                           &ctx.stats().phases, &resumed, &compare_reason);
+  ctx.stats().compare_records_resumed += resumed;
+  if (!compared.ok()) {
+    // The journal keeps the compare watermark retired so far for the retry.
+    epochs_fed_--;
+    return compared;
   }
   if (!compare_reason.empty()) {
     return reject(std::move(compare_reason));
@@ -391,20 +457,23 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
 Result<AuditResult> AuditSession::FeedEpochFilesStreamed(const std::string& trace_path,
                                                          const std::string& reports_path,
                                                          const StreamAuditHooks* hooks) {
-  // Built directly (not via MergeShards) so single-file error messages stay identical to
+  // A config error surfaces before either file is read.
+  Result<size_t> threads = ResolveAuditThreads(options_);
+  if (!threads.ok()) {
+    return threads.status();
+  }
+  // Built without MergeShards' fold so single-file error messages stay identical to
   // ReadTraceFile's and ReadReportsFile's — the one-shard case is a drop-in replacement.
   MergedShards merged;
-  {
-    obs::TraceSpan span(&merged.phases, obs::Phase::kPass1Skeleton);
-    Result<uint32_t> shard = merged.traces.AppendFile(trace_path, options_.io_env);
-    if (!shard.ok()) {
-      return shard.status();
-    }
-    if (Status st = merged.reports.AppendFile(reports_path, options_.io_env); !st.ok()) {
-      return st;
-    }
-    merged.shard_ids.push_back(shard.value());
+  std::vector<ShardSkeletons> pass1 = StreamShardSkeletons(
+      {{trace_path, reports_path}}, options_.io_env, threads.value(), &merged.phases);
+  ShardSkeletons& pair = pass1[0];
+  if (!pair.error().ok()) {
+    return pair.error();
   }
+  merged.traces = std::move(pair.traces);
+  merged.reports = std::move(pair.reports);
+  merged.shard_ids.push_back(pair.stamped_id);
   return FeedMergedEpochStreamed(std::move(merged), hooks);
 }
 

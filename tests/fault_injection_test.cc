@@ -808,6 +808,53 @@ TEST(FaultInjection, CorruptRecordIsLocatedByPathAndOffsetOnBothFeeds) {
   }
 }
 
+// Pass 1 reads an epoch's trace file and reports file as separate tasks on the pool, so
+// with both files corrupt either may fail first. The trace file's error still wins, on
+// both file feeds and at every worker count, located exactly as when it fails alone.
+TEST(FaultInjection, CorruptTraceOutranksCorruptReportsInPass1) {
+  Workload w = CounterWorkload(12);
+  ServedWorkload served = ServeWorkload(w);
+  const std::string trace_path = ::testing::TempDir() + "/fi_both_corrupt.trace";
+  const std::string reports_path = ::testing::TempDir() + "/fi_both_corrupt.reports";
+  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
+  ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
+  // Flip a byte in each file's first record payload, so both CRCs fail.
+  const uint64_t flip_at = wire::kEnvelopeHeaderBytes + wire::kRecordFrameBytesV2 + 2;
+  for (const std::string& path : {trace_path, reports_path}) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(flip_at));
+    char c = 0;
+    f.read(&c, 1);
+    f.seekp(static_cast<std::streamoff>(flip_at));
+    c = static_cast<char>(c ^ 0x5A);
+    f.write(&c, 1);
+  }
+  {
+    StreamReportsSet reports_alone;
+    Status st = reports_alone.AppendFile(reports_path);
+    ASSERT_EQ(st.code(), StatusCode::kCorruption) << st.error();
+    ASSERT_EQ(st.file(), reports_path);
+  }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (bool sharded : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + (sharded ? " sharded" : ""));
+      AuditOptions options;
+      options.num_threads = threads;
+      AuditSession session = AuditSession::Open(&w.app, options, served.initial);
+      Result<AuditResult> r =
+          sharded ? session.FeedShardedEpoch(
+                        std::vector<ShardEpochFiles>{{trace_path, reports_path}})
+                  : session.FeedEpochFilesStreamed(trace_path, reports_path);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.error();
+      EXPECT_EQ(r.status().file(), trace_path) << r.error();
+      EXPECT_EQ(r.status().offset(), wire::kEnvelopeHeaderBytes) << r.error();
+      EXPECT_EQ(ClassifyAuditOutcome(r), AuditOutcome::kIoError) << r.error();
+      EXPECT_EQ(session.epochs_fed(), 0u);
+    }
+  }
+}
+
 // Classification is a switch on the code: message text (a "config: " prefix, a knob
 // name) plays no part.
 TEST(FaultInjection, OutcomeTaxonomyFollowsTheCode) {

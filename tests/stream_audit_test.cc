@@ -8,6 +8,9 @@
 #include "src/stream/stream_audit.h"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <string>
@@ -550,6 +553,105 @@ TEST(StreamAudit, TamperedEpochRejectsIdenticallyInBothPathsAcrossThreads) {
     EXPECT_EQ(streamed.epochs_accepted(), 0u);
     EXPECT_EQ(InitialStateFingerprint(streamed.state()),
               InitialStateFingerprint(e.initial));
+  }
+}
+
+// Pass 3 on the pool: the real loader, except that (with `hold`) the Load of event
+// `held` waits until the Load of event `release` has returned, so a later response is
+// compared — and its outcome recorded — while an earlier one is still in flight. The Load
+// of event `fail` (SIZE_MAX = none) fails like a spill file that vanished mid-audit.
+class CompareOrderLoader : public TraceChunkLoader {
+ public:
+  CompareOrderLoader(const StreamTraceSet* set, bool hold, size_t held, size_t release,
+                     size_t fail)
+      : real_(set), hold_(hold), held_(held), release_(release), fail_(fail) {}
+
+  Status Load(const StreamTraceSet& set, size_t index, TraceEvent* event) override {
+    if (hold_ && index == held_) {
+      // Bounded, so a scheduler that never reaches `release` cannot hang the test.
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait_for(lock, std::chrono::seconds(10), [&] { return released_; });
+    }
+    Status st = index == fail_
+                    ? Status::Error("io: injected load failure of event " +
+                                    std::to_string(index))
+                    : real_.Load(set, index, event);
+    if (index == release_) {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+      cv_.notify_all();
+    }
+    return st;
+  }
+  void Evict(const StreamTraceSet& set, size_t index, TraceEvent* event) override {
+    real_.Evict(set, index, event);
+  }
+
+ private:
+  FileTraceChunkLoader real_;
+  const bool hold_;
+  const size_t held_;
+  const size_t release_;
+  const size_t fail_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+};
+
+// Two forged responses, the first and the last in trace order. On every worker count and
+// budget the streamed REJECT names the earlier one — FeedDecodedFiles' reason — even when
+// the later mismatch is recorded first; and when the later response's load fails instead
+// of mismatching, the verdict stays that REJECT, never an I/O error.
+TEST(StreamAudit, CompareRejectsTheEarliestFailureInTraceOrder) {
+  SpilledEpoch e = SpillCounterEpoch("compare_order", 120);
+  Result<Trace> trace = ReadTraceFile(e.trace_path);
+  ASSERT_TRUE(trace.ok());
+  size_t early = SIZE_MAX;
+  size_t late = SIZE_MAX;
+  for (size_t i = 0; i < trace.value().events.size(); i++) {
+    if (trace.value().events[i].kind == TraceEvent::Kind::kResponse) {
+      early = std::min(early, i);
+      late = i;
+    }
+  }
+  ASSERT_LT(early, late);
+  const RequestId early_rid = trace.value().events[early].rid;
+  const RequestId late_rid = trace.value().events[late].rid;
+  ASSERT_TRUE(TamperResponseBody(&trace.value(), early_rid, "forged early"));
+  ASSERT_TRUE(TamperResponseBody(&trace.value(), late_rid, "forged late"));
+  const std::string tampered = ::testing::TempDir() + "/stream_compare_order_trace.bin";
+  ASSERT_TRUE(WriteTraceFile(tampered, trace.value()).ok());
+
+  AuditSession in_memory = AuditSession::Open(&e.w.app, StreamOptions(1, 0), e.initial);
+  Result<AuditResult> ref = FeedDecodedFiles(&in_memory, tampered, e.reports_path);
+  ASSERT_TRUE(ref.ok()) << ref.error();
+  ASSERT_FALSE(ref.value().accepted);
+  EXPECT_EQ(ref.value().reason, "output: rid " + std::to_string(early_rid) +
+                                    " response does not match re-execution");
+
+  StreamTraceSet probe;
+  ASSERT_TRUE(probe.AppendFile(tampered).ok());
+  ASSERT_EQ(probe.skeleton().events[early].rid, early_rid);
+  ASSERT_EQ(probe.skeleton().events[late].rid, late_rid);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (size_t budget : {size_t{0}, kBudget}) {
+      for (bool late_load_fails : {false, true}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) + " budget=" +
+                     std::to_string(budget) + (late_load_fails ? " late load fails" : ""));
+        CompareOrderLoader loader(&probe, /*hold=*/threads > 1, early, late,
+                                  late_load_fails ? late : SIZE_MAX);
+        StreamAuditHooks hooks;
+        hooks.loader = &loader;
+        AuditSession streamed =
+            AuditSession::Open(&e.w.app, StreamOptions(threads, budget), e.initial);
+        Result<AuditResult> got =
+            streamed.FeedEpochFilesStreamed(tampered, e.reports_path, &hooks);
+        ASSERT_TRUE(got.ok()) << got.error();
+        EXPECT_FALSE(got.value().accepted);
+        EXPECT_EQ(got.value().reason, ref.value().reason);
+        EXPECT_EQ(streamed.epochs_fed(), 1u);
+      }
+    }
   }
 }
 
