@@ -5,6 +5,15 @@
 // list, an LPT-style assignment), and a worker whose own deque drains steals from the back
 // of another worker's deque. Tasks never spawn tasks, so a worker that finds every deque
 // empty can exit: all remaining work is already running elsewhere.
+//
+// Worker placement. The workers live for one Run, so the CPU a new thread starts on is
+// usually the CPU it finishes on. Where the kernel does not spread new threads or
+// rebalance within that time (seen under a cpuset with sched_load_balance off), every
+// worker can land on the caller's CPU. A "parallel" run then takes one CPU's time, and
+// whether it does changes from run to run.
+// So each spawned worker first moves itself to its own CPU of the caller's affinity mask,
+// taken round-robin after the caller's current CPU, and then restores the full mask. The
+// start is spread, and the kernel can still move the worker later.
 #ifndef SRC_COMMON_WORK_STEAL_POOL_H_
 #define SRC_COMMON_WORK_STEAL_POOL_H_
 
@@ -13,6 +22,10 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace orochi {
 
@@ -59,10 +72,14 @@ class WorkStealPool {
         fn(task);
       }
     };
+    const Placement placement;
     std::vector<std::thread> threads;
     threads.reserve(w - 1);
     for (size_t i = 1; i < w; i++) {
-      threads.emplace_back(worker, i);
+      threads.emplace_back([&worker, &placement, i] {
+        placement.MoveToOwnCpu(i);
+        worker(i);
+      });
     }
     worker(0);
     for (std::thread& t : threads) {
@@ -71,6 +88,47 @@ class WorkStealPool {
   }
 
  private:
+  // The calling thread's CPU and affinity mask, read once per Run (see the header comment).
+  class Placement {
+   public:
+#if defined(__linux__)
+    Placement() {
+      const int current = sched_getcpu();
+      if (current < 0 || sched_getaffinity(0, sizeof(mask_), &mask_) != 0) {
+        return;  // No placement: more CPUs than cpu_set_t holds, or no getcpu.
+      }
+      for (int c = 0; c < CPU_SETSIZE; c++) {
+        if (CPU_ISSET(c, &mask_)) {
+          if (c == current) {
+            first_ = cpus_.size();
+          }
+          cpus_.push_back(c);
+        }
+      }
+    }
+
+    // Runs on spawned worker `i` (>= 1) before it takes a task.
+    void MoveToOwnCpu(size_t i) const {
+      if (cpus_.size() < 2) {
+        return;
+      }
+      cpu_set_t own;
+      CPU_ZERO(&own);
+      CPU_SET(cpus_[(first_ + i) % cpus_.size()], &own);
+      if (sched_setaffinity(0, sizeof(own), &own) == 0) {
+        sched_setaffinity(0, sizeof(mask_), &mask_);
+      }
+    }
+
+   private:
+    cpu_set_t mask_{};
+    std::vector<int> cpus_;  // The mask's CPUs, ascending.
+    size_t first_ = 0;       // Index of the caller's CPU in cpus_.
+#else
+    void MoveToOwnCpu(size_t) const {}
+#endif
+  };
+
   struct Shard {
     std::mutex mu;
     std::deque<size_t> q;

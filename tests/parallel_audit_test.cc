@@ -3,9 +3,15 @@
 // never the verdict, the rejection reason, the final state, or the work-volume stats.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include "src/common/work_steal_pool.h"
 #include "src/core/auditor.h"
 #include "src/server/tamper.h"
 #include "tests/test_util.h"
@@ -208,6 +214,31 @@ TEST(ParallelAudit, DuplicateRidAcrossGroupsStaysDeterministic) {
   }
   (void)first_tag;
 }
+
+#if defined(__linux__)
+// The pool moves each spawned worker to its own CPU only to start it there: every task
+// runs exactly once, with the caller's whole affinity mask, so the kernel may still move
+// the worker. More workers than CPUs wrap around the mask.
+TEST(WorkStealPool, WorkersRunEveryTaskOnceWithTheCallersAffinityMask) {
+  cpu_set_t caller;
+  CPU_ZERO(&caller);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(caller), &caller), 0);
+  std::vector<size_t> tasks(64);
+  std::iota(tasks.begin(), tasks.end(), 0);
+  std::vector<int> runs(tasks.size(), 0);
+  std::vector<char> same_mask(tasks.size(), 0);
+  WorkStealPool(8).Run(tasks, [&](size_t t) {
+    cpu_set_t mine;
+    CPU_ZERO(&mine);
+    same_mask[t] = sched_getaffinity(0, sizeof(mine), &mine) == 0 && CPU_EQUAL(&mine, &caller);
+    runs[t]++;
+  });
+  for (size_t t = 0; t < tasks.size(); t++) {
+    EXPECT_EQ(runs[t], 1) << "task " << t;
+    EXPECT_TRUE(same_mask[t]) << "task " << t;
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace orochi
