@@ -34,7 +34,8 @@ using demo::Scale;
 namespace {
 
 // Simulates the verifier process dying mid-pass-2: the first `allowed` payload loads
-// succeed (their chunks retire and are journaled), then every load fails permanently.
+// succeed (their chunks retire, check their responses and are journaled), then every
+// load fails permanently.
 class KillSwitchLoader : public TraceChunkLoader {
  public:
   KillSwitchLoader(const StreamTraceSet* set, uint64_t allowed)
@@ -111,11 +112,14 @@ bool RunDemo() {
   }
 
   // --- Run 1: the verifier dies mid-pass-2. ---
+  // Each request costs two loads: its payload, then its response for the output check.
+  // Allowing three quarters of them leaves chunks journaled even when every worker had a
+  // chunk in flight at the kill.
   StreamTraceSet probe;
   if (Result<uint32_t> r = probe.AppendFile(trace_path); !r.ok()) {
     return Fail(r.error());
   }
-  KillSwitchLoader killer(&probe, /*allowed=*/requests / 3);
+  KillSwitchLoader killer(&probe, /*allowed=*/3 * requests / 2);
   StreamAuditHooks hooks;
   hooks.loader = &killer;
   AuditSession first = AuditSession::Open(&w.app, options, w.initial);

@@ -6,8 +6,8 @@
 //   front end 2 (shard 2) ─ Flush/Export ─┼─ manifest ──► AuditSession::FeedShardedEpoch:
 //   front end 3 (shard 3) ─ Flush/Export ─┘               pass 1 streams a skeleton+index,
 //                                                         pass 2 pages group chunks in
-//                                                         under OROCHI_AUDIT_BUDGET,
-//                                                         pass 3 re-streams the compare
+//                                                         under OROCHI_AUDIT_BUDGET and
+//                                                         checks each chunk's responses
 //
 // The demo audits the merged epoch under a deliberately tiny budget (set
 // OROCHI_AUDIT_BUDGET to override; default here is 16 KiB — far below the spilled trace),

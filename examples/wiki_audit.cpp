@@ -57,7 +57,7 @@ int main() {
               "reexec %.3fs, db query %.3fs, compare %.3fs\n",
               phase(obs::Phase::kProcOpReports), phase(obs::Phase::kDbRedo),
               phase(obs::Phase::kPass2Execute), phase(obs::Phase::kDbQuery),
-              phase(obs::Phase::kPass3Compare));
+              phase(obs::Phase::kCompare));
   std::printf("grouped instructions: %llu total, %llu multivalent; baseline instructions: "
               "%llu\n",
               static_cast<unsigned long long>(gs.total_instructions),

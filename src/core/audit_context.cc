@@ -21,7 +21,6 @@ void AuditStats::MergeFrom(const AuditStats& o) {
   db_selects_issued += o.db_selects_issued;
   db_selects_deduped += o.db_selects_deduped;
   checkpoint_chunks_reused += o.checkpoint_chunks_reused;
-  compare_records_resumed += o.compare_records_resumed;
   pass1_transient_peak_bytes = std::max(pass1_transient_peak_bytes,
                                         o.pass1_transient_peak_bytes);
   group_stats.insert(group_stats.end(), o.group_stats.begin(), o.group_stats.end());
@@ -38,19 +37,22 @@ Status AuditContext::Prepare() {
     if (Status st = CheckTraceBalanced(*trace_); !st.ok()) {
       return st;
     }
-    for (const TraceEvent& e : trace_->events) {
+    // Per-rid mutable slots are pre-built here so the re-execution phase never inserts
+    // into these maps (concurrent access to distinct entries is then race-free). The
+    // trace is balanced, so every traced rid has exactly one response and one slot.
+    outputs_.reserve(trace_->events.size() / 2);
+    for (size_t i = 0; i < trace_->events.size(); i++) {
+      const TraceEvent& e = trace_->events[i];
       if (e.kind == TraceEvent::Kind::kRequest) {
         request_events_[e.rid] = &e;
+      } else {
+        outputs_[e.rid].response = i;
       }
     }
-    // Per-rid mutable slots are pre-built here so the re-execution phase never inserts
-    // into these maps (concurrent access to distinct entries is then race-free).
     nondet_cursors_.reserve(request_events_.size());
-    outputs_.reserve(request_events_.size());
     for (const auto& [rid, ev] : request_events_) {
       (void)ev;
       nondet_cursors_.emplace(rid, NondetCursor{});
-      outputs_.emplace(rid, OutputSlot{});
     }
     Result<ProcessedReports> processed = ProcessOpReports(*trace_, *reports_);
     if (!processed.ok()) {
@@ -530,41 +532,59 @@ Status AuditContext::CheckNondetConsumed(RequestId rid) {
   return Status::Ok();
 }
 
-void AuditContext::SetOutput(RequestId rid, std::string body) {
+size_t AuditContext::ResponseIndex(RequestId rid) const {
+  auto it = outputs_.find(rid);
+  return it == outputs_.end() ? SIZE_MAX : it->second.response;
+}
+
+bool AuditContext::CheckOutput(RequestId rid, const std::string& output) {
   auto it = outputs_.find(rid);
   if (it == outputs_.end()) {
-    return;  // Callers only pass traced rids (slots pre-built in Prepare).
+    return false;  // Callers only pass traced rids (slots pre-built in Prepare).
   }
-  it->second.produced = true;
-  it->second.body = std::move(body);
+  OutputSlot& slot = it->second;
+  const bool matched = trace_->events[slot.response].body == output;
+  slot.verdict = matched ? OutputVerdict::kMatched : OutputVerdict::kMismatched;
+  return matched;
 }
 
-const std::string* AuditContext::ProducedOutput(RequestId rid) const {
+void AuditContext::MarkResponseLoadFailed(RequestId rid, Status error) {
   auto it = outputs_.find(rid);
-  if (it == outputs_.end() || !it->second.produced) {
-    return nullptr;
+  if (it != outputs_.end()) {
+    it->second.verdict = OutputVerdict::kLoadFailed;
+    it->second.load_error = std::move(error);
   }
-  return &it->second.body;
 }
 
-std::string AuditContext::CheckResponseOutput(RequestId rid, const std::string& body) const {
+void AuditContext::MarkOutputMatched(RequestId rid) {
   auto it = outputs_.find(rid);
-  if (it == outputs_.end() || !it->second.produced) {
-    return "output: rid " + std::to_string(rid) + " was never re-executed";
+  if (it != outputs_.end()) {
+    it->second.verdict = OutputVerdict::kMatched;
   }
-  if (it->second.body != body) {
-    return "output: rid " + std::to_string(rid) + " response does not match re-execution";
-  }
-  return std::string();
 }
 
-Status AuditContext::CompareOutputs() {
+Status AuditContext::CompareOutputs(bool* load_failed) const {
   for (const TraceEvent& e : trace_->events) {
     if (e.kind != TraceEvent::Kind::kResponse) {
       continue;
     }
-    if (std::string reason = CheckResponseOutput(e.rid, e.body); !reason.empty()) {
-      return Status::Error(reason);
+    auto it = outputs_.find(e.rid);
+    const OutputVerdict verdict =
+        it == outputs_.end() ? OutputVerdict::kUnchecked : it->second.verdict;
+    switch (verdict) {
+      case OutputVerdict::kMatched:
+        continue;
+      case OutputVerdict::kUnchecked:
+        return Status::Error("output: rid " + std::to_string(e.rid) +
+                             " was never re-executed");
+      case OutputVerdict::kMismatched:
+        return Status::Error("output: rid " + std::to_string(e.rid) +
+                             " response does not match re-execution");
+      case OutputVerdict::kLoadFailed:
+        if (load_failed != nullptr) {
+          *load_failed = true;
+        }
+        return it->second.load_error;
     }
   }
   return Status::Ok();

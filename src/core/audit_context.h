@@ -7,14 +7,16 @@
 // OpMap, and trace indexes are immutable, so CheckOp/SimOp reads are lock-free. The only
 // mutable shared state on the re-execution path is (a) the SELECT parse + dedup caches,
 // which are sharded with per-shard mutexes so §4.5 query dedup keeps working across
-// threads, and (b) per-request cursors/output slots, which are pre-built for every traced
-// rid in Prepare() and only ever touched by the one worker executing that rid's group.
+// threads, and (b) per-request cursors and output-verdict slots, which are pre-built for
+// every traced rid in Prepare() and only ever touched by the one worker executing that
+// rid's group.
 // Stats on the hot path accumulate into a per-worker AuditWorkerState and are merged at
 // join, keeping counters contention-free.
 #ifndef SRC_CORE_AUDIT_CONTEXT_H_
 #define SRC_CORE_AUDIT_CONTEXT_H_
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -53,10 +55,10 @@ struct AuditOptions {
   // production posix environment; tests install a FaultInjectingEnv here to drive the
   // whole pipeline through injected faults. Not owned.
   Env* io_env = nullptr;
-  // When nonempty, FeedEpochFilesStreamed and FeedShardedEpoch journal completed pass-2
-  // chunks and the pass-3 compare watermark to this sidecar file and, on a later run over
-  // the same epoch, resume without redoing that work. Removed once a verdict (accept or
-  // reject) is reached; an I/O-failed run keeps it for the retry.
+  // When nonempty, FeedEpochFilesStreamed and FeedShardedEpoch journal each chunk task
+  // whose re-execution and output checks passed to this sidecar file and, on a later run
+  // over the same epoch, resume without redoing that work. Removed once a verdict (accept
+  // or reject) is reached; an I/O-failed run keeps it for the retry.
   std::string checkpoint_path;
   InterpreterOptions interp;
 };
@@ -75,12 +77,9 @@ struct AuditStats {
   uint64_t ops_checked = 0;
   uint64_t db_selects_issued = 0;   // SELECTs actually run against versioned storage.
   uint64_t db_selects_deduped = 0;  // SELECTs answered from the dedup cache.
-  // Pass-2 chunk tasks replayed from a checkpoint journal instead of re-executed (only
-  // nonzero on a resumed streamed audit; see src/stream/checkpoint.h).
+  // Chunk tasks replayed from a checkpoint journal instead of re-executed and checked
+  // (only nonzero on a resumed streamed audit; see src/stream/checkpoint.h).
   uint64_t checkpoint_chunks_reused = 0;
-  // Pass-3 response compares skipped on resume because they sit below the prior run's
-  // journaled compare watermark.
-  uint64_t compare_records_resumed = 0;
   // Largest record payload pass 1 transiently materialized while indexing the reports
   // spill (max-merged, not summed). Bounded by ~wire::kMaxOpLogSegmentBytes for v3
   // spills; a v2 file pays its largest monolithic op-log record.
@@ -173,22 +172,26 @@ class AuditContext {
   const ProcessedReports& processed() const { return processed_; }
   AuditStats& stats() { return stats_; }
 
-  // Produced-output registry (filled by the re-execution drivers). Slots exist for every
-  // traced rid after Prepare(), so concurrent SetOutput calls for distinct rids never
-  // mutate the map structure; callers must only pass rids present in the trace.
-  void SetOutput(RequestId rid, std::string body);
-  // The output a re-execution produced for rid, or nullptr when none was set. Same
-  // concurrency discipline as SetOutput: only the worker owning rid's task may call this
-  // while tasks run (the checkpoint journal captures a chunk's outputs through it).
-  const std::string* ProducedOutput(RequestId rid) const;
-  // Compares produced outputs against the trace's responses (the final accept check).
-  Status CompareOutputs();
-  // Verdict for one traced response against the produced outputs; empty = match. The
-  // single source of both rejection reasons ("never re-executed" / mismatch):
-  // CompareOutputs walks the in-memory trace with it, and the out-of-core comparer calls
-  // it per re-streamed response body (the skeleton trace holds no bodies), so the two
-  // paths cannot drift apart.
-  std::string CheckResponseOutput(RequestId rid, const std::string& body) const;
+  // --- Output checks (the audit's final accept condition, Figure 3) ---
+  // Every traced rid has one verdict slot, pre-built in Prepare(): unchecked until the
+  // re-execution that produced rid's output checks it. While tasks run, only the worker
+  // owning rid's task touches its slot.
+  //
+  // Event index of rid's traced response; SIZE_MAX when rid is untraced.
+  size_t ResponseIndex(RequestId rid) const;
+  // Compares `output`, rid's re-executed output, with rid's traced response body and
+  // records the verdict; true on a match. The body must be resident: the streamed feed
+  // pages it in around the call (AuditTaskGate::AcquireResponse).
+  bool CheckOutput(RequestId rid, const std::string& output);
+  // Records that rid's response could not be paged in for its check.
+  void MarkResponseLoadFailed(RequestId rid, Status error);
+  // Records rid as matched without a check: the replay of a journaled task, every one of
+  // whose outputs matched when it was journaled.
+  void MarkOutputMatched(RequestId rid);
+  // The final verdict scan: the first response in trace order whose rid was never
+  // checked ("never re-executed"), mismatched, or failed to load. A load failure returns
+  // the loader's Status and sets *load_failed — a file-level error, not a verdict.
+  Status CompareOutputs(bool* load_failed = nullptr) const;
 
   // The end-of-period object state implied by the logs (kept as the next InitialState).
   InitialState ExtractFinalState() const;
@@ -266,9 +269,11 @@ class AuditContext {
   std::unordered_map<RequestId, NondetCursor> nondet_cursors_;
   static const std::vector<NondetRecord> kNoNondet;
 
+  enum class OutputVerdict : uint8_t { kUnchecked, kMatched, kMismatched, kLoadFailed };
   struct OutputSlot {
-    bool produced = false;
-    std::string body;
+    size_t response = SIZE_MAX;  // Event index of rid's traced response.
+    OutputVerdict verdict = OutputVerdict::kUnchecked;
+    Status load_error;  // Why paging the response in failed (kLoadFailed only).
   };
   std::unordered_map<RequestId, OutputSlot> outputs_;
 

@@ -46,6 +46,9 @@ AuditPlan PlanAuditTasks(AuditContext* ctx, const Reports& reports, const Applic
     if (!group_ok) {
       break;
     }
+    // An unknown script's requests were answered with kNoSuchScriptBody and issued no
+    // operation. Their chunks still run as tasks (prog == nullptr), so their responses
+    // reach the same output check as everyone else's.
     const Program* prog = app->GetScript(first->script);
     if (prog == nullptr) {
       for (RequestId rid : rids) {
@@ -56,12 +59,10 @@ AuditPlan PlanAuditTasks(AuditContext* ctx, const Reports& reports, const Applic
           group_ok = false;
           break;
         }
-        ctx->SetOutput(rid, kNoSuchScriptBody);
       }
       if (!group_ok) {
         break;
       }
-      continue;
     }
     for (size_t start = 0; start < rids.size(); start += options.max_group_size) {
       size_t end = std::min(rids.size(), start + options.max_group_size);
@@ -98,6 +99,22 @@ std::vector<size_t> PoolDispatchIndexes(const std::vector<AuditTask>& tasks,
                      [&](size_t a, size_t b) { return tasks[a].cost > tasks[b].cost; });
   }
   return pool;
+}
+
+// Checks one retired rid's output against its traced response, paging the response in
+// through the gate (when there is one) around the check. True on a match.
+bool CheckRetiredOutput(AuditContext* ctx, AuditTaskGate* gate, RequestId rid,
+                        const std::string& output) {
+  if (gate == nullptr) {
+    return ctx->CheckOutput(rid, output);
+  }
+  if (Status st = gate->AcquireResponse(rid); !st.ok()) {
+    ctx->MarkResponseLoadFailed(rid, std::move(st));
+    return false;
+  }
+  const bool matched = ctx->CheckOutput(rid, output);
+  gate->ReleaseResponse(rid);
+  return matched;
 }
 
 }  // namespace
@@ -138,13 +155,14 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
       if (journal != nullptr) {
         if (const AuditTaskRecord* rec = journal->Lookup(task.order); rec != nullptr) {
           // Replay the journaled contribution: no gate (nothing is paged in), no
-          // re-execution — the recorded stats and outputs stand in for both. Journaled
+          // re-execution and no checks — a task is journaled only once every output
+          // matched, and the epoch fingerprint binds every response's CRC. Journaled
           // stats carry no phases, so the replay span is the chunk's only time.
           task_stats[i] = rec->stats;
           task_stats[i].checkpoint_chunks_reused += 1;
           obs::TraceSpan span(&task_stats[i].phases, obs::Phase::kCheckpointReplay);
-          for (const auto& [rid, body] : rec->outputs) {
-            ctx->SetOutput(rid, body);
+          for (RequestId rid : task.rids) {
+            ctx->MarkOutputMatched(rid);
           }
           return;
         }
@@ -159,30 +177,30 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
         }
       }
       AuditWorkerState ws(&task_stats[i]);
-      Status run;
-      {
+      Result<std::vector<std::string>> outputs = [&] {
         // The chunk's SELECTs record db_query into the same block; the span subtracts
         // them, so pass2_execute is the re-execution alone (Figure 9's PHP).
         obs::TraceSpan span(&task_stats[i].phases, obs::Phase::kPass2Execute);
-        run = RunGroupChunk(app, options.interp, ctx, task.prog, task.rids, &ws);
-      }
-      if (!run.ok()) {
-        task_error[i] = run.error();
-        record_failure(task.order);
-      }
+        return RunGroupChunk(app, options.interp, ctx, task.prog, task.rids, &ws);
+      }();
       if (gate != nullptr) {
         gate->Release(task);
       }
-      if (run.ok() && journal != nullptr) {
-        AuditTaskRecord rec;
-        rec.stats = task_stats[i];
-        rec.outputs.reserve(task.rids.size());
-        for (RequestId rid : task.rids) {
-          if (const std::string* body = ctx->ProducedOutput(rid)) {
-            rec.outputs.emplace_back(rid, *body);
-          }
+      if (!outputs.ok()) {
+        task_error[i] = outputs.error();
+        record_failure(task.order);
+        return;
+      }
+      // One response resident at a time, after the chunk's own bytes left the budget.
+      bool matched = true;
+      {
+        obs::TraceSpan span(&task_stats[i].phases, obs::Phase::kCompare);
+        for (size_t j = 0; j < task.rids.size(); j++) {
+          matched &= CheckRetiredOutput(ctx, gate, task.rids[j], outputs.value()[j]);
         }
-        journal->Record(task, rec);
+      }
+      if (matched && journal != nullptr) {
+        journal->Record(task, AuditTaskRecord{task_stats[i]});
       }
     };
 

@@ -6,7 +6,8 @@
 // Both `AuditSession::FeedEpoch` and the streaming audit (src/stream/) drive exactly this
 // code, which is what makes their verdict, rejection reason, and final_state bit-identical
 // by construction: the only difference between the two paths is the AuditTaskGate an
-// out-of-core caller installs to page a task's trace payloads in and out around its run.
+// out-of-core caller installs to page a task's trace payloads in and out around its run
+// and each response in and out around its output check.
 #ifndef SRC_CORE_AUDIT_PLAN_H_
 #define SRC_CORE_AUDIT_PLAN_H_
 
@@ -22,7 +23,7 @@ namespace orochi {
 // is the tiebreak that makes rejection deterministic across thread counts.
 struct AuditTask {
   size_t order = 0;
-  const Program* prog = nullptr;
+  const Program* prog = nullptr;  // nullptr: the group targets a script the app lacks.
   std::vector<RequestId> rids;
   // Scheduling cost estimate: requests plus the total reported op-length of the chunk
   // (Σ 1 + M(rid)). Group length is unknown until executed; op count is the best static
@@ -48,37 +49,44 @@ struct AuditPlan {
 };
 
 // Walks reports.groups in order against a prepared context: validates each group (every
-// rid traced, one script per group), resolves the script, handles unknown-script groups
-// (outputs set at plan time when legal), and cuts runnable groups into max_group_size
-// chunks. Mutates ctx stats (num_groups / groups_multi) exactly as the sequential walk
-// would.
+// rid traced, one script per group, no claimed ops for an unknown script), resolves the
+// script, and cuts each group into max_group_size chunks. Mutates ctx stats (num_groups /
+// groups_multi) exactly as the sequential walk would.
 AuditPlan PlanAuditTasks(AuditContext* ctx, const Reports& reports, const Application* app,
                          const AuditOptions& options);
 
 // Hook bracketing each task's execution, for out-of-core callers: Acquire runs on the
 // worker thread immediately before the task's re-execution (page in the chunk's trace
 // payloads, blocking on the memory budget), Release immediately after it retires (evict).
-// Acquire and Release calls for one task always pair on the same thread; tasks skipped
-// because a strictly earlier failure already decided the verdict get neither call.
+// Then, for each of the task's rids in turn, AcquireResponse pages rid's traced response
+// in for its output check and ReleaseResponse evicts it again; the defaults do nothing,
+// for callers whose trace is resident. Each pair of calls runs on one thread; tasks
+// skipped because a strictly earlier failure already decided the verdict get no call.
 class AuditTaskGate {
  public:
   virtual ~AuditTaskGate() = default;
   virtual Status Acquire(const AuditTask& task) = 0;
   virtual void Release(const AuditTask& task) = 0;
+  // A failed AcquireResponse leaves nothing resident and gets no ReleaseResponse.
+  virtual Status AcquireResponse(RequestId rid) {
+    (void)rid;
+    return Status::Ok();
+  }
+  virtual void ReleaseResponse(RequestId rid) { (void)rid; }
 };
 
-// Everything a successfully retired task contributed: its stats block and the outputs it
-// produced, keyed by its walk order. A checkpoint journal persists these so a resumed
-// audit replays the contribution instead of re-executing the chunk.
+// What a task whose re-execution and output checks all passed contributed, keyed by its
+// walk order. A checkpoint journal persists it so a resumed audit replays the
+// contribution instead of re-executing and re-checking the chunk.
 struct AuditTaskRecord {
   AuditStats stats;
-  std::vector<std::pair<RequestId, std::string>> outputs;  // In task.rids order.
 };
 
 // Sidecar journal of completed tasks (src/stream/checkpoint.h implements it over a wire
-// checkpoint file). Only successful tasks are journaled — failed chunks re-execute on
-// resume and fail identically, which keeps the verdict bit-identical by construction.
-// Both methods are called from worker threads; implementations must be thread-safe.
+// checkpoint file). Only tasks whose every output matched are journaled — other chunks
+// re-execute on resume and fail identically, which keeps the verdict bit-identical by
+// construction. Both methods are called from worker threads; implementations must be
+// thread-safe.
 class AuditTaskJournal {
  public:
   virtual ~AuditTaskJournal() = default;
@@ -99,11 +107,14 @@ struct AuditExecOutcome {
 };
 
 // Runs the plan's tasks: parallel chunks costliest-first over a work-stealing pool of
-// ResolveAuditThreads(options) workers, then the serial chunks in order. Per-task stats
-// merge into ctx->stats() in walk order, so merged statistics are schedule-independent.
-// The returned failure is the plan's failure, a task failure, or a gate failure —
-// whichever claims the smallest walk position. A journaled task replays its record
-// (stats + outputs, checkpoint_chunks_reused incremented) without touching the gate.
+// ResolveAuditThreads(options) workers, then the serial chunks in order. As each chunk
+// retires, its worker checks every output against the traced response
+// (AuditContext::CheckOutput); the caller's CompareOutputs scan turns those verdicts into
+// the output verdict. Per-task stats merge into ctx->stats() in walk order, so merged
+// statistics are schedule-independent. The returned failure is the plan's failure, a
+// task failure, or a gate Acquire failure, whichever claims the smallest walk position.
+// A journaled task replays its record (stats, checkpoint_chunks_reused incremented, its
+// rids marked matched) without touching the gate.
 AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
                                   const AuditOptions& options, const AuditPlan& plan,
                                   AuditTaskGate* gate = nullptr,

@@ -34,10 +34,11 @@ void AuditSession::CommitAccepted(AuditContext* ctx, AuditResult* out) {
 
 // The grouped SSCO audit engine (paper Figures 3 and 12): balanced-trace check,
 // consistent-ordering verification and versioned-storage builds (AuditContext::Prepare),
-// grouped SIMD-on-demand re-execution over a work-stealing pool, then the produced-output
-// vs. trace comparison. Planning and execution live in src/core/audit_plan.{h,cc}, shared
-// with the out-of-core streaming path so both are deterministic in lockstep. On ACCEPT,
-// final_state chains into the next FeedEpoch call.
+// grouped SIMD-on-demand re-execution over a work-stealing pool, each chunk's outputs
+// checked against the trace as it retires, then the verdict scan over those checks.
+// Planning and execution live in src/core/audit_plan.{h,cc}, shared with the out-of-core
+// streaming path so both are deterministic in lockstep. On ACCEPT, final_state chains
+// into the next FeedEpoch call.
 AuditResult AuditSession::FeedEpoch(const Trace& trace, const Reports& reports) {
   AuditResult out;
   // FeedEpoch has no error channel, so a malformed OROCHI_AUDIT_THREADS reports as a
@@ -65,7 +66,7 @@ AuditResult AuditSession::FeedEpoch(const Trace& trace, const Reports& reports) 
 
   Status compared;
   {
-    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kPass3Compare);
+    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kCompare);
     compared = ctx.CompareOutputs();
   }
   if (!compared.ok()) {

@@ -14,8 +14,8 @@
 // can be re-fed, after which later epochs verify normally.
 //
 // FeedEpoch owns the grouped SSCO audit engine (planning, the work-stealing parallel
-// re-execution, output comparison); Auditor::Audit is a thin one-epoch wrapper over a
-// fresh session, kept for compatibility.
+// re-execution with each chunk's output checks, the final verdict scan); Auditor::Audit
+// is a thin one-epoch wrapper over a fresh session, kept for compatibility.
 #ifndef SRC_CORE_AUDIT_SESSION_H_
 #define SRC_CORE_AUDIT_SESSION_H_
 
@@ -68,10 +68,11 @@ class AuditSession {
   // file materializes in full: pass 1 streams both files record-by-record into payload
   // -free skeletons plus byte-offset indexes, Prepare pages op-log contents and pass 2
   // pages request payloads and op-log contents in on demand under
-  // AuditOptions::max_resident_bytes (env OROCHI_AUDIT_BUDGET), and the final output
-  // comparison pages response bodies in one at a time. The verdict, rejection reason,
-  // and final_state are bit-identical to FeedEpoch over the decoded files at every
-  // thread count and budget — both paths drive the engine in src/core/audit_plan.h.
+  // AuditOptions::max_resident_bytes (env OROCHI_AUDIT_BUDGET), and each retiring chunk
+  // pages its response bodies in one at a time for its output checks. The verdict,
+  // rejection reason, and final_state are bit-identical to FeedEpoch over the decoded
+  // files at every thread count and budget — both paths drive the engine in
+  // src/core/audit_plan.h.
   // `hooks` injects a counting loader/budget for tests and benches; nullptr = defaults.
   Result<AuditResult> FeedEpochFilesStreamed(const std::string& trace_path,
                                              const std::string& reports_path,

@@ -78,10 +78,13 @@ AuditResult Auditor::AuditSequential(const Trace& trace, const Reports& reports,
       if (e.kind != TraceEvent::Kind::kRequest) {
         continue;
       }
-      replayed = ReplaySingleRequest(app_, opts.interp, &ctx, e.rid, &ws);
-      if (!replayed.ok()) {
+      Result<std::string> output =
+          ReplaySingleRequest(app_, opts.interp, &ctx, e.rid, &ws);
+      if (!output.ok()) {
+        replayed = output.status();
         break;
       }
+      ctx.CheckOutput(e.rid, output.value());  // Timed as part of the replay.
     }
   }
   if (!replayed.ok()) {
@@ -89,7 +92,7 @@ AuditResult Auditor::AuditSequential(const Trace& trace, const Reports& reports,
   }
   Status compared;
   {
-    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kPass3Compare);
+    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kCompare);
     compared = ctx.CompareOutputs();
   }
   if (!compared.ok()) {

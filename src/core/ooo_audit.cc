@@ -194,7 +194,7 @@ AuditResult OOOAudit(const Application* app, const Trace& trace, const Reports& 
           }
           ctx.stats().total_instructions += t.interp->instructions_executed();
         }
-        ctx.SetOutput(entry.rid, t.body);
+        ctx.CheckOutput(entry.rid, t.body);
         continue;
       }
 

@@ -7,8 +7,10 @@
 
 namespace orochi {
 
-Status ReplaySingleRequest(const Application* app, const InterpreterOptions& interp_options,
-                           AuditContext* ctx, RequestId rid, AuditWorkerState* ws) {
+Result<std::string> ReplaySingleRequest(const Application* app,
+                                        const InterpreterOptions& interp_options,
+                                        AuditContext* ctx, RequestId rid,
+                                        AuditWorkerState* ws) {
   const TraceEvent* req = ctx->RequestEvent(rid);
   if (req == nullptr) {
     return Status::Error("re-exec: rid " + std::to_string(rid) + " is not in the trace");
@@ -19,8 +21,7 @@ Status ReplaySingleRequest(const Application* app, const InterpreterOptions& int
       return Status::Error("re-exec: rid " + std::to_string(rid) +
                            " targets an unknown script but claims operations");
     }
-    ctx->SetOutput(rid, kNoSuchScriptBody);
-    return Status::Ok();
+    return std::string(kNoSuchScriptBody);
   }
   ctx->ResetNondet(rid);
   Interpreter interp(prog, &req->params, interp_options);
@@ -29,11 +30,11 @@ Status ReplaySingleRequest(const Application* app, const InterpreterOptions& int
   while (true) {
     StepResult step = interp.Run();
     if (step.kind == StepResult::Kind::kFinished) {
-      body = interp.output();
+      body = interp.TakeOutput();
       break;
     }
     if (step.kind == StepResult::Kind::kError) {
-      body = interp.output() + "\n[error] " + step.error;
+      body = interp.TakeOutput() + "\n[error] " + step.error;
       break;
     }
     if (step.kind == StepResult::Kind::kStateOp) {
@@ -64,14 +65,18 @@ Status ReplaySingleRequest(const Application* app, const InterpreterOptions& int
     return st;
   }
   ws->stats->total_instructions += interp.instructions_executed();
-  ctx->SetOutput(rid, std::move(body));
-  return Status::Ok();
+  return body;
 }
 
-Status RunGroupChunk(const Application* app, const InterpreterOptions& interp_options,
-                     AuditContext* ctx, const Program* prog,
-                     const std::vector<RequestId>& rids, AuditWorkerState* ws) {
+Result<std::vector<std::string>> RunGroupChunk(const Application* app,
+                                               const InterpreterOptions& interp_options,
+                                               AuditContext* ctx, const Program* prog,
+                                               const std::vector<RequestId>& rids,
+                                               AuditWorkerState* ws) {
   const size_t n = rids.size();
+  if (prog == nullptr) {
+    return std::vector<std::string>(n, std::string(kNoSuchScriptBody));
+  }
   std::vector<const RequestParams*> params(n);
   for (size_t j = 0; j < n; j++) {
     const TraceEvent* req = ctx->RequestEvent(rids[j]);
@@ -102,13 +107,12 @@ Status RunGroupChunk(const Application* app, const InterpreterOptions& interp_op
           if (Status st = ctx->CheckNondetConsumed(rids[j]); !st.ok()) {
             return st;
           }
-          // Copied, not moved: the copy is sized to fit, while the append buffer can hold
-          // up to twice its size, resident until the pass-3 compare.
-          std::string body = acc.outputs()[j];
-          if (step.kind == AccStepResult::Kind::kError) {
+        }
+        std::vector<std::string> outputs = acc.TakeOutputs();
+        if (step.kind == AccStepResult::Kind::kError) {
+          for (std::string& body : outputs) {
             body += "\n[error] " + step.error;
           }
-          ctx->SetOutput(rids[j], std::move(body));
         }
         ws->stats->total_instructions += acc.total_instructions();
         ws->stats->multivalent_instructions += acc.multivalent_instructions();
@@ -118,7 +122,7 @@ Status RunGroupChunk(const Application* app, const InterpreterOptions& interp_op
              len == 0 ? 1.0
                       : 1.0 - static_cast<double>(acc.multivalent_instructions()) /
                                   static_cast<double>(len)});
-        return Status::Ok();
+        return outputs;
       }
       case AccStepResult::Kind::kDiverged:
         return Status::Error("group re-exec: control-flow grouping is wrong: " + step.error);
@@ -126,12 +130,17 @@ Status RunGroupChunk(const Application* app, const InterpreterOptions& interp_op
         // Not representable in lockstep (§4.7): re-execute the chunk's requests
         // individually. Re-execution is idempotent, so ops already checked recheck fine.
         ws->stats->fallback_groups++;
+        std::vector<std::string> outputs;
+        outputs.reserve(n);
         for (RequestId rid : rids) {
-          if (Status st = ReplaySingleRequest(app, interp_options, ctx, rid, ws); !st.ok()) {
-            return st;
+          Result<std::string> out =
+              ReplaySingleRequest(app, interp_options, ctx, rid, ws);
+          if (!out.ok()) {
+            return out.status();
           }
+          outputs.push_back(std::move(out).value());
         }
-        return Status::Ok();
+        return outputs;
       }
       case AccStepResult::Kind::kStateOp: {
         opnum++;

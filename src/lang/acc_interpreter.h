@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/lang/builtins.h"
@@ -63,6 +64,8 @@ class AccInterpreter {
 
   size_t group_size() const { return params_.size(); }
   const std::vector<std::string>& outputs() const { return outputs_; }
+  // Moves the per-request outputs out (the run is over; outputs() is empty afterwards).
+  std::vector<std::string> TakeOutputs() { return std::move(outputs_); }
 
   // Statistics backing Figures 10/11: instruction executions and how many of them were
   // multivalent (took the componentwise path).

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/lang/builtins.h"
@@ -47,6 +48,8 @@ class Interpreter {
 
   bool finished() const { return finished_; }
   const std::string& output() const { return output_; }
+  // Moves the output out (the run is over; output() is empty afterwards).
+  std::string TakeOutput() { return std::move(output_); }
   uint64_t digest() const { return digest_; }
   uint64_t instructions_executed() const { return instructions_; }
 

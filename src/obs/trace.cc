@@ -14,7 +14,7 @@ namespace {
 // Chrome-trace (and the metric-name suffixes) want stable lowercase identifiers.
 constexpr const char* kPhaseNames[kNumPhases] = {
     "shard_merge",   "pass1_skeleton", "proc_op_reports",   "db_redo", "pass2_io_wait",
-    "pass2_execute", "db_query",       "checkpoint_replay", "pass3_compare",
+    "pass2_execute", "db_query",       "checkpoint_replay", "compare",
 };
 
 // Stable small integer per thread for chrome-trace "tid" fields.

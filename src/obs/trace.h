@@ -5,19 +5,20 @@
 // merge, pass-2 I/O wait, checkpoint replay).
 //
 //   {
-//     obs::TraceSpan span(&stats.phases, obs::Phase::kPass3Compare);
+//     obs::TraceSpan span(&stats.phases, obs::Phase::kCompare);
 //     ctx.CompareOutputs();
 //   }  // adds the scope's time to stats.phases, mirrors it into PhaseTracer::Default()
 //
 // Phases are disjoint: no span encloses another on the same breakdown, and time recorded
 // quietly inside an open span (the db_query seconds of a chunk's SELECTs) is subtracted
 // from it. Parallel workers each own a breakdown, merged by the caller, so a breakdown
-// sums thread-seconds, not wall time: passes 1, 2 and 3 all run on the audit's worker
-// pool, and each task or worker there times itself into a breakdown no other thread
-// touches. Every span is also mirrored into the process-wide PhaseTracer, which feeds
-// orochi_phase_<name>_micros_total / _spans_total counters and, when OROCHI_TRACE_FILE is
-// set, buffers one event per span and dumps Chrome-trace JSON (load it in
-// chrome://tracing or https://ui.perfetto.dev) at process exit or on FlushChromeTrace().
+// sums thread-seconds, not wall time: passes 1 and 2 (with each chunk's output checks)
+// run on the audit's worker pool, and each task there times itself into a breakdown no
+// other thread touches. Every span is also mirrored into the process-wide PhaseTracer,
+// which feeds orochi_phase_<name>_micros_total / _spans_total counters and, when
+// OROCHI_TRACE_FILE is set, buffers one event per span and dumps Chrome-trace JSON (load
+// it in chrome://tracing or https://ui.perfetto.dev) at process exit or on
+// FlushChromeTrace().
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -46,7 +47,8 @@ enum class Phase : int {
   kPass2Execute,      // Re-executing one group chunk, its db_query time excluded (PHP).
   kDbQuery,           // SELECTs run against versioned storage; a span per SELECT issued.
   kCheckpointReplay,  // Journaled chunks replayed instead of re-executed on resume.
-  kPass3Compare,      // Produced-output vs. trace comparison: a span per compare worker.
+  kCompare,           // Re-executed outputs vs. traced responses: a span per task's
+                      // checks (response paging included), plus the final verdict scan.
 };
 inline constexpr int kNumPhases = 9;
 const char* PhaseName(Phase phase);

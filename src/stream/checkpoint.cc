@@ -23,17 +23,17 @@ using wire_primitives::PutStr;
 using wire_primitives::PutU32;
 using wire_primitives::PutU64;
 
-// Checkpoint-section record types. Kind 3 (a Prepare watermark in journal layout 1)
-// stays unused so no reader can mistake an old record for a new one.
-constexpr uint8_t kMetaRecord = 1;     // u64 fingerprint, u32 kJournalLayout.
-constexpr uint8_t kChunkRecord = 2;    // One completed task (order + stats + outputs).
-constexpr uint8_t kCompareRecord = 4;  // u64 watermark: responses fully compared (pass 3).
+// Checkpoint-section record types. Kinds 3 (a Prepare watermark in journal layout 1) and
+// 4 (a compare watermark in layout 2) stay unused so no reader can mistake an old record
+// for a new one.
+constexpr uint8_t kMetaRecord = 1;   // u64 fingerprint, u32 kJournalLayout.
+constexpr uint8_t kChunkRecord = 2;  // A task whose outputs all matched: order + stats.
 
 // Layout of the records after the meta record. Journals of any other layout (including
 // those written before the tag existed, whose meta record is the bare fingerprint) are
 // discarded wholesale, so a layout change can never misparse a prior run's records.
-// 2: chunk records carry no timings; no Prepare watermark records.
-constexpr uint32_t kJournalLayout = 2;
+// 3: chunk records carry no outputs; no compare watermark records.
+constexpr uint32_t kJournalLayout = 3;
 
 void EncodeChunkRecord(size_t order, const AuditTaskRecord& rec, std::string* out) {
   out->clear();
@@ -54,11 +54,6 @@ void EncodeChunkRecord(size_t order, const AuditTaskRecord& rec, std::string* ou
     PutU32(out, g.n);
     PutU64(out, g.length);
     PutF64(out, g.alpha);
-  }
-  PutU64(out, rec.outputs.size());
-  for (const auto& [rid, body] : rec.outputs) {
-    PutU64(out, rid);
-    PutStr(out, body);
   }
 }
 
@@ -87,18 +82,6 @@ bool DecodeChunkRecord(const std::string& payload, size_t* order, AuditTaskRecor
         !cur.TakeF64(&g.alpha)) {
       return false;
     }
-  }
-  uint64_t num_outputs;
-  if (!cur.TakeU64(&num_outputs) || !cur.CountFits(num_outputs, 8 + 4)) {
-    return false;
-  }
-  rec->outputs.resize(static_cast<size_t>(num_outputs));
-  for (auto& [rid, body] : rec->outputs) {
-    uint64_t rid64;
-    if (!cur.TakeU64(&rid64) || !cur.TakeStr(&body)) {
-      return false;
-    }
-    rid = static_cast<RequestId>(rid64);
   }
   return cur.AtEnd();
 }
@@ -133,8 +116,7 @@ void ReadWholeFileBestEffort(Env* env, const std::string& path, std::string* out
 // kept) when the envelope, fingerprint, or layout does not match — the file belongs to a
 // different audit or an older journal layout.
 bool ParsePriorJournal(const std::string& data, uint64_t fingerprint,
-                       std::unordered_map<size_t, AuditTaskRecord>* records,
-                       uint64_t* compare_watermark) {
+                       std::unordered_map<size_t, AuditTaskRecord>* records) {
   if (data.size() < wire::kEnvelopeHeaderBytes ||
       data.compare(0, sizeof(wire::kMagic), wire::kMagic, sizeof(wire::kMagic)) != 0) {
     return false;
@@ -175,23 +157,12 @@ bool ParsePriorJournal(const std::string& data, uint64_t fingerprint,
       saw_meta = true;
       continue;
     }
-    if (type == kChunkRecord) {
-      size_t order;
-      AuditTaskRecord rec;
-      if (!DecodeChunkRecord(payload, &order, &rec)) {
-        break;
-      }
-      records->emplace(order, std::move(rec));
-    } else if (type == kCompareRecord) {
-      Cursor cur = MakeCursor(payload);
-      uint64_t watermark;
-      if (!cur.TakeU64(&watermark) || !cur.AtEnd()) {
-        break;
-      }
-      *compare_watermark = std::max(*compare_watermark, watermark);
-    } else {
-      break;  // Unknown record kind: treat like a torn tail.
+    size_t order;
+    AuditTaskRecord rec;
+    if (type != kChunkRecord || !DecodeChunkRecord(payload, &order, &rec)) {
+      break;  // Unknown record kind or malformed record: treat like a torn tail.
     }
+    records->emplace(order, std::move(rec));
   }
   return saw_meta;
 }
@@ -282,14 +253,10 @@ Result<std::unique_ptr<CheckpointJournal>> CheckpointJournal::Open(Env* env,
 
   std::string prior;
   ReadWholeFileBestEffort(env, path, &prior);
-  if (!prior.empty() &&
-      !ParsePriorJournal(prior, fingerprint, &journal->records_,
-                         &journal->compare_loaded_)) {
+  if (!prior.empty() && !ParsePriorJournal(prior, fingerprint, &journal->records_)) {
     journal->records_.clear();
-    journal->compare_loaded_ = 0;
   }
   journal->loaded_ = journal->records_.size();
-  journal->compare_appended_ = journal->compare_loaded_;
 
   // Rewrite the journal fresh: envelope + meta + every surviving record. This truncates
   // any torn tail in place, so appends always extend a well-formed prefix.
@@ -306,11 +273,6 @@ Result<std::unique_ptr<CheckpointJournal>> CheckpointJournal::Open(Env* env,
   for (const auto& [order, rec] : journal->records_) {
     EncodeChunkRecord(order, rec, &payload);
     wire::AppendRecordFrame(&buf, kChunkRecord, payload);
-  }
-  if (journal->compare_loaded_ > 0) {
-    payload.clear();
-    PutU64(&payload, journal->compare_loaded_);
-    wire::AppendRecordFrame(&buf, kCompareRecord, payload);
   }
   if (Status st = journal->out_->Append(buf); !st.ok()) {
     return st.Prefixed("checkpoint: cannot write " + path + ": ");
@@ -344,19 +306,6 @@ void CheckpointJournal::Record(const AuditTask& task, const AuditTaskRecord& rec
   EncodeChunkRecord(task.order, record, &payload);
   std::lock_guard<std::mutex> lock(mu_);
   AppendFrame(kChunkRecord, payload);
-}
-
-void CheckpointJournal::RecordCompareWatermark(uint64_t responses_compared) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (responses_compared <= compare_appended_) {
-    return;  // The watermark on disk already covers this prefix.
-  }
-  std::string payload;
-  PutU64(&payload, responses_compared);
-  AppendFrame(kCompareRecord, payload);
-  if (!write_failed_) {
-    compare_appended_ = responses_compared;
-  }
 }
 
 Status CheckpointJournal::RemoveFile() {

@@ -1,10 +1,10 @@
 // Resumable streamed audits: a sidecar wire file (Section::kCheckpoint) journaling audit
-// progress — completed pass-2 chunk tasks (replayed on resume instead of re-executed) and
-// the pass-3 compare watermark — so a killed verifier resumes without redoing retired
-// re-execution or comparison. (Prepare's store builds are in-memory and always rerun.)
-// Because the engine is deterministic and only successful work is journaled, a resumed
-// run's verdict, rejection reason, and final state are bit-identical to an uninterrupted
-// run at every thread count and memory budget.
+// progress — each chunk task whose re-execution and output checks all passed, replayed
+// on resume (its rids marked matched) instead of re-executed and re-checked — so a
+// killed verifier resumes without redoing retired work. (Prepare's store builds are
+// in-memory and always rerun.) Because the engine is deterministic and only successful
+// work is journaled, a resumed run's verdict, rejection reason, and final state are
+// bit-identical to an uninterrupted run at every thread count and memory budget.
 //
 // File layout: the standard 13-byte envelope, then one meta record carrying the epoch
 // fingerprint and the journal-layout tag, then progress records appended (and fsynced) as
@@ -13,7 +13,7 @@
 // first malformed/CRC-failed byte and discarding the rest. A fingerprint mismatch
 // (different epoch content, different audit-relevant options) or a layout mismatch (a
 // journal from an older build) discards the whole file, so a stale checkpoint can never
-// smuggle another epoch's outputs into this one.
+// vouch for another epoch's outputs.
 #ifndef SRC_STREAM_CHECKPOINT_H_
 #define SRC_STREAM_CHECKPOINT_H_
 
@@ -37,7 +37,8 @@ class StreamReportsSet;
 // what the audit computes (max_group_size, enable_query_dedup, and
 // interp.max_instructions, whose trap decides which ops a runaway request issued).
 // Binding payload CRCs is what makes replay sound: both runs' pass 1 read the spill files
-// end to end, so a file that changed between runs cannot fingerprint-match. The plan
+// end to end, so a file that changed between runs cannot fingerprint-match, and a
+// replayed task's responses are the very bytes its journaled checks matched. The plan
 // needs no separate binding — it is a deterministic function of the skeletons and
 // options, so task orders stay stable across runs.
 // Deliberately NOT hashed: thread count, memory budget, io_env, checkpoint_path — those
@@ -64,14 +65,6 @@ class CheckpointJournal : public AuditTaskJournal {
   // (the journal stops growing) but never the audit.
   void Record(const AuditTask& task, const AuditTaskRecord& record) override;
 
-  // --- Pass-3 compare watermark: responses fully compared, in trace order ---
-  // A resumed run skips re-comparing the first `prior_compare_watermark()` responses:
-  // sound because the fingerprint binds every response payload's CRC, and a surviving
-  // journal means the prior run reached no verdict — all compared responses matched.
-  uint64_t prior_compare_watermark() const { return compare_loaded_; }
-  // Appends the watermark (monotone; appends only when it advances past what is on disk).
-  void RecordCompareWatermark(uint64_t responses_compared);
-
   // Closes the append handle and deletes the journal file. Called once a verdict
   // (accept or reject) is reached; an I/O-failed audit keeps the file for resume.
   Status RemoveFile();
@@ -87,11 +80,8 @@ class CheckpointJournal : public AuditTaskJournal {
   Env* env_;
   std::string path_;
   std::unique_ptr<WritableFile> out_;
-  std::mutex mu_;  // Guards out_, write_failed_, compare_appended_; compare_loaded_
-                   // and records_ are frozen after Open.
+  std::mutex mu_;  // Guards out_ and write_failed_; records_ is frozen after Open.
   std::unordered_map<size_t, AuditTaskRecord> records_;
-  uint64_t compare_loaded_ = 0;
-  uint64_t compare_appended_ = 0;  // Highest watermark on disk (loaded or appended).
   size_t loaded_ = 0;
   bool write_failed_ = false;
 };

@@ -327,7 +327,7 @@ Status FileReportsChunkLoader::Load(StreamReportsSet* set, size_t object,
   // Split the range into maximal near-contiguous per-file runs — one pread per run.
   // Entries merged from different shard files never coalesce across the file boundary,
   // and a gap of up to kCoalesceGapBytes within one file is bridged (v3 segmented spills
-  // put ~37 bytes of record + segment framing between entries that v1/v2 wrote
+  // put ~37 bytes of record + segment framing between entries that v2 wrote
   // back-to-back; the gap bytes are read and discarded).
   uint64_t start = first_seqnum;
   const uint64_t end = first_seqnum + count;

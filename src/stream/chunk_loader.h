@@ -61,7 +61,7 @@ class ChunkBudget {
 // Adjacent point reads (one chunk's trace payloads, one run's op-log entries) coalesce
 // into single preads when the file gap between them is at most this many bytes — sized
 // to bridge v3 op-log segment framing (a 13-byte record frame + 24-byte segment
-// preamble separates entries that v1/v2 wrote contiguously) with margin, while never
+// preamble separates entries that v2 wrote contiguously) with margin, while never
 // dragging in a meaningful stretch of unrelated bytes. Gap bytes are read and discarded;
 // only payload bytes are ever charged to the budget.
 inline constexpr uint64_t kCoalesceGapBytes = 256;

@@ -50,8 +50,8 @@ class StreamReportsSet {
   // reader uses, then shedding op-log contents) and merges it onto the skeleton via
   // AppendReports semantics. At most one record's payload is transiently resident during
   // the pass — and since v3 writers cap op-log records at wire::kMaxOpLogSegmentBytes,
-  // that transient is bounded by one *segment* even for a hot object (v1/v2 files still
-  // pay one monolithic record). v3 segment records stitch back into the same per-object
+  // that transient is bounded by one *segment* even for a hot object (v2 files still pay
+  // one monolithic record). v3 segment records stitch back into the same per-object
   // entry index monolithic records produce, so everything downstream (loaders, scanners,
   // planning) is segmentation-blind. Merge-level errors (rid overlap with an earlier
   // file) are prefixed with `path`; decode errors already name the file. Reads go through
@@ -86,7 +86,7 @@ class StreamReportsSet {
   // Largest single record payload transiently materialized while indexing — the pass-1
   // residency the chunk budget cannot see (records are decoded before any loader runs).
   // With a v3 writer this is bounded by ~wire::kMaxOpLogSegmentBytes + one entry; with a
-  // v1/v2 file it is the largest monolithic op-log record. Also exported as the
+  // v2 file it is the largest monolithic op-log record. Also exported as the
   // orochi_pass1_transient_peak_bytes gauge.
   uint64_t pass1_transient_peak_bytes() const { return pass1_transient_peak_bytes_; }
 

@@ -9,13 +9,12 @@
 //           forward scan, paged in by SegmentedOpLogScanner in byte-capped segments
 //   pass 2  ExecuteAuditPlan + StreamTaskGate — re-execute chunks whose request payloads
 //           AND claimed op-log entry contents are paged in on demand, both charged to the
-//           one ChunkBudget
-//   pass 3  StreamedCompareOutputs — workers claim responses in trace order, each paging
-//           one response body in at a time (point reads via the pass-1 index, charged
-//           to the ChunkBudget) and comparing it against the produced output; the
-//           failure with the smallest trace index is the verdict
+//           one ChunkBudget; as a chunk retires, its worker pages each of its responses
+//           in alone (a point read via the pass-1 index, charged to the same budget),
+//           checks the output against it, and evicts it
+//   verdict AuditContext::CompareOutputs — the per-rid verdicts scanned in trace order
 //
-// Passes 1, 2 and 3 run on AuditOptions::num_threads workers; only Prepare (and the shard
+// Passes 1 and 2 run on AuditOptions::num_threads workers; only Prepare (and the shard
 // merge's fold) runs on one thread.
 //
 // Verdict, rejection reason, and final_state are bit-identical to the in-memory
@@ -24,7 +23,6 @@
 // path only changes *when* payload and contents bytes are resident, never what the audit
 // computes.
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -33,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/work_steal_pool.h"
 #include "src/core/audit_plan.h"
 #include "src/core/audit_session.h"
 #include "src/objects/wire_format.h"
@@ -61,11 +58,12 @@ struct ClaimedChunk {
 };
 
 // Pages one chunk's request payloads and op-log entry contents in around its
-// re-execution. Acquire/Release run on the worker thread executing the task; pool tasks
-// never share a rid (duplicate claims run serially after the join), and every op-log
-// entry is claimed by exactly one (rid, opnum) — CheckLogs rejects duplicate claims
-// before any task runs — so the skeleton events and log entries a gate call mutates are
-// only ever read by that same thread's RunGroupChunk.
+// re-execution, then each of its responses around that rid's output check. Every call
+// runs on the worker thread executing the task; pool tasks never share a rid (duplicate
+// claims run serially after the join), and every op-log entry is claimed by exactly one
+// (rid, opnum) — CheckLogs rejects duplicate claims before any task runs — so the
+// skeleton events and log entries a gate call mutates are only ever read by that same
+// thread.
 class StreamTaskGate : public AuditTaskGate {
  public:
   StreamTaskGate(StreamTraceSet* traces, TraceChunkLoader* trace_loader,
@@ -101,6 +99,30 @@ class StreamTaskGate : public AuditTaskGate {
     trace_loader_->OnChunkEvicted(chunk.trace_bytes);
     reports_loader_->OnChunkEvicted(chunk.report_bytes);
     budget_->Release(chunk.trace_bytes + chunk.report_bytes);
+  }
+
+  // A response is its own admission, made after its chunk released the chunk's bytes, so
+  // checking never grows a chunk's admission.
+  Status AcquireResponse(RequestId rid) override {
+    const size_t index = ctx_->ResponseIndex(rid);
+    const uint64_t bytes = traces_->loc(index).bytes;
+    budget_->Acquire(bytes);
+    trace_loader_->OnChunkResident(bytes);
+    Status st =
+        trace_loader_->Load(*traces_, index, &traces_->mutable_skeleton()->events[index]);
+    if (!st.ok()) {
+      trace_loader_->OnChunkEvicted(bytes);
+      budget_->Release(bytes);
+    }
+    return st;
+  }
+
+  void ReleaseResponse(RequestId rid) override {
+    const size_t index = ctx_->ResponseIndex(rid);
+    const uint64_t bytes = traces_->loc(index).bytes;
+    trace_loader_->Evict(*traces_, index, &traces_->mutable_skeleton()->events[index]);
+    trace_loader_->OnChunkEvicted(bytes);
+    budget_->Release(bytes);
   }
 
  private:
@@ -212,135 +234,13 @@ class StreamTaskGate : public AuditTaskGate {
   std::unordered_map<size_t, ClaimedChunk> claimed_;
 };
 
-// How many responses pass 3 compares between compare-watermark journal appends. Each
-// append is a frame + fsync; every 16 responses keeps resume granularity fine without
-// making the fsync the compare loop's bottleneck.
-constexpr uint64_t kCompareJournalEvery = 16;
-
-// Pass 3: AuditContext::CompareOutputs for an epoch whose skeleton holds no response
-// bodies, on up to `num_threads` workers. Workers claim responses in trace order from one
-// shared cursor; each pages its response body in by itself (a point read via the pass-1
-// index, so the request payloads, the bulk of the file, are never re-read), charged to
-// the budget while resident, runs it through the context's shared per-response check so
-// both paths reject with the same reason from the same code, and evicts it. The verdict
-// is the failure — a mismatch or a load error — with the smallest trace index, exactly
-// what a sequential loop would stop at: no index past a known failure is claimed, and
-// every index below the final one was claimed and matched. With a journal, responses
-// below the prior run's compare watermark are skipped (their count lands in *resumed) —
-// sound because the fingerprint binds each response payload's CRC and a surviving
-// journal means every response below its watermark matched — and whichever worker
-// extends the contiguous prefix of matched responses journals it every
-// kCompareJournalEvery responses, which keeps that meaning. At one thread the calling
-// thread compares alone, in trace order. Each worker times itself as one pass3_compare
-// span in its own breakdown; `phases` receives their sum. *reject_reason carries the
-// audit verdict (empty = outputs match); the Status is file health only.
-Status StreamedCompareOutputs(const AuditContext& ctx, StreamTraceSet* set,
-                              TraceChunkLoader* loader, ChunkBudget* budget,
-                              CheckpointJournal* journal, size_t num_threads,
-                              obs::PhaseBreakdown* phases, uint64_t* resumed,
-                              std::string* reject_reason) {
-  reject_reason->clear();
-  Trace* skeleton = set->mutable_skeleton();
-  std::vector<size_t> responses;  // Event index of each response, in trace order.
-  for (size_t i = 0; i < set->num_events(); i++) {
-    if (skeleton->events[i].kind == TraceEvent::Kind::kResponse) {
-      responses.push_back(i);
-    }
-  }
-  const size_t watermark = std::min<size_t>(
-      journal != nullptr ? journal->prior_compare_watermark() : 0, responses.size());
-  *resumed = watermark;
-
-  std::atomic<size_t> cursor{watermark};
-  std::atomic<size_t> first_fail{SIZE_MAX};  // Smallest failed response; SIZE_MAX = none.
-  // Guards everything below, and every store to first_fail; workers read first_fail
-  // without it only to stop claiming.
-  std::mutex mu;
-  std::vector<char> matched(responses.size(), 0);
-  size_t prefix = watermark;     // Responses [0, prefix) all matched.
-  size_t journaled = watermark;  // Highest watermark handed to the journal.
-  Status fail_load;
-  std::string fail_reason;
-
-  auto compare = [&](size_t k) {
-    const size_t i = responses[k];
-    TraceEvent& event = skeleton->events[i];
-    const uint64_t bytes = set->loc(i).bytes;
-    budget->Acquire(bytes);
-    loader->OnChunkResident(bytes);
-    Status load = loader->Load(*set, i, &event);
-    std::string verdict;
-    if (load.ok()) {
-      verdict = ctx.CheckResponseOutput(event.rid, event.body);
-      loader->Evict(*set, i, &event);
-    }
-    loader->OnChunkEvicted(bytes);
-    budget->Release(bytes);
-
-    uint64_t journal_at = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!load.ok() || !verdict.empty()) {
-        if (k < first_fail.load(std::memory_order_relaxed)) {
-          first_fail.store(k, std::memory_order_relaxed);
-          fail_load = std::move(load);
-          fail_reason = std::move(verdict);
-        }
-        return;
-      }
-      matched[k] = 1;
-      while (prefix < responses.size() && matched[prefix] != 0) {
-        prefix++;
-      }
-      if (prefix / kCompareJournalEvery > journaled / kCompareJournalEvery) {
-        journaled = prefix - prefix % kCompareJournalEvery;
-        journal_at = journaled;
-      }
-    }
-    if (journal != nullptr && journal_at != 0) {
-      // Outside the lock: the journal keeps its on-disk watermark monotone itself.
-      journal->RecordCompareWatermark(journal_at);
-    }
-  };
-
-  const size_t workers =
-      std::max<size_t>(1, std::min(num_threads, responses.size() - watermark));
-  std::vector<obs::PhaseBreakdown> worker_phases(workers);
-  std::vector<size_t> worker_ids(workers);
-  for (size_t w = 0; w < workers; w++) {
-    worker_ids[w] = w;
-  }
-  WorkStealPool(workers).Run(worker_ids, [&](size_t w) {
-    obs::TraceSpan span(&worker_phases[w], obs::Phase::kPass3Compare);
-    while (true) {
-      const size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (k >= responses.size() || k > first_fail.load(std::memory_order_relaxed)) {
-        return;
-      }
-      compare(k);
-    }
-  });
-  for (const obs::PhaseBreakdown& p : worker_phases) {
-    phases->MergeFrom(p);
-  }
-  if (first_fail.load() == SIZE_MAX) {
-    return Status::Ok();
-  }
-  if (!fail_load.ok()) {
-    return fail_load;
-  }
-  *reject_reason = std::move(fail_reason);
-  return Status::Ok();
-}
-
 }  // namespace
 
 Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
                                                           const StreamAuditHooks* hooks) {
   using R = Result<AuditResult>;
   // Config errors are hard errors before the epoch is consumed.
-  Result<size_t> threads = ResolveAuditThreads(options_);
-  if (!threads.ok()) {
+  if (Result<size_t> threads = ResolveAuditThreads(options_); !threads.ok()) {
     return threads.status();
   }
   uint64_t budget_bytes = 0;
@@ -373,11 +273,11 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   // the budget. v3 segmented spills bound it by one segment, not one object's log.
   ctx.stats().pass1_transient_peak_bytes = merged.reports.pass1_transient_peak_bytes();
 
-  // Resumable audit: the sidecar checkpoint journals pass-2 chunk tasks and the pass-3
-  // compare watermark. The fingerprint binds the journal to this exact (epoch content,
-  // audit options) combination — computed from the pass-1 skeletons including payload
-  // CRCs, so a stale, foreign, or tampered-epoch checkpoint contributes nothing. An
-  // unusable checkpoint path is a file-level error — the epoch is unconsumed and
+  // Resumable audit: the sidecar checkpoint journals each chunk task whose re-execution
+  // and output checks passed. The fingerprint binds the journal to this exact (epoch
+  // content, audit options) combination — computed from the pass-1 skeletons including
+  // payload CRCs, so a stale, foreign, or tampered-epoch checkpoint contributes nothing.
+  // An unusable checkpoint path is a file-level error — the epoch is unconsumed and
   // retryable.
   std::unique_ptr<CheckpointJournal> journal;
   if (!options_.checkpoint_path.empty()) {
@@ -435,19 +335,20 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
     return reject(exec.fail_reason);
   }
 
-  std::string compare_reason;
-  uint64_t resumed = 0;
-  Status compared = StreamedCompareOutputs(ctx, &merged.traces, loader, budget,
-                                           journal.get(), threads.value(),
-                                           &ctx.stats().phases, &resumed, &compare_reason);
-  ctx.stats().compare_records_resumed += resumed;
-  if (!compared.ok()) {
-    // The journal keeps the compare watermark retired so far for the retry.
+  bool load_failed = false;
+  Status compared;
+  {
+    obs::TraceSpan span(&ctx.stats().phases, obs::Phase::kCompare);
+    compared = ctx.CompareOutputs(&load_failed);
+  }
+  if (load_failed) {
+    // Paging a response in for its check failed: a file-level error like a gate error.
+    // The journal keeps every chunk whose checks all passed for the retry.
     epochs_fed_--;
     return compared;
   }
-  if (!compare_reason.empty()) {
-    return reject(std::move(compare_reason));
+  if (!compared.ok()) {
+    return reject(compared.error());
   }
   spend_checkpoint();
   CommitAccepted(&ctx, &out);

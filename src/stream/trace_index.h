@@ -28,8 +28,8 @@ struct TraceEventLoc {
   uint8_t record_type = 0; // wire::kTraceRecRequest / kTraceRecResponse.
   uint64_t offset = 0;     // File offset of the record payload (past the record frame).
   uint64_t bytes = 0;      // Payload length — the cost a load charges to the budget.
-  // CRC32C of the payload as validated during pass 1 (read from a v2 file's frame,
-  // computed for v1), so pass-2/3 point reads prove the file has not changed since.
+  // CRC32C of the payload as validated during pass 1 (read from the record frame), so
+  // pass-2 point reads prove the file has not changed since.
   uint32_t crc = 0;
 };
 

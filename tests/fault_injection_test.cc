@@ -10,10 +10,10 @@
 //      the new complete file, never a torn prefix.
 //   3. Resumable audits: an audit killed in ANY phase with a checkpoint journal resumes
 //      to a bit-identical verdict/reason/final_state at every thread count and budget,
-//      and actually reuses journaled progress instead of redoing it — pass-2 chunk tasks
-//      (kill mid-pass-2) and the pass-3 compare watermark (kill mid-compare); a kill
-//      mid-Prepare reruns Prepare. A journal of another epoch or an older journal layout
-//      contributes nothing.
+//      and actually reuses journaled progress instead of redoing it — chunk tasks whose
+//      re-execution and output checks passed (kill mid-pass-2, or partway through a
+//      chunk's output checks); a kill mid-Prepare reruns Prepare. A journal of another
+//      epoch or an older journal layout contributes nothing.
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -210,8 +210,10 @@ TEST(FaultInjection, StateFileKillPointSweepNeverExposesPartialFile) {
 // --- 3. Checkpointed resume: bit-identical to an uninterrupted audit ---
 
 // Trace loader that simulates a process killed mid-pass-2: the first `allowed` payload
-// loads succeed, then every load fails permanently. Tasks already paged in retire (and
-// journal); the failing task surfaces a gate failure, i.e. an I/O error, never a verdict.
+// loads (request payloads and responses alike) succeed, then every load fails
+// permanently. Tasks already paged in retire (and journal once their checks pass); the
+// failing task surfaces a gate or response-load failure, i.e. an I/O error, never a
+// verdict.
 class KillSwitchLoader : public TraceChunkLoader {
  public:
   KillSwitchLoader(const StreamTraceSet* set, uint64_t allowed)
@@ -266,10 +268,12 @@ TEST(FaultInjection, ResumeAfterMidAuditKillIsBitIdentical) {
       opts.max_resident_bytes = budget;
       opts.checkpoint_path = checkpoint;
 
-      // Run 1: killed mid-pass-2 after 80 payload loads (~10 of 20 chunk tasks).
+      // Run 1: killed mid-pass-2 after 160 payload loads (~10 of 20 chunk tasks, each
+      // loading 8 requests and then its 8 responses; at 8 threads at most 8 chunks are
+      // in flight, so at least 2 retire and journal before the kill).
       StreamTraceSet probe;
       ASSERT_TRUE(probe.AppendFile(trace_path).ok());
-      KillSwitchLoader killer(&probe, /*allowed=*/80);
+      KillSwitchLoader killer(&probe, /*allowed=*/160);
       StreamAuditHooks hooks;
       hooks.loader = &killer;
       AuditSession first = AuditSession::Open(&w.app, opts, served.initial);
@@ -406,13 +410,14 @@ TEST(FaultInjection, ResumeAfterMidCompareKillIsBitIdentical) {
     opts.max_resident_bytes = 4096;
     opts.checkpoint_path = checkpoint;
 
-    // Run 1: killed mid-pass-3. Pass 2 loads each of the 160 request payloads exactly
-    // once; allowing 200 loads retires all of pass 2 (journaling every chunk) and dies
-    // at the 40th response body of the compare pass — past the 32-response compare
-    // watermark the journal recorded.
+    // Run 1: killed partway through a chunk's output checks. Each of the 20 chunks loads
+    // its 8 request payloads, then its 8 responses one at a time: 16 loads. At one
+    // thread, allowing 204 loads journals 12 chunks and dies at the 13th chunk's fifth
+    // response. At any thread count at most `threads` chunks are in flight, so at least
+    // (204 - 8 * 16) / 16 chunks finished their checks before the kill and journaled.
     StreamTraceSet probe;
     ASSERT_TRUE(probe.AppendFile(trace_path).ok());
-    KillSwitchLoader killer(&probe, /*allowed=*/200);
+    KillSwitchLoader killer(&probe, /*allowed=*/204);
     StreamAuditHooks hooks;
     hooks.loader = &killer;
     AuditSession first = AuditSession::Open(&w.app, opts, served.initial);
@@ -423,10 +428,10 @@ TEST(FaultInjection, ResumeAfterMidCompareKillIsBitIdentical) {
     Result<bool> left = Env::Default()->FileExists(checkpoint);
     ASSERT_TRUE(left.ok() && left.value());
 
-    // Run 2: clean resume — every pass-2 chunk replays from the journal, the compare
-    // pass skips the responses below the watermark (sound: the fingerprint binds every
-    // response payload's CRC, and a surviving journal means no verdict was reached, so
-    // every compared response matched), and the verdict is bit-identical.
+    // Run 2: clean resume — every journaled chunk replays with its rids marked matched
+    // (sound: the fingerprint binds every response payload's CRC, and a chunk is
+    // journaled only once all its outputs matched), the chunk the kill interrupted
+    // re-executes and re-checks, and the verdict is bit-identical.
     AuditSession resumed = AuditSession::Open(&w.app, opts, served.initial);
     Result<AuditResult> got = resumed.FeedEpochFilesStreamed(trace_path, reports_path);
     ASSERT_TRUE(got.ok()) << got.error();
@@ -434,7 +439,6 @@ TEST(FaultInjection, ResumeAfterMidCompareKillIsBitIdentical) {
     EXPECT_EQ(got.value().reason, ref.value().reason);
     EXPECT_EQ(InitialStateFingerprint(got.value().final_state), ref_fp);
     EXPECT_GT(got.value().stats.checkpoint_chunks_reused, 0u);
-    EXPECT_GT(got.value().stats.compare_records_resumed, 0u);
     Result<bool> spent = Env::Default()->FileExists(checkpoint);
     EXPECT_TRUE(spent.ok() && !spent.value());
   }
@@ -556,8 +560,8 @@ TEST(FaultInjection, StaleCheckpointFromDifferentEpochIsIgnored) {
 }
 
 // A verdict spends the checkpoint wherever it is reached: an accept and a reject found in
-// Prepare, in pass 2 or in the pass-3 compare all remove the sidecar. (A killed run keeps
-// it; StaleCheckpointFromDifferentEpochIsIgnored relies on that.)
+// Prepare, in re-execution or in the output checks all remove the sidecar. (A killed run
+// keeps it; StaleCheckpointFromDifferentEpochIsIgnored relies on that.)
 TEST(FaultInjection, EveryVerdictSpendsTheCheckpoint) {
   Workload w = CounterWorkload(60);
   ServedWorkload served = ServeWorkload(w);
@@ -634,7 +638,7 @@ TEST(FaultInjection, CheckpointFromAnotherInstructionLimitIsIgnored) {
   ASSERT_TRUE(ref.ok()) << ref.error();
   ASSERT_FALSE(ref.value().accepted);
 
-  // Run 1 at the default limit, killed mid-pass-2 after ~19 of 20 chunk tasks retired.
+  // Run 1 at the default limit, killed mid-pass-2 after 9 of 20 chunk tasks retired.
   opts.checkpoint_path = checkpoint;
   StreamTraceSet probe;
   ASSERT_TRUE(probe.AppendFile(trace_path).ok());
@@ -709,7 +713,7 @@ TEST(FaultInjection, PriorLayoutCheckpointIsDiscardedWholesale) {
   opts.max_group_size = 8;
   opts.checkpoint_path = checkpoint;
 
-  // Run 1 dies after pass 2 journaled every chunk and pass 3 journaled a watermark.
+  // Run 1 dies at the 13th chunk's first output check, after 12 chunks journaled.
   {
     StreamTraceSet probe;
     ASSERT_TRUE(probe.AppendFile(trace_path).ok());
@@ -730,7 +734,6 @@ TEST(FaultInjection, PriorLayoutCheckpointIsDiscardedWholesale) {
   ASSERT_TRUE(got.ok()) << got.error();
   EXPECT_TRUE(got.value().accepted) << got.value().reason;
   EXPECT_EQ(got.value().stats.checkpoint_chunks_reused, 0u);
-  EXPECT_EQ(got.value().stats.compare_records_resumed, 0u);
   EXPECT_EQ(InitialStateFingerprint(got.value().final_state),
             InitialStateFingerprint(served.final_state));
 }

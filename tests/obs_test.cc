@@ -195,12 +195,12 @@ TEST(PhaseTracerTest, BreakdownsMergeFieldByField) {
   a.Add(Phase::kDbQuery, 0.125);
   PhaseBreakdown b;
   b.Add(Phase::kPass2Execute, 0.25);
-  b.Add(Phase::kPass3Compare, 0.125);
+  b.Add(Phase::kCompare, 0.125);
   a.MergeFrom(b);
   EXPECT_NEAR(a.seconds[static_cast<int>(Phase::kPass2Execute)], 0.75, 1e-12);
   EXPECT_EQ(a.spans[static_cast<int>(Phase::kPass2Execute)], 2u);
   EXPECT_EQ(a.spans[static_cast<int>(Phase::kDbQuery)], 2u);
-  EXPECT_EQ(a.spans[static_cast<int>(Phase::kPass3Compare)], 1u);
+  EXPECT_EQ(a.spans[static_cast<int>(Phase::kCompare)], 1u);
   EXPECT_NEAR(a.total_seconds(), 1.125, 1e-12);
 }
 
@@ -267,7 +267,7 @@ TEST(PhaseTracerTest, ChromeTraceFlushWritesEvents) {
   PhaseTracer tracer;
   tracer.EnableChromeTrace(path);
   tracer.Record(Phase::kProcOpReports, 1.0, 0.5);
-  tracer.Record(Phase::kPass3Compare, 2.0, 0.25);
+  tracer.Record(Phase::kCompare, 2.0, 0.25);
   Status st = tracer.FlushChromeTrace();
   ASSERT_TRUE(st.ok()) << st.error();
   FILE* f = std::fopen(path.c_str(), "r");
@@ -278,7 +278,7 @@ TEST(PhaseTracerTest, ChromeTraceFlushWritesEvents) {
   std::remove(path.c_str());
   EXPECT_NE(contents.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(contents.find("\"name\": \"proc_op_reports\""), std::string::npos);
-  EXPECT_NE(contents.find("\"name\": \"pass3_compare\""), std::string::npos);
+  EXPECT_NE(contents.find("\"name\": \"compare\""), std::string::npos);
   EXPECT_NE(contents.find("\"ts\": 1000000"), std::string::npos);
   EXPECT_NE(contents.find("\"dur\": 500000"), std::string::npos);
 }

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/audit_plan.h"
 #include "src/core/audit_session.h"
 #include "src/common/timer.h"
 #include "src/core/auditor.h"
@@ -556,10 +557,12 @@ TEST(StreamAudit, TamperedEpochRejectsIdenticallyInBothPathsAcrossThreads) {
   }
 }
 
-// Pass 3 on the pool: the real loader, except that (with `hold`) the Load of event
+// Output checks on the pool: the real loader, except that (with `hold`) the Load of event
 // `held` waits until the Load of event `release` has returned, so a later response is
-// compared — and its outcome recorded — while an earlier one is still in flight. The Load
-// of event `fail` (SIZE_MAX = none) fails like a spill file that vanished mid-audit.
+// checked — and its verdict recorded — while an earlier one is still in flight. The two
+// responses belong to different chunk tasks, so the waiting worker never waits on a
+// response of its own task. The Load of event `fail` (SIZE_MAX = none) fails like a spill
+// file that vanished mid-audit.
 class CompareOrderLoader : public TraceChunkLoader {
  public:
   CompareOrderLoader(const StreamTraceSet* set, bool hold, size_t held, size_t release,
@@ -598,23 +601,43 @@ class CompareOrderLoader : public TraceChunkLoader {
   bool released_ = false;
 };
 
-// Two forged responses, the first and the last in trace order. On every worker count and
-// budget the streamed REJECT names the earlier one — FeedDecodedFiles' reason — even when
-// the later mismatch is recorded first; and when the later response's load fails instead
-// of mismatching, the verdict stays that REJECT, never an I/O error.
+// Two forged responses: the first in trace order, and the last one whose rid is
+// re-executed in a different chunk task. On every worker count and budget the streamed
+// REJECT names the earlier one — FeedDecodedFiles' reason — even when the later mismatch
+// is recorded first; and when the later response's load fails instead of mismatching,
+// the verdict stays that REJECT, never an I/O error.
 TEST(StreamAudit, CompareRejectsTheEarliestFailureInTraceOrder) {
   SpilledEpoch e = SpillCounterEpoch("compare_order", 120);
   Result<Trace> trace = ReadTraceFile(e.trace_path);
-  ASSERT_TRUE(trace.ok());
+  Result<Reports> reports = ReadReportsFile(e.reports_path);
+  ASSERT_TRUE(trace.ok() && reports.ok());
+  // Every task's rids, from the plan the audit itself runs.
+  const AuditOptions plan_options = StreamOptions(1, 0);
+  AuditContext ctx(&trace.value(), &reports.value(), &e.w.app, &e.initial, plan_options);
+  ASSERT_TRUE(ctx.Prepare().ok());
+  const AuditPlan plan = PlanAuditTasks(&ctx, reports.value(), &e.w.app, plan_options);
+  auto task_of = [&](RequestId rid) {
+    for (const AuditTask& task : plan.tasks) {
+      if (std::find(task.rids.begin(), task.rids.end(), rid) != task.rids.end()) {
+        return task.order;
+      }
+    }
+    return kNoAuditFailure;
+  };
   size_t early = SIZE_MAX;
   size_t late = SIZE_MAX;
   for (size_t i = 0; i < trace.value().events.size(); i++) {
-    if (trace.value().events[i].kind == TraceEvent::Kind::kResponse) {
-      early = std::min(early, i);
+    const TraceEvent& event = trace.value().events[i];
+    if (event.kind != TraceEvent::Kind::kResponse) {
+      continue;
+    }
+    if (early == SIZE_MAX) {
+      early = i;
+    } else if (task_of(event.rid) != task_of(trace.value().events[early].rid)) {
       late = i;
     }
   }
-  ASSERT_LT(early, late);
+  ASSERT_NE(late, SIZE_MAX);
   const RequestId early_rid = trace.value().events[early].rid;
   const RequestId late_rid = trace.value().events[late].rid;
   ASSERT_TRUE(TamperResponseBody(&trace.value(), early_rid, "forged early"));
@@ -651,6 +674,140 @@ TEST(StreamAudit, CompareRejectsTheEarliestFailureInTraceOrder) {
         EXPECT_EQ(got.value().reason, ref.value().reason);
         EXPECT_EQ(streamed.epochs_fed(), 1u);
       }
+    }
+  }
+}
+
+// One epoch's verdict on each of the three feeds — FeedEpoch, FeedEpochFilesStreamed and
+// a one-shard FeedShardedEpoch — from fresh sessions at `threads` workers, the streamed
+// feeds under `budget`. A file-level error shows as a rejection naming it.
+std::vector<AuditResult> VerdictsOnEveryFeed(const Workload& w,
+                                             const InitialState& initial,
+                                             const Trace& trace, const Reports& reports,
+                                             const std::string& tag, size_t threads,
+                                             size_t budget) {
+  const std::string base = ::testing::TempDir() + "/feeds_" + tag;
+  const std::string trace_path = base + "_trace.bin";
+  const std::string reports_path = base + "_reports.bin";
+  EXPECT_TRUE(WriteTraceFile(trace_path, trace).ok());
+  EXPECT_TRUE(WriteReportsFile(reports_path, reports).ok());
+  auto verdict = [](const Result<AuditResult>& r) {
+    if (r.ok()) {
+      return r.value();
+    }
+    AuditResult failed;
+    failed.reason = "file-level error: " + r.error();
+    return failed;
+  };
+  std::vector<AuditResult> out;
+  AuditSession in_memory = AuditSession::Open(&w.app, StreamOptions(threads, 0), initial);
+  out.push_back(in_memory.FeedEpoch(trace, reports));
+  const AuditOptions options = StreamOptions(threads, budget);
+  AuditSession streamed = AuditSession::Open(&w.app, options, initial);
+  out.push_back(verdict(streamed.FeedEpochFilesStreamed(trace_path, reports_path)));
+  AuditSession sharded = AuditSession::Open(&w.app, options, initial);
+  const std::vector<ShardEpochFiles> one_shard = {{trace_path, reports_path}};
+  out.push_back(verdict(sharded.FeedShardedEpoch(one_shard)));
+  return out;
+}
+
+// A traced request that no reported group names is never re-executed, so its output is
+// never checked: the final verdict scan must reject it on every feed.
+TEST(StreamAudit, RequestInNoGroupRejectsAsNeverReExecutedOnEveryFeed) {
+  Workload w = CounterWorkload(60);
+  ServedWorkload served = ServeWorkload(w);
+  const RequestId dropped = served.trace.events[served.trace.events.size() / 2].rid;
+  size_t removed = 0;
+  for (auto& [tag, rids] : served.reports.groups) {
+    (void)tag;
+    const size_t before = rids.size();
+    rids.erase(std::remove(rids.begin(), rids.end(), dropped), rids.end());
+    removed += before - rids.size();
+  }
+  ASSERT_EQ(removed, 1u);
+  const std::string want =
+      "output: rid " + std::to_string(dropped) + " was never re-executed";
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (size_t budget : {size_t{0}, kBudget}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " budget=" + std::to_string(budget));
+      for (const AuditResult& r : VerdictsOnEveryFeed(w, served.initial, served.trace,
+                                                      served.reports, "no_group", threads,
+                                                      budget)) {
+        EXPECT_FALSE(r.accepted);
+        EXPECT_EQ(r.reason, want);
+      }
+    }
+  }
+}
+
+// Requests to a script the application lacks are answered with kNoSuchScriptBody and
+// issue no operation. Their responses go through the same output check as every other
+// request's: an honest epoch accepts, a forged body rejects as a mismatch, and an
+// operation claimed for such a request rejects at planning.
+TEST(StreamAudit, UnknownScriptRequestsAreCheckedOnEveryFeed) {
+  Workload w = CounterWorkload(60);
+  std::vector<WorkItem> items;
+  for (size_t i = 0; i < w.items.size(); i++) {
+    items.push_back(w.items[i]);
+    if (i % 7 == 3) {
+      items.push_back({"/ghost", {}});
+    }
+  }
+  items.push_back({"/ghost", {}});
+  w.items = std::move(items);
+  // One server worker: requests are served in rid order, so the last one (a ghost) runs
+  // after every other and an operation claimed for it can sit at the end of a log.
+  ServedWorkload served = ServeWorkload(w, /*num_workers=*/1);
+  std::vector<RequestId> ghosts;
+  for (const TraceEvent& e : served.trace.events) {
+    if (e.kind == TraceEvent::Kind::kRequest && e.script == "/ghost") {
+      ghosts.push_back(e.rid);
+    }
+  }
+  ASSERT_GT(ghosts.size(), 2u);
+  ASSERT_EQ(ghosts.back(), static_cast<RequestId>(w.items.size()));
+
+  Trace forged_body = served.trace;
+  ASSERT_TRUE(TamperResponseBody(&forged_body, ghosts[1], "forged"));
+  // A kv_get of the last request that the server never issued, appended to the kv log
+  // with M(rid) raised to match, so the logs stay consistent and only planning objects.
+  Reports forged_op = served.reports;
+  const int kv = forged_op.FindObject(ObjectKind::kKv, "");
+  ASSERT_GE(kv, 0);
+  std::vector<OpRecord>& kv_log = forged_op.op_logs[static_cast<size_t>(kv)];
+  auto get = std::find_if(kv_log.begin(), kv_log.end(), [](const OpRecord& op) {
+    return op.type == StateOpType::kKvGet;
+  });
+  ASSERT_NE(get, kv_log.end());
+  OpRecord claimed = *get;
+  claimed.rid = ghosts.back();
+  claimed.opnum = 1;
+  kv_log.push_back(claimed);
+  ASSERT_TRUE(TamperOpCount(&forged_op, ghosts.back(), 1));
+
+  const std::string truth = InitialStateFingerprint(served.final_state);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (const AuditResult& r : VerdictsOnEveryFeed(w, served.initial, served.trace,
+                                                    served.reports, "ghost", threads,
+                                                    kBudget)) {
+      EXPECT_TRUE(r.accepted) << r.reason;
+      EXPECT_EQ(InitialStateFingerprint(r.final_state), truth);
+    }
+    for (const AuditResult& r : VerdictsOnEveryFeed(w, served.initial, forged_body,
+                                                    served.reports, "ghost_body", threads,
+                                                    kBudget)) {
+      EXPECT_FALSE(r.accepted);
+      EXPECT_EQ(r.reason, "output: rid " + std::to_string(ghosts[1]) +
+                              " response does not match re-execution");
+    }
+    for (const AuditResult& r : VerdictsOnEveryFeed(w, served.initial, served.trace,
+                                                    forged_op, "ghost_op", threads,
+                                                    kBudget)) {
+      EXPECT_FALSE(r.accepted);
+      EXPECT_EQ(r.reason, "rid " + std::to_string(ghosts.back()) +
+                              " targets an unknown script but claims operations");
     }
   }
 }
@@ -803,8 +960,9 @@ TEST(ShardedAudit, PhasesAreDisjointAndFitInTheCallAtOneThread) {
     EXPECT_EQ(spans(r, obs::Phase::kShardMerge), merge_spans);
     EXPECT_EQ(spans(r, obs::Phase::kProcOpReports), 1u);
     EXPECT_EQ(spans(r, obs::Phase::kDbRedo), 1u);
-    EXPECT_EQ(spans(r, obs::Phase::kPass3Compare), 1u);
     EXPECT_GT(spans(r, obs::Phase::kPass2Execute), 0u);
+    // One output-check span per re-executed chunk, plus the final verdict scan.
+    EXPECT_EQ(spans(r, obs::Phase::kCompare), spans(r, obs::Phase::kPass2Execute) + 1);
     EXPECT_EQ(spans(r, obs::Phase::kDbQuery), r.stats.db_selects_issued);
   };
 
