@@ -24,6 +24,9 @@ using wire_primitives::PutU64;
 using wire_primitives::PutU8;
 using wire_primitives::StrWireBytes;
 
+// Receives one record of a section being enumerated: its type and payload.
+using RecordFn = std::function<void(uint8_t, const std::string&)>;
+
 // A corrupt length prefix must not make the reader attempt a multi-gigabyte allocation.
 constexpr uint64_t kMaxRecordBytes = 1ull << 30;
 
@@ -51,83 +54,6 @@ constexpr uint8_t kRecDbTable = 3;
 constexpr uint8_t kRecManifestEpoch = 1;
 constexpr uint8_t kRecManifestShard = 2;
 
-// --- record sink: writes v2 records to a WritableFile (sticky failure), or counts ---
-
-class Sink {
- public:
-  Sink() = default;  // Counting only.
-  explicit Sink(WritableFile* f, size_t bytes = 0, uint64_t records = 0)
-      : file_(f), bytes_(bytes), records_(records) {}
-
-  void WriteHeader(wire::Section section) {
-    Write(wire::EnvelopeHeader(section));
-  }
-
-  void WriteRecord(uint8_t type, const std::string& payload) {
-    std::string frame;
-    PutU8(&frame, type);
-    PutU64(&frame, payload.size());
-    PutU32(&frame, Crc32c(payload));
-    Write(frame);
-    Write(payload);
-    records_++;
-  }
-
-  // The v2 end record carries the footer: the non-end record count and the byte offset
-  // where the end record's own frame begins, so a reader proves it saw the whole section.
-  void WriteEnd() {
-    std::string footer;
-    PutU64(&footer, records_);
-    PutU64(&footer, bytes_);
-    std::string frame;
-    PutU8(&frame, wire::kEndRecord);
-    PutU64(&frame, footer.size());
-    PutU32(&frame, Crc32c(footer));
-    Write(frame);
-    Write(footer);
-  }
-
-  // OK, or the first failed append (sticky).
-  const Status& status() const { return status_; }
-  size_t bytes() const { return bytes_; }
-  uint64_t records() const { return records_; }
-
- private:
-  void Write(const std::string& s) {
-    if (file_ != nullptr && status_.ok()) {
-      status_ = file_->Append(s);
-    }
-    bytes_ += s.size();
-  }
-
-  WritableFile* file_ = nullptr;
-  Status status_;
-  size_t bytes_ = 0;
-  uint64_t records_ = 0;
-};
-
-// Validates the 13-byte envelope header: magic, a format version readers accept, and the
-// expected section kind.
-Status CheckHeader(const unsigned char* h, wire::Section want, const std::string& path) {
-  if (std::memcmp(h, wire::kMagic, sizeof(wire::kMagic)) != 0) {
-    return Status::Error("wire: bad magic in " + path);
-  }
-  uint32_t v = 0;
-  for (int i = 0; i < 4; i++) {
-    v |= static_cast<uint32_t>(h[sizeof(wire::kMagic) + i]) << (8 * i);
-  }
-  if (v < wire::kMinFormatVersion || v > wire::kFormatVersion) {
-    return Status::Error("wire: unsupported format version " + std::to_string(v) + " in " +
-                         path);
-  }
-  uint8_t section = h[sizeof(wire::kMagic) + 4];
-  if (section != static_cast<uint8_t>(want)) {
-    return Status::Error("wire: " + path + " holds section kind " + std::to_string(section) +
-                         ", expected " + std::to_string(static_cast<int>(want)));
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 namespace wire {
@@ -135,15 +61,63 @@ namespace wire {
 std::string EnvelopeHeader(Section section) {
   std::string h;
   h.append(kMagic, sizeof(kMagic));
-  wire_primitives::PutU32(&h, kFormatVersion);
-  wire_primitives::PutU8(&h, static_cast<uint8_t>(section));
+  PutU32(&h, kFormatVersion);
+  PutU8(&h, static_cast<uint8_t>(section));
   return h;
 }
 
+Status CheckEnvelopeHeader(const char* data, size_t n, Section want,
+                           const std::string& path) {
+  if (n < kEnvelopeHeaderBytes) {
+    return Status::Error(StatusCode::kCorruption, "wire: truncated header in " + path)
+        .At(path, 0);
+  }
+  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
+    return Status::Error("wire: bad magic in " + path).At(path, 0);
+  }
+  Cursor c{reinterpret_cast<const unsigned char*>(data) + sizeof(kMagic),
+           kEnvelopeHeaderBytes - sizeof(kMagic)};
+  uint32_t v = 0;
+  uint8_t section = 0;
+  (void)c.TakeU32(&v);
+  (void)c.TakeU8(&section);
+  if (v < kMinFormatVersion || v > kFormatVersion) {
+    return Status::Error("wire: unsupported format version " + std::to_string(v) + " in " +
+                         path)
+        .At(path, 0);
+  }
+  if (section != static_cast<uint8_t>(want)) {
+    return Status::Error("wire: " + path + " holds section kind " + std::to_string(section) +
+                         ", expected " + std::to_string(static_cast<int>(want)))
+        .At(path, 0);
+  }
+  return Status::Ok();
+}
+
+namespace {
+
+// The v2 frame preceding a payload: type, length, CRC32C(payload).
+std::string RecordFrame(uint8_t type, const char* payload, size_t n) {
+  std::string frame;
+  PutU8(&frame, type);
+  PutU64(&frame, n);
+  PutU32(&frame, Crc32c(payload, n));
+  return frame;
+}
+
+// The footer payload: the non-end record count and the byte offset where the end
+// record's own frame begins, so a reader proves it saw the whole section.
+std::string Footer(uint64_t records, uint64_t end_offset) {
+  std::string footer;
+  PutU64(&footer, records);
+  PutU64(&footer, end_offset);
+  return footer;
+}
+
+}  // namespace
+
 void AppendRecordFrame(std::string* out, uint8_t type, const std::string& payload) {
-  wire_primitives::PutU8(out, type);
-  wire_primitives::PutU64(out, payload.size());
-  wire_primitives::PutU32(out, Crc32c(payload));
+  out->append(RecordFrame(type, payload.data(), payload.size()));
   out->append(payload);
 }
 
@@ -152,16 +126,46 @@ bool ParseRecordFrameV2(const char* data, size_t n, uint8_t* type, uint64_t* len
   if (n < kRecordFrameBytesV2) {
     return false;
   }
-  wire_primitives::Cursor c{reinterpret_cast<const unsigned char*>(data), n};
+  Cursor c{reinterpret_cast<const unsigned char*>(data), n};
   return c.TakeU8(type) && c.TakeU64(len) && c.TakeU32(crc);
 }
 
 void AppendEndRecordFrame(std::string* out, uint64_t records, uint64_t end_offset) {
-  // Byte-identical to Sink::WriteEnd: the footer proves a reader saw the whole section.
-  std::string footer;
-  wire_primitives::PutU64(&footer, records);
-  wire_primitives::PutU64(&footer, end_offset);
-  AppendRecordFrame(out, kEndRecord, footer);
+  AppendRecordFrame(out, kEndRecord, Footer(records, end_offset));
+}
+
+Status SectionWriter::Open(Env* env, const std::string& path, Section section) {
+  if (Status st = atomic_.Open(env, path); !st.ok()) {
+    error_ = st;
+    return st;
+  }
+  const std::string header = EnvelopeHeader(section);
+  Write(header.data(), header.size());
+  return error_;
+}
+
+Status SectionWriter::Append(uint8_t type, const std::string& payload) {
+  const std::string frame = RecordFrame(type, payload.data(), payload.size());
+  Write(frame.data(), frame.size());
+  Write(payload.data(), payload.size());
+  records_++;
+  return error_;
+}
+
+Status SectionWriter::Commit() {
+  const std::string footer = Footer(records_, bytes_);
+  const std::string frame = RecordFrame(kEndRecord, footer.data(), footer.size());
+  Write(frame.data(), frame.size());
+  Write(footer.data(), footer.size());
+  return error_.ok() ? atomic_.Commit() : error_;
+}
+
+void SectionWriter::Write(const char* data, size_t n) {
+  if (error_.ok()) {
+    error_ = atomic_.file() == nullptr ? Status::Error("wire: SectionWriter is not open")
+                                       : atomic_.file()->Append(data, n);
+  }
+  bytes_ += n;
 }
 
 // Record stream over one open section file: validates the envelope header on Open, then
@@ -177,17 +181,13 @@ class RecordStream {
       return f.status();
     }
     file_ = std::move(f).value();
-    unsigned char h[kEnvelopeHeaderBytes];
-    Result<size_t> got = ReadUpToAt(file_.get(), path_, 0, sizeof(h),
-                                    reinterpret_cast<char*>(h));
+    char h[kEnvelopeHeaderBytes];
+    Result<size_t> got = ReadUpToAt(file_.get(), path_, 0, sizeof(h), h);
     if (!got.ok()) {
       return got.status();
     }
-    if (got.value() != sizeof(h)) {
-      return Corrupt("wire: truncated header", 0);
-    }
-    if (Status st = CheckHeader(h, want, path_); !st.ok()) {
-      return st.At(path_, 0);
+    if (Status st = CheckEnvelopeHeader(h, got.value(), want, path_); !st.ok()) {
+      return st;
     }
     pos_ = kEnvelopeHeaderBytes;
     return Status::Ok();
@@ -197,25 +197,18 @@ class RecordStream {
   // (footer counts match, no trailing bytes).
   Result<bool> Next(uint8_t* type, std::string* payload) {
     const uint64_t frame_start = pos_;
-    unsigned char frame[kRecordFrameBytesV2];
-    Result<size_t> got = ReadUpToAt(file_.get(), path_, frame_start, kRecordFrameBytesV2,
-                                    reinterpret_cast<char*>(frame));
+    char frame[kRecordFrameBytesV2];
+    Result<size_t> got =
+        ReadUpToAt(file_.get(), path_, frame_start, kRecordFrameBytesV2, frame);
     if (!got.ok()) {
       return got.status();
     }
-    if (got.value() != kRecordFrameBytesV2) {
+    uint64_t len = 0;
+    uint32_t crc = 0;
+    if (!ParseRecordFrameV2(frame, got.value(), type, &len, &crc)) {
       return Corrupt(
           "wire: truncated record frame at offset " + std::to_string(frame_start),
           frame_start);
-    }
-    *type = frame[0];
-    uint64_t len = 0;
-    for (int i = 0; i < 8; i++) {
-      len |= static_cast<uint64_t>(frame[1 + i]) << (8 * i);
-    }
-    uint32_t crc = 0;
-    for (int i = 0; i < 4; i++) {
-      crc |= static_cast<uint32_t>(frame[9 + i]) << (8 * i);
     }
     if (*type == kEndRecord) {
       return FinishAtEnd(frame_start, len, crc);
@@ -370,12 +363,85 @@ Result<TraceEvent> DecodeTraceEvent(uint8_t type, const std::string& payload,
   return e;
 }
 
+// --- op-log entry codec ---
+// One entry: rid · opnum · type · length-prefixed contents. Monolithic and segmented
+// op-log records, and the point reads of single entries, all go through this pair.
+
+void EncodeOpLogEntry(const OpRecord& op, std::string* out) {
+  PutU64(out, op.rid);
+  PutU32(out, op.opnum);
+  PutU8(out, static_cast<uint8_t>(op.type));
+  PutStr(out, op.contents);
+}
+
+enum class EntryParse { kOk, kMalformed, kUnknownType };
+
+// Parses one entry at *c into *op. kUnknownType (the raw byte in *optype) only once every
+// field parsed, so callers check framing before the type.
+EntryParse TakeOpLogEntry(Cursor* c, OpRecord* op, uint8_t* optype) {
+  if (!c->TakeU64(&op->rid) || !c->TakeU32(&op->opnum) || !c->TakeU8(optype) ||
+      !c->TakeStr(&op->contents)) {
+    return EntryParse::kMalformed;
+  }
+  if (*optype > static_cast<uint8_t>(StateOpType::kDbOp)) {
+    return EntryParse::kUnknownType;
+  }
+  op->type = static_cast<StateOpType>(*optype);
+  return EntryParse::kOk;
+}
+
+// Encodes object `object`'s log. A log whose entry frames fit kMaxOpLogSegmentBytes is
+// one monolithic record (u32 object, u64 count, entries), byte-identical to a v2 writer.
+// A hot object splits into byte-capped segment records (u32 object, u32 segment_seq,
+// u64 first_seqnum, u64 count, entries) so no reader ever has to hold the whole log's
+// record resident; a single entry over the cap rides alone.
+void EncodeOpLogRecords(uint32_t object, const std::vector<OpRecord>& log,
+                        const RecordFn& fn) {
+  uint64_t total_entry_bytes = 0;
+  for (const OpRecord& op : log) {
+    total_entry_bytes += kOpLogEntryMinBytes + op.contents.size();
+  }
+  const bool segmented = total_entry_bytes > wire::kMaxOpLogSegmentBytes;
+  std::string payload;
+  uint32_t segment_seq = 0;
+  size_t next = 0;
+  while (next < log.size()) {
+    payload.clear();
+    PutU32(&payload, object);
+    if (segmented) {
+      PutU32(&payload, segment_seq++);
+      PutU64(&payload, next + 1);  // 1-based seqnum of the segment's first entry.
+    }
+    const size_t count_pos = payload.size();
+    PutU64(&payload, 0);  // Entry count, patched once the record is sealed.
+    uint64_t count = 0;
+    // The cap bounds the whole record payload a reader must hold resident, so the
+    // segment preamble written above counts against it too — not just entry bytes.
+    uint64_t record_bytes = payload.size();
+    while (next < log.size()) {
+      const OpRecord& op = log[next];
+      const uint64_t one = kOpLogEntryMinBytes + op.contents.size();
+      if (segmented && count > 0 && record_bytes + one > wire::kMaxOpLogSegmentBytes) {
+        break;
+      }
+      EncodeOpLogEntry(op, &payload);
+      record_bytes += one;
+      count++;
+      next++;
+    }
+    for (int b = 0; b < 8; b++) {
+      payload[count_pos + b] = static_cast<char>((count >> (8 * b)) & 0xff);
+    }
+    fn(segmented ? kRecOpLogSegment : kRecOpLog, payload);
+  }
+}
+
 // --- reports section encode ---
 
 // One canonical record enumeration backs the file writer, the exact byte accounting, and
 // the public ForEachReportsRecord used by the network sending side.
 void EnumerateReportsRecords(const Reports& reports, bool nondet_only,
-                             const std::function<void(uint8_t, const std::string&)>& fn) {
+                             const RecordFn& fn) {
   std::string payload;
   if (!nondet_only) {
     for (const ObjectDesc& d : reports.objects) {
@@ -385,65 +451,7 @@ void EnumerateReportsRecords(const Reports& reports, bool nondet_only,
       fn(kRecObject, payload);
     }
     for (size_t i = 0; i < reports.op_logs.size(); i++) {
-      const std::vector<OpRecord>& log = reports.op_logs[i];
-      if (log.empty()) {
-        continue;
-      }
-      uint64_t total_entry_bytes = 0;
-      for (const OpRecord& op : log) {
-        total_entry_bytes += kOpLogEntryMinBytes + op.contents.size();
-      }
-      if (total_entry_bytes <= wire::kMaxOpLogSegmentBytes) {
-        // Small log: the classic monolithic record, byte-identical to a v2 writer.
-        payload.clear();
-        PutU32(&payload, static_cast<uint32_t>(i));
-        PutU64(&payload, log.size());
-        for (const OpRecord& op : log) {
-          PutU64(&payload, op.rid);
-          PutU32(&payload, op.opnum);
-          PutU8(&payload, static_cast<uint8_t>(op.type));
-          PutStr(&payload, op.contents);
-        }
-        fn(kRecOpLog, payload);
-        continue;
-      }
-      // Hot object: split across byte-capped segments so no reader ever has to hold the
-      // whole log's record resident. A single entry over the cap rides alone.
-      uint32_t segment_seq = 0;
-      uint64_t first_seqnum = 1;
-      size_t next = 0;
-      while (next < log.size()) {
-        payload.clear();
-        PutU32(&payload, static_cast<uint32_t>(i));
-        PutU32(&payload, segment_seq);
-        PutU64(&payload, first_seqnum);
-        const size_t count_pos = payload.size();
-        PutU64(&payload, 0);  // Entry count, patched once the segment is sealed.
-        uint64_t count = 0;
-        // The cap bounds the whole record payload a reader must hold resident, so the
-        // segment preamble written above counts against it too — not just entry bytes.
-        uint64_t entry_bytes = payload.size();
-        while (next < log.size()) {
-          const OpRecord& op = log[next];
-          const uint64_t one = kOpLogEntryMinBytes + op.contents.size();
-          if (count > 0 && entry_bytes + one > wire::kMaxOpLogSegmentBytes) {
-            break;
-          }
-          PutU64(&payload, op.rid);
-          PutU32(&payload, op.opnum);
-          PutU8(&payload, static_cast<uint8_t>(op.type));
-          PutStr(&payload, op.contents);
-          entry_bytes += one;
-          count++;
-          next++;
-        }
-        for (int b = 0; b < 8; b++) {
-          payload[count_pos + b] = static_cast<char>((count >> (8 * b)) & 0xff);
-        }
-        fn(kRecOpLogSegment, payload);
-        first_seqnum += count;
-        segment_seq++;
-      }
+      EncodeOpLogRecords(static_cast<uint32_t>(i), reports.op_logs[i], fn);
     }
     for (const auto& [tag, rids] : reports.groups) {
       payload.clear();
@@ -486,27 +494,27 @@ void EnumerateReportsRecords(const Reports& reports, bool nondet_only,
   }
 }
 
-void WriteReportsToSink(Sink* sink, const Reports& reports, bool nondet_only) {
-  sink->WriteHeader(wire::Section::kReports);
-  EnumerateReportsRecords(reports, nondet_only, [&](uint8_t type, const std::string& payload) {
-    sink->WriteRecord(type, payload);
-  });
-  sink->WriteEnd();
-}
-
-// Writes one whole section atomically: temp file + fsync + rename-into-place.
-template <typename WriteFn>
-Status WriteSectionFileAtomically(const std::string& path, Env* env, WriteFn&& write_fn) {
-  AtomicFileWriter atomic;
-  if (Status st = atomic.Open(env, path); !st.ok()) {
+// Writes the section whose records `for_each(fn)` enumerates to `path` atomically.
+Status WriteSectionFile(const std::string& path, Env* env, wire::Section section,
+                        const std::function<void(const RecordFn&)>& for_each) {
+  wire::SectionWriter writer;
+  if (Status st = writer.Open(env, path, section); !st.ok()) {
     return st;
   }
-  Sink sink(atomic.file());
-  write_fn(&sink);
-  if (!sink.status().ok()) {
-    return sink.status();
-  }
-  return atomic.Commit();
+  for_each([&](uint8_t type, const std::string& payload) {
+    (void)writer.Append(type, payload);  // Sticky: Commit reports the first failure.
+  });
+  return writer.Commit();
+}
+
+// The exact byte size WriteSectionFile produces for the same records: header, framed
+// records, end record.
+size_t SectionWireBytes(const std::function<void(const RecordFn&)>& for_each) {
+  size_t bytes = kHeaderBytes + kRecordFrameBytesV2 + wire::kFooterPayloadBytes;
+  for_each([&](uint8_t, const std::string& payload) {
+    bytes += kRecordFrameBytesV2 + payload.size();
+  });
+  return bytes;
 }
 
 }  // namespace
@@ -521,8 +529,11 @@ Status WriteSectionFileAtomically(const std::string& path, Env* env, WriteFn&& w
 // byte streams decode to the same Reports).
 Status DecodeReportsRecordPayload(uint8_t type, const std::string& payload,
                                   const std::string& path, ReportsDecodeState* state,
-                                  Reports* out) {
+                                  Reports* out, OpLogRecordSpans* spans) {
   Cursor c = MakeCursor(payload);
+  if (spans != nullptr) {
+    spans->entries.clear();
+  }
   if (type != kRecObject) {
     state->saw_non_object = true;
   }
@@ -547,106 +558,93 @@ Status DecodeReportsRecordPayload(uint8_t type, const std::string& payload,
       out->op_logs.emplace_back();
       return Status::Ok();
     }
-    case kRecOpLog: {
+    case kRecOpLog:
+    case kRecOpLogSegment: {
+      const bool segmented = type == kRecOpLogSegment;
+      const std::string kind = segmented ? "op-log segment" : "op-log";
       uint32_t object = 0;
+      uint32_t segment_seq = 0;
+      uint64_t first_seqnum = 1;
       uint64_t count = 0;
-      if (!c.TakeU32(&object) || !c.TakeU64(&count)) {
-        return Status::Error("wire: malformed op-log record in " + path);
+      if (!c.TakeU32(&object) ||
+          (segmented && (!c.TakeU32(&segment_seq) || !c.TakeU64(&first_seqnum))) ||
+          !c.TakeU64(&count)) {
+        return Status::Error("wire: malformed " + kind + " record in " + path);
       }
       if (object >= out->op_logs.size()) {
-        return Status::Error("wire: op-log for unknown object id " + std::to_string(object) +
-                             " in " + path);
+        return Status::Error("wire: " + kind + " for unknown object id " +
+                             std::to_string(object) + " in " + path);
       }
       std::vector<OpRecord>& log = out->op_logs[object];
-      if (state->segments.count(object) > 0) {
-        return Status::Error("wire: monolithic op-log record for segmented object id " +
-                             std::to_string(object) + " in " + path);
-      }
-      if (!log.empty()) {
-        return Status::Error("wire: duplicate op-log record for object id " +
-                             std::to_string(object) + " in " + path);
-      }
-      if (!c.CountFits(count, 8 + 4 + 1 + 4)) {  // rid + opnum + type + empty contents.
-        return Status::Error("wire: op-log count " + std::to_string(count) +
-                             " exceeds payload in " + path);
-      }
-      log.reserve(static_cast<size_t>(count));
-      for (uint64_t i = 0; i < count; i++) {
-        OpRecord op;
-        uint8_t optype;
-        if (!c.TakeU64(&op.rid) || !c.TakeU32(&op.opnum) || !c.TakeU8(&optype) ||
-            !c.TakeStr(&op.contents)) {
-          return Status::Error("wire: malformed op record in " + path);
-        }
-        if (optype > static_cast<uint8_t>(StateOpType::kDbOp)) {
-          return Status::Error("wire: unknown op type " + std::to_string(optype) + " in " +
-                               path);
-        }
-        op.type = static_cast<StateOpType>(optype);
-        log.push_back(std::move(op));
-      }
-      if (!c.AtEnd()) {
-        return Status::Error("wire: trailing bytes in op-log record in " + path);
-      }
-      return Status::Ok();
-    }
-    case kRecOpLogSegment: {
-      OpLogSegmentHeader h;
-      if (!c.TakeU32(&h.object) || !c.TakeU32(&h.segment_seq) ||
-          !c.TakeU64(&h.first_seqnum) || !c.TakeU64(&h.count)) {
-        return Status::Error("wire: malformed op-log segment record in " + path);
-      }
-      if (h.object >= out->op_logs.size()) {
-        return Status::Error("wire: op-log segment for unknown object id " +
-                             std::to_string(h.object) + " in " + path);
-      }
-      std::vector<OpRecord>& log = out->op_logs[h.object];
-      auto it = state->segments.find(h.object);
+      auto it = state->segments.find(object);
       const uint32_t expected_seq = it == state->segments.end() ? 0 : it->second;
-      if (it == state->segments.end() && !log.empty()) {
-        return Status::Error("wire: op-log segment for monolithic object id " +
-                             std::to_string(h.object) + " in " + path);
-      }
-      if (h.segment_seq != expected_seq) {
-        return Status::Error("wire: op-log segment " + std::to_string(h.segment_seq) +
-                             " out of order for object id " + std::to_string(h.object) +
-                             " (expected " + std::to_string(expected_seq) + ") in " + path);
-      }
-      if (h.count == 0) {
-        // The writer never seals an empty segment; accepting one would let two distinct
-        // byte streams decode to the same Reports.
-        return Status::Error("wire: empty op-log segment for object id " +
-                             std::to_string(h.object) + " in " + path);
-      }
-      if (h.first_seqnum != log.size() + 1) {
-        return Status::Error("wire: op-log segment entry range for object id " +
-                             std::to_string(h.object) + " starts at seqnum " +
-                             std::to_string(h.first_seqnum) + ", expected " +
-                             std::to_string(log.size() + 1) + " in " + path);
-      }
-      if (!c.CountFits(h.count, kOpLogEntryMinBytes)) {
-        return Status::Error("wire: op-log segment count " + std::to_string(h.count) +
-                             " exceeds payload in " + path);
-      }
-      log.reserve(log.size() + static_cast<size_t>(h.count));
-      for (uint64_t i = 0; i < h.count; i++) {
-        OpRecord op;
-        uint8_t optype;
-        if (!c.TakeU64(&op.rid) || !c.TakeU32(&op.opnum) || !c.TakeU8(&optype) ||
-            !c.TakeStr(&op.contents)) {
-          return Status::Error("wire: malformed op record in " + path);
+      if (!segmented) {
+        if (it != state->segments.end()) {
+          return Status::Error("wire: monolithic op-log record for segmented object id " +
+                               std::to_string(object) + " in " + path);
         }
-        if (optype > static_cast<uint8_t>(StateOpType::kDbOp)) {
-          return Status::Error("wire: unknown op type " + std::to_string(optype) + " in " +
+        if (!log.empty()) {
+          return Status::Error("wire: duplicate op-log record for object id " +
+                               std::to_string(object) + " in " + path);
+        }
+      } else {
+        if (it == state->segments.end() && !log.empty()) {
+          return Status::Error("wire: op-log segment for monolithic object id " +
+                               std::to_string(object) + " in " + path);
+        }
+        if (segment_seq != expected_seq) {
+          return Status::Error("wire: op-log segment " + std::to_string(segment_seq) +
+                               " out of order for object id " + std::to_string(object) +
+                               " (expected " + std::to_string(expected_seq) + ") in " +
                                path);
         }
-        op.type = static_cast<StateOpType>(optype);
+        if (count == 0) {
+          // The writer never seals an empty segment; accepting one would let two distinct
+          // byte streams decode to the same Reports.
+          return Status::Error("wire: empty op-log segment for object id " +
+                               std::to_string(object) + " in " + path);
+        }
+        if (first_seqnum != log.size() + 1) {
+          return Status::Error("wire: op-log segment entry range for object id " +
+                               std::to_string(object) + " starts at seqnum " +
+                               std::to_string(first_seqnum) + ", expected " +
+                               std::to_string(log.size() + 1) + " in " + path);
+        }
+      }
+      if (!c.CountFits(count, kOpLogEntryMinBytes)) {
+        return Status::Error("wire: " + kind + " count " + std::to_string(count) +
+                             " exceeds payload in " + path);
+      }
+      if (spans != nullptr) {
+        spans->object = object;
+        spans->first = log.size();
+        spans->entries.reserve(static_cast<size_t>(count));
+      }
+      log.reserve(log.size() + static_cast<size_t>(count));
+      for (uint64_t i = 0; i < count; i++) {
+        const size_t start = c.pos;
+        OpRecord op;
+        uint8_t optype = 0;
+        switch (TakeOpLogEntry(&c, &op, &optype)) {
+          case EntryParse::kOk:
+            break;
+          case EntryParse::kMalformed:
+            return Status::Error("wire: malformed op record in " + path);
+          case EntryParse::kUnknownType:
+            return Status::Error("wire: unknown op type " + std::to_string(optype) +
+                                 " in " + path);
+        }
+        if (spans != nullptr) {
+          spans->entries.push_back({start, c.pos - start});
+        }
         log.push_back(std::move(op));
       }
       if (!c.AtEnd()) {
-        return Status::Error("wire: trailing bytes in op-log segment record in " + path);
+        return Status::Error("wire: trailing bytes in " + kind + " record in " + path);
       }
-      state->segments[h.object] = expected_seq + 1;
+      if (segmented) {
+        state->segments[object] = expected_seq + 1;
+      }
       return Status::Ok();
     }
     case kRecGroup: {
@@ -737,69 +735,16 @@ Status DecodeReportsRecordPayload(uint8_t type, const std::string& payload,
   }
 }
 
-std::vector<OpLogEntrySpan> IndexOpLogEntries(const std::string& payload) {
-  std::vector<OpLogEntrySpan> spans;
-  Cursor c = MakeCursor(payload);
-  uint32_t object = 0;
-  uint64_t count = 0;
-  if (!c.TakeU32(&object) || !c.TakeU64(&count) ||
-      !c.CountFits(count, 8 + 4 + 1 + 4)) {
-    return spans;
-  }
-  spans.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; i++) {
-    OpLogEntrySpan span;
-    span.offset = c.pos;
-    uint64_t rid = 0;
-    uint32_t opnum = 0;
-    uint8_t optype = 0;
-    if (!c.TakeU64(&rid) || !c.TakeU32(&opnum) || !c.TakeU8(&optype) || !c.SkipStr()) {
-      spans.clear();
-      return spans;
-    }
-    span.bytes = c.pos - span.offset;
-    spans.push_back(span);
-  }
-  return spans;
-}
-
-std::vector<OpLogEntrySpan> IndexOpLogSegmentEntries(const std::string& payload,
-                                                     OpLogSegmentHeader* header) {
-  std::vector<OpLogEntrySpan> spans;
-  Cursor c = MakeCursor(payload);
-  if (!c.TakeU32(&header->object) || !c.TakeU32(&header->segment_seq) ||
-      !c.TakeU64(&header->first_seqnum) || !c.TakeU64(&header->count) ||
-      !c.CountFits(header->count, 8 + 4 + 1 + 4)) {
-    return spans;
-  }
-  spans.reserve(static_cast<size_t>(header->count));
-  for (uint64_t i = 0; i < header->count; i++) {
-    OpLogEntrySpan span;
-    span.offset = c.pos;
-    uint64_t rid = 0;
-    uint32_t opnum = 0;
-    uint8_t optype = 0;
-    if (!c.TakeU64(&rid) || !c.TakeU32(&opnum) || !c.TakeU8(&optype) || !c.SkipStr()) {
-      spans.clear();
-      return spans;
-    }
-    span.bytes = c.pos - span.offset;
-    spans.push_back(span);
-  }
-  return spans;
-}
-
 Status DecodeOpLogEntry(const char* data, size_t size, OpRecord* out) {
   Cursor c{reinterpret_cast<const unsigned char*>(data), size};
   uint8_t optype = 0;
-  if (!c.TakeU64(&out->rid) || !c.TakeU32(&out->opnum) || !c.TakeU8(&optype) ||
-      !c.TakeStr(&out->contents) || !c.AtEnd()) {
+  const EntryParse parsed = TakeOpLogEntry(&c, out, &optype);
+  if (parsed == EntryParse::kMalformed || !c.AtEnd()) {
     return Status::Error("wire: malformed op-log entry slice");
   }
-  if (optype > static_cast<uint8_t>(StateOpType::kDbOp)) {
+  if (parsed == EntryParse::kUnknownType) {
     return Status::Error("wire: unknown op type in op-log entry slice");
   }
-  out->type = static_cast<StateOpType>(optype);
   return Status::Ok();
 }
 
@@ -894,15 +839,13 @@ bool DecodeSqlCell(Cursor* c, SqlValue* out) {
   }
 }
 
-void WriteStateToSink(Sink* sink, const InitialState& state) {
-  sink->WriteHeader(wire::Section::kState);
+void EnumerateStateRecords(const InitialState& state, const RecordFn& fn) {
   std::string payload;
-  payload.clear();
   EncodeValueMap(state.registers, &payload);
-  sink->WriteRecord(kRecRegisters, payload);
+  fn(kRecRegisters, payload);
   payload.clear();
   EncodeValueMap(state.kv, &payload);
-  sink->WriteRecord(kRecKv, payload);
+  fn(kRecKv, payload);
   for (const std::string& table : state.db.TableNames()) {
     const std::vector<ColumnDef>* schema = state.db.Schema(table);
     const std::vector<SqlRow>* rows = state.db.Rows(table);
@@ -923,9 +866,8 @@ void WriteStateToSink(Sink* sink, const InitialState& state) {
         }
       }
     }
-    sink->WriteRecord(kRecDbTable, payload);
+    fn(kRecDbTable, payload);
   }
-  sink->WriteEnd();
 }
 
 Status DecodeStateRecord(uint8_t type, const std::string& payload, const std::string& path,
@@ -1038,60 +980,38 @@ Status ReadSectionFile(const std::string& path, wire::Section section, Env* env,
 
 // --- TraceWriter / TraceReader ---
 
-TraceWriter::~TraceWriter() = default;
-
 Status TraceWriter::Open(const std::string& path, uint32_t shard_id, Env* env) {
   if (open_) {
     return Status::Error("wire: TraceWriter already open");
   }
-  if (Status st = atomic_.Open(env, path); !st.ok()) {
-    return st;
-  }
-  open_ = true;
-  bytes_ = 0;
-  records_ = 0;
-  Sink sink(atomic_.file(), bytes_, records_);
-  sink.WriteHeader(wire::Section::kTrace);
-  if (shard_id != 0) {
+  Status st = section_.Open(env, path, wire::Section::kTrace);
+  if (st.ok() && shard_id != 0) {
     std::string payload;
     PutU32(&payload, shard_id);
-    sink.WriteRecord(kRecShardInfo, payload);
+    st = section_.Append(kRecShardInfo, payload);
   }
-  bytes_ = sink.bytes();
-  records_ = sink.records();
-  error_ = sink.status();
-  return error_;
+  open_ = st.ok();
+  return st;
 }
 
 Status TraceWriter::Append(const TraceEvent& event) {
+  EncodeTraceEvent(event, &scratch_);
+  return AppendRecord(TraceEventRecordType(event), scratch_);
+}
+
+Status TraceWriter::AppendRecord(uint8_t type, const std::string& payload) {
   if (!open_) {
     return Status::Error("wire: TraceWriter is not open");
   }
-  if (!error_.ok()) {
-    return error_;
-  }
-  EncodeTraceEvent(event, &scratch_);
-  Sink sink(atomic_.file(), bytes_, records_);
-  sink.WriteRecord(TraceEventRecordType(event), scratch_);
-  bytes_ = sink.bytes();
-  records_ = sink.records();
-  error_ = sink.status();
-  return error_;
+  return section_.Append(type, payload);
 }
 
 Status TraceWriter::Finish() {
   if (!open_) {
     return Status::Error("wire: TraceWriter is not open");
   }
-  if (!error_.ok()) {
-    return error_;
-  }
-  Sink sink(atomic_.file(), bytes_, records_);
-  sink.WriteEnd();
-  bytes_ = sink.bytes();
   open_ = false;  // One way or another, this writer is finished.
-  error_ = sink.status();
-  return error_.ok() ? atomic_.Commit() : error_;
+  return section_.Commit();
 }
 
 TraceReader::TraceReader() = default;
@@ -1229,21 +1149,19 @@ void ForEachReportsRecord(const Reports& reports,
 
 Status WriteShardManifestFile(const std::string& path, const ShardManifest& manifest,
                               Env* env) {
-  return WriteSectionFileAtomically(path, env, [&](Sink* sink) {
-    sink->WriteHeader(wire::Section::kManifest);
+  return WriteSectionFile(path, env, wire::Section::kManifest, [&](const RecordFn& fn) {
     std::string payload;
     if (manifest.epoch != 0) {
       PutU64(&payload, manifest.epoch);
-      sink->WriteRecord(kRecManifestEpoch, payload);
+      fn(kRecManifestEpoch, payload);
     }
     for (const ShardManifestEntry& shard : manifest.shards) {
       payload.clear();
       PutU32(&payload, shard.shard_id);
       PutStr(&payload, shard.trace_file);
       PutStr(&payload, shard.reports_file);
-      sink->WriteRecord(kRecManifestShard, payload);
+      fn(kRecManifestShard, payload);
     }
-    sink->WriteEnd();
   });
 }
 
@@ -1298,8 +1216,8 @@ Result<ShardManifest> ReadShardManifestFile(const std::string& path, Env* env) {
 // --- Reports files ---
 
 Status WriteReportsFile(const std::string& path, const Reports& reports, Env* env) {
-  return WriteSectionFileAtomically(path, env, [&](Sink* sink) {
-    WriteReportsToSink(sink, reports, /*nondet_only=*/false);
+  return WriteSectionFile(path, env, wire::Section::kReports, [&](const RecordFn& fn) {
+    EnumerateReportsRecords(reports, /*nondet_only=*/false, fn);
   });
 }
 
@@ -1377,8 +1295,8 @@ Result<bool> ReportsRecordReader::Next(uint8_t* type, std::string* payload) {
 
 Status WriteInitialStateFile(const std::string& path, const InitialState& state,
                              Env* env) {
-  return WriteSectionFileAtomically(
-      path, env, [&](Sink* sink) { WriteStateToSink(sink, state); });
+  return WriteSectionFile(path, env, wire::Section::kState,
+                          [&](const RecordFn& fn) { EnumerateStateRecords(state, fn); });
 }
 
 Result<InitialState> ReadInitialStateFile(const std::string& path, Env* env) {
@@ -1418,15 +1336,13 @@ size_t Trace::WireBytes() const {
 }
 
 size_t Reports::WireBytes(bool nondet_only) const {
-  Sink sink;  // Counting only: same encoder as WriteReportsFile, so the count is exact.
-  WriteReportsToSink(&sink, *this, nondet_only);
-  return sink.bytes();
+  // Same encoder as WriteReportsFile, so the count is exact.
+  return SectionWireBytes(
+      [&](const RecordFn& fn) { EnumerateReportsRecords(*this, nondet_only, fn); });
 }
 
 size_t InitialStateWireBytes(const InitialState& state) {
-  Sink sink;
-  WriteStateToSink(&sink, state);
-  return sink.bytes();
+  return SectionWireBytes([&](const RecordFn& fn) { EnumerateStateRecords(state, fn); });
 }
 
 }  // namespace orochi

@@ -111,6 +111,12 @@ inline constexpr uint64_t kMaxOpLogSegmentBytes = 64 * 1024;
 // The 13-byte envelope header for `section` at kFormatVersion, for sidecar writers.
 std::string EnvelopeHeader(Section section);
 
+// Checks the envelope header at the start of [data, data+n): complete, the magic, a
+// version readers accept, and section kind `want`. Errors name `path`, located at
+// offset 0.
+Status CheckEnvelopeHeader(const char* data, size_t n, Section want,
+                           const std::string& path);
+
 // Appends one v2 record (frame + CRC + payload) to `out`, for sidecar writers.
 void AppendRecordFrame(std::string* out, uint8_t type, const std::string& payload);
 
@@ -119,9 +125,31 @@ bool ParseRecordFrameV2(const char* data, size_t n, uint8_t* type, uint64_t* len
                         uint32_t* crc);
 
 // Appends the v2 end record (type 0 + CRC'd footer: `records` non-end records, end frame
-// beginning at byte `end_offset`), for spool/sidecar writers that append record frames
-// incrementally and must seal a section byte-identical to the file writers' output.
+// beginning at byte `end_offset`), for writers that assemble a section in memory.
 void AppendEndRecordFrame(std::string* out, uint64_t records, uint64_t end_offset);
+
+// Writes one section file crash-safely: Open writes the envelope header to a temp file,
+// Append frames one record, and Commit appends the end record — its footer built from
+// this writer's own record and byte counts — then fsyncs and renames the file into
+// place. The one writer behind every spill, state and manifest file and the service's
+// spools, so they all seal byte-identically.
+class SectionWriter {
+ public:
+  Status Open(Env* env, const std::string& path, Section section);
+  // Sticky: after a failed write, this and every later call return that failure.
+  Status Append(uint8_t type, const std::string& payload);
+  Status Commit();
+
+  uint64_t bytes() const { return bytes_; }  // Bytes appended, header included.
+
+ private:
+  void Write(const char* data, size_t n);
+
+  AtomicFileWriter atomic_;
+  Status error_;
+  uint64_t bytes_ = 0;
+  uint64_t records_ = 0;  // Non-end records appended, for the footer.
+};
 
 // Version-aware record stream over one section file (definition in wire_format.cc).
 class RecordStream;
@@ -135,7 +163,6 @@ class RecordStream;
 class TraceWriter {
  public:
   TraceWriter() = default;
-  ~TraceWriter();
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
@@ -145,17 +172,20 @@ class TraceWriter {
   // only a successful Finish renames it into place.
   Status Open(const std::string& path, uint32_t shard_id = 0, Env* env = nullptr);
   Status Append(const TraceEvent& event);
+  // Appends one record EncodeTraceEventRecord produced, for a receiver spooling a
+  // streamed trace.
+  Status AppendRecord(uint8_t type, const std::string& payload);
   // Writes the end record, fsyncs, and renames into place; the file exists at `path`
   // only after Finish succeeds.
   Status Finish();
 
+  // Bytes written so far, header included.
+  uint64_t bytes() const { return section_.bytes(); }
+
  private:
-  AtomicFileWriter atomic_;
+  wire::SectionWriter section_;
   bool open_ = false;
   std::string scratch_;
-  Status error_;  // Sticky: a failed write poisons the rest of the file.
-  size_t bytes_ = 0;
-  uint64_t records_ = 0;
 };
 
 class TraceReader {
@@ -257,7 +287,8 @@ class ReportsRecordReader {
 // Cross-record validation state for one reports read: op-counts must occur at most once,
 // and object records form an in-section header block (all before the first non-object
 // record, no duplicate descriptor). Public so the in-memory ReadFile and the streaming
-// index decode through the exact same code — one validator, identical error text.
+// index (StreamReportsSet::AppendFile) decode through the exact same code — one
+// validator, identical error text.
 struct ReportsDecodeState {
   bool saw_op_counts = false;
   bool saw_non_object = false;
@@ -268,39 +299,34 @@ struct ReportsDecodeState {
   std::map<uint32_t, uint32_t> segments;
 };
 
-// Decodes one reports record payload into *out exactly as ReadReportsFile would.
-Status DecodeReportsRecordPayload(uint8_t type, const std::string& payload,
-                                  const std::string& path, ReportsDecodeState* state,
-                                  Reports* out);
-
 // Byte span of one op-log entry inside an op-log record payload, relative to the payload
 // start: the entry's frame (rid + opnum + type + length-prefixed contents) begins at
-// `offset` and spans `bytes`. Valid only for a payload DecodeReportsRecordPayload
-// accepted; the spans of consecutive entries are contiguous.
+// `offset` and spans `bytes`.
 struct OpLogEntrySpan {
   uint64_t offset = 0;
   uint64_t bytes = 0;
 };
 
-// Walks a validated op-log record payload and returns each entry's span, in log order.
-std::vector<OpLogEntrySpan> IndexOpLogEntries(const std::string& payload);
-
-// Parsed fixed prefix of a v3 segmented op-log record payload.
-struct OpLogSegmentHeader {
+// Where the entries of one decoded op-log record (monolithic or segment) came from:
+// `object`'s log entries from index `first` on, one span per entry in log order. The
+// spans tile the payload after the record's fixed prefix.
+struct OpLogRecordSpans {
   uint32_t object = 0;
-  uint32_t segment_seq = 0;
-  uint64_t first_seqnum = 0;  // 1-based seqnum of the segment's first entry.
-  uint64_t count = 0;
+  size_t first = 0;
+  std::vector<OpLogEntrySpan> entries;
 };
 
-// Walks a validated kReportsRecOpLogSegment payload: fills *header and returns each
-// entry's span (in segment order). Empty on malformed input, like IndexOpLogEntries.
-std::vector<OpLogEntrySpan> IndexOpLogSegmentEntries(const std::string& payload,
-                                                     OpLogSegmentHeader* header);
+// Decodes one reports record payload into *out exactly as ReadReportsFile would. With
+// `spans` set, an op-log record also reports where each decoded entry sits in `payload`
+// (any other record leaves spans->entries empty), so a streaming index can locate the
+// entries without parsing the payload a second time.
+Status DecodeReportsRecordPayload(uint8_t type, const std::string& payload,
+                                  const std::string& path, ReportsDecodeState* state,
+                                  Reports* out, OpLogRecordSpans* spans = nullptr);
 
-// Decodes one op-log entry frame (a single OpLogEntrySpan's bytes) exactly as the reports
-// reader would. The out-of-core audit uses this to materialize an entry from a point read
-// at an offset recorded during the streaming pass.
+// Decodes one op-log entry frame (a single OpLogEntrySpan's bytes) with the reports
+// decoder's entry parser. The out-of-core audit uses this to materialize an entry from a
+// point read at an offset recorded during the streaming pass.
 Status DecodeOpLogEntry(const char* data, size_t size, OpRecord* out);
 
 // Enumerates the records a reports spill file for `reports` would contain, in file order

@@ -92,14 +92,6 @@ struct Cursor {
     pos += len;
     return true;
   }
-  bool SkipStr() {
-    uint32_t len;
-    if (!TakeU32(&len) || pos + len > n) {
-      return false;
-    }
-    pos += len;
-    return true;
-  }
   bool AtEnd() const { return pos == n; }
 
   size_t Remaining() const { return n - pos; }

@@ -6,7 +6,6 @@
 
 #include "src/common/strings.h"
 #include "src/objects/wire_format.h"
-#include "src/objects/wire_primitives.h"
 #include "src/obs/metrics.h"
 
 namespace orochi {
@@ -148,13 +147,15 @@ struct AuditService::ShardStream {
   bool opened = false;
   std::string trace_path;
   std::string reports_path;
-  AtomicFileWriter trace_atomic;
-  AtomicFileWriter reports_atomic;
+  // The spools: written like a local Collector::Flush / WriteReportsFile, so a sealed
+  // pair is byte-identical to a local spill of the same traffic.
+  TraceWriter trace_writer;
+  wire::SectionWriter reports_writer;
   // Counts are written by the one attached handler but read by the /shards endpoint at
   // any time, hence atomics (plain loads/stores; attachment already orders the writes).
   std::atomic<uint64_t> trace_received{0};    // Records spooled — the client's resume point.
   std::atomic<uint64_t> reports_received{0};
-  std::atomic<uint64_t> trace_bytes{0};   // Bytes written so far (header included), for the footer.
+  std::atomic<uint64_t> trace_bytes{0};   // Spool bytes written so far, header included.
   std::atomic<uint64_t> reports_bytes{0};
   std::atomic<uint64_t> unacked_bytes{0};  // In-flight bytes since the last ack sent.
 };
@@ -271,24 +272,27 @@ void AuditService::AcceptLoop() {
 
 Status AuditService::SpoolRecord(ShardStream* stream, bool is_trace,
                                  const net::RecordFrame& rec) {
-  std::string frame;
-  wire::AppendRecordFrame(&frame, rec.record_type, rec.payload);
-  AtomicFileWriter& atomic = is_trace ? stream->trace_atomic : stream->reports_atomic;
-  if (Status st = atomic.file()->Append(frame); !st.ok()) {
-    return st;
-  }
+  const uint64_t frame_bytes = wire::kRecordFrameBytesV2 + rec.payload.size();
   if (is_trace) {
+    if (Status st = stream->trace_writer.AppendRecord(rec.record_type, rec.payload);
+        !st.ok()) {
+      return st;
+    }
     stream->trace_received++;
-    stream->trace_bytes += frame.size();
+    stream->trace_bytes = stream->trace_writer.bytes();
   } else {
+    if (Status st = stream->reports_writer.Append(rec.record_type, rec.payload);
+        !st.ok()) {
+      return st;
+    }
     stream->reports_received++;
-    stream->reports_bytes += frame.size();
+    stream->reports_bytes = stream->reports_writer.bytes();
   }
   ServiceMetrics::Get()->records_spooled->Inc();
-  ServiceMetrics::Get()->bytes_spooled->Inc(frame.size());
+  ServiceMetrics::Get()->bytes_spooled->Inc(frame_bytes);
   std::lock_guard<std::mutex> lock(mu_);
   stats_.records_spooled++;
-  stats_.bytes_spooled += frame.size();
+  stats_.bytes_spooled += frame_bytes;
   return Status::Ok();
 }
 
@@ -313,22 +317,10 @@ Status AuditService::SealShard(EpochState* epoch, ShardStream* stream,
     cv_.notify_all();
     return Status::Error(reason);
   }
-  // Footer counts mirror TraceWriter/WriteReportsFile exactly: the trace section carries one
-  // extra non-end record (the shard-info header written at open).
-  std::string tail;
-  wire::AppendEndRecordFrame(&tail, stream->trace_received + 1, stream->trace_bytes);
-  if (Status st = stream->trace_atomic.file()->Append(tail); !st.ok()) {
+  if (Status st = stream->trace_writer.Finish(); !st.ok()) {
     return st;
   }
-  if (Status st = stream->trace_atomic.Commit(); !st.ok()) {
-    return st;
-  }
-  tail.clear();
-  wire::AppendEndRecordFrame(&tail, stream->reports_received, stream->reports_bytes);
-  if (Status st = stream->reports_atomic.file()->Append(tail); !st.ok()) {
-    return st;
-  }
-  if (Status st = stream->reports_atomic.Commit(); !st.ok()) {
+  if (Status st = stream->reports_writer.Commit(); !st.ok()) {
     return st;
   }
   ServiceMetrics::Get()->shards_sealed->Inc();
@@ -353,29 +345,20 @@ Status AuditService::ServeStream(Connection* conn, net::FrameReader* reader,
                        "_shard_" + std::to_string(hello.shard_id);
     stream->trace_path = base + ".trace";
     stream->reports_path = base + ".reports";
-    if (Status st = stream->trace_atomic.Open(options_.env, stream->trace_path); !st.ok()) {
-      return st;
-    }
-    if (Status st = stream->reports_atomic.Open(options_.env, stream->reports_path);
+    // The writers put the in-file headers (envelope, shard-info record) down from the
+    // handshake, so what a client streams are pure data records.
+    if (Status st =
+            stream->trace_writer.Open(stream->trace_path, hello.shard_id, options_.env);
         !st.ok()) {
       return st;
     }
-    // The service writes both in-file headers itself from the handshake, so what a client
-    // streams are pure data records and a sealed spool is byte-identical to a local
-    // Collector::Flush / WriteReportsFile of the same traffic.
-    std::string head = wire::EnvelopeHeader(wire::Section::kTrace);
-    std::string shard_info;
-    wire_primitives::PutU32(&shard_info, hello.shard_id);
-    wire::AppendRecordFrame(&head, wire::kTraceRecShardInfo, shard_info);
-    if (Status st = stream->trace_atomic.file()->Append(head); !st.ok()) {
+    if (Status st = stream->reports_writer.Open(options_.env, stream->reports_path,
+                                                wire::Section::kReports);
+        !st.ok()) {
       return st;
     }
-    stream->trace_bytes = head.size();
-    head = wire::EnvelopeHeader(wire::Section::kReports);
-    if (Status st = stream->reports_atomic.file()->Append(head); !st.ok()) {
-      return st;
-    }
-    stream->reports_bytes = head.size();
+    stream->trace_bytes = stream->trace_writer.bytes();
+    stream->reports_bytes = stream->reports_writer.bytes();
     stream->opened = true;
   }
 

@@ -115,19 +115,11 @@ void ReadWholeFileBestEffort(Env* env, const std::string& path, std::string* out
 // records, stopping silently at the first torn or corrupt byte. Returns false (nothing
 // kept) when the envelope, fingerprint, or layout does not match — the file belongs to a
 // different audit or an older journal layout.
-bool ParsePriorJournal(const std::string& data, uint64_t fingerprint,
+bool ParsePriorJournal(const std::string& path, const std::string& data,
+                       uint64_t fingerprint,
                        std::unordered_map<size_t, AuditTaskRecord>* records) {
-  if (data.size() < wire::kEnvelopeHeaderBytes ||
-      data.compare(0, sizeof(wire::kMagic), wire::kMagic, sizeof(wire::kMagic)) != 0) {
-    return false;
-  }
-  uint32_t version = 0;
-  for (int i = 0; i < 4; i++) {
-    version |= static_cast<uint32_t>(static_cast<unsigned char>(data[8 + i])) << (8 * i);
-  }
-  if (version < wire::kMinFormatVersion || version > wire::kFormatVersion ||
-      static_cast<unsigned char>(data[12]) !=
-          static_cast<unsigned char>(wire::Section::kCheckpoint)) {
+  const wire::Section kind = wire::Section::kCheckpoint;
+  if (!wire::CheckEnvelopeHeader(data.data(), data.size(), kind, path).ok()) {
     return false;
   }
   size_t pos = wire::kEnvelopeHeaderBytes;
@@ -253,7 +245,8 @@ Result<std::unique_ptr<CheckpointJournal>> CheckpointJournal::Open(Env* env,
 
   std::string prior;
   ReadWholeFileBestEffort(env, path, &prior);
-  if (!prior.empty() && !ParsePriorJournal(prior, fingerprint, &journal->records_)) {
+  if (!prior.empty() &&
+      !ParsePriorJournal(path, prior, fingerprint, &journal->records_)) {
     journal->records_.clear();
   }
   journal->loaded_ = journal->records_.size();

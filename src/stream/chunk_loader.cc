@@ -167,29 +167,28 @@ Status TraceChunkLoader::LoadBatch(const StreamTraceSet& set,
   return Status::Ok();
 }
 
-FileTraceChunkLoader::FileTraceChunkLoader(const StreamTraceSet* set, Env* env)
-    : env_(ResolveEnv(env)), files_(set->num_files()) {}
-
-FileTraceChunkLoader::~FileTraceChunkLoader() = default;
-
-Result<std::shared_ptr<ReadableFile>> FileTraceChunkLoader::OpenFile(
-    const StreamTraceSet& set, uint32_t file) {
+Result<std::shared_ptr<ReadableFile>> SpillFileTable::Get(uint32_t file, size_t num_files,
+                                                          const std::string& path,
+                                                          const char* use) {
   std::lock_guard<std::mutex> lock(mu_);
   if (file >= files_.size()) {
-    // The set driving the audit can be larger than the one this loader was sized from
-    // (a hooks loader built over a probe set while FeedShardedEpoch merges N files).
-    files_.resize(set.num_files());
+    files_.resize(num_files);
   }
   if (files_[file] == nullptr) {
-    Result<std::unique_ptr<ReadableFile>> opened = env_->OpenRead(set.file_path(file));
+    Result<std::unique_ptr<ReadableFile>> opened = env_->OpenRead(path);
     if (!opened.ok()) {
-      return opened.status().Prefixed("stream: cannot reopen " + set.file_path(file) +
-                                      " for chunk load: ");
+      return opened.status().Prefixed("stream: cannot reopen " + path + " for " + use +
+                                      ": ");
     }
     files_[file] = std::move(opened).value();
   }
   return files_[file];
 }
+
+FileTraceChunkLoader::FileTraceChunkLoader(const StreamTraceSet* set, Env* env)
+    : files_(env, set->num_files()) {}
+
+FileTraceChunkLoader::~FileTraceChunkLoader() = default;
 
 Status FileTraceChunkLoader::InstallPayload(const StreamTraceSet& set, size_t index,
                                             TraceEvent* event, const char* payload,
@@ -220,13 +219,14 @@ Status FileTraceChunkLoader::InstallPayload(const StreamTraceSet& set, size_t in
 Status FileTraceChunkLoader::Load(const StreamTraceSet& set, size_t index,
                                   TraceEvent* event) {
   const TraceEventLoc& loc = set.loc(index);
-  Result<std::shared_ptr<ReadableFile>> file = OpenFile(set, loc.file);
+  Result<std::shared_ptr<ReadableFile>> file =
+      files_.Get(loc.file, set.num_files(), set.file_path(loc.file), "chunk load");
   if (!file.ok()) {
     return file.status();
   }
   std::string payload(static_cast<size_t>(loc.bytes), '\0');
   ReadMetrics::Get()->issued->Inc();
-  if (Status st = env_
+  if (Status st = files_.env()
                       ->StartReadAt(file.value().get(), set.file_path(loc.file),
                                     loc.offset, payload.size(),
                                     payload.empty() ? nullptr : &payload[0])
@@ -272,7 +272,8 @@ Status FileTraceChunkLoader::LoadBatch(const StreamTraceSet& set,
       }
       span_len++;
     }
-    Result<std::shared_ptr<ReadableFile>> file = OpenFile(set, head.file);
+    Result<std::shared_ptr<ReadableFile>> file =
+        files_.Get(head.file, set.num_files(), set.file_path(head.file), "chunk load");
     if (!file.ok()) {
       return fail(file.status());
     }
@@ -281,7 +282,7 @@ Status FileTraceChunkLoader::LoadBatch(const StreamTraceSet& set,
     buf.resize(span_bytes);
     ReadMetrics::Get()->issued->Inc();
     ReadMetrics::Get()->coalesced->Inc(span_len - 1);
-    if (Status st = env_
+    if (Status st = files_.env()
                         ->StartReadAt(file.value().get(), set.file_path(head.file),
                                       head.offset, span_bytes,
                                       span_bytes == 0 ? nullptr : &buf[0])
@@ -318,7 +319,7 @@ void FileTraceChunkLoader::Evict(const StreamTraceSet& set, size_t index,
 }
 
 FileReportsChunkLoader::FileReportsChunkLoader(const StreamReportsSet* set, Env* env)
-    : env_(ResolveEnv(env)), files_(set->num_files()) {}
+    : files_(env, set->num_files()) {}
 
 FileReportsChunkLoader::~FileReportsChunkLoader() = default;
 
@@ -358,31 +359,18 @@ Status FileReportsChunkLoader::LoadRun(StreamReportsSet* set, size_t object,
   const OpLogEntryLoc& head = set->loc(object, first_seqnum);
   const OpLogEntryLoc& tail = set->loc(object, first_seqnum + count - 1);
   const size_t span = static_cast<size_t>(tail.offset + tail.bytes - head.offset);
-  std::shared_ptr<ReadableFile> file;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (head.file >= files_.size()) {
-      // The set driving the audit can be larger than the one this loader was sized from
-      // (a hooks loader built over a probe set while FeedShardedEpoch merges N files).
-      files_.resize(set->num_files());
-    }
-    if (files_[head.file] == nullptr) {
-      Result<std::unique_ptr<ReadableFile>> opened =
-          env_->OpenRead(set->file_path(head.file));
-      if (!opened.ok()) {
-        return opened.status().Prefixed("stream: cannot reopen " +
-                                        set->file_path(head.file) + " for op-log load: ");
-      }
-      files_[head.file] = std::move(opened).value();
-    }
-    file = files_[head.file];
+  Result<std::shared_ptr<ReadableFile>> file = files_.Get(
+      head.file, set->num_files(), set->file_path(head.file), "op-log load");
+  if (!file.ok()) {
+    return file.status();
   }
   std::string frames(span, '\0');
   ReadMetrics::Get()->issued->Inc();
   ReadMetrics::Get()->coalesced->Inc(count - 1);
-  if (Status st = env_
-                      ->StartReadAt(file.get(), set->file_path(head.file), head.offset,
-                                    frames.size(), frames.empty() ? nullptr : &frames[0])
+  if (Status st = files_.env()
+                      ->StartReadAt(file.value().get(), set->file_path(head.file),
+                                    head.offset, frames.size(),
+                                    frames.empty() ? nullptr : &frames[0])
                       ->Wait();
       !st.ok()) {
     return st;

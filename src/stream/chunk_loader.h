@@ -66,6 +66,27 @@ class ChunkBudget {
 // only payload bytes are ever charged to the budget.
 inline constexpr uint64_t kCoalesceGapBytes = 256;
 
+// Lazily opened read handles for one set's spill files, shared by both File loaders.
+// Reads through a handle are positional, so concurrent workers never share a file
+// position; only the lazy opens take the lock.
+class SpillFileTable {
+ public:
+  SpillFileTable(Env* env, size_t num_files) : env_(ResolveEnv(env)), files_(num_files) {}
+
+  // The handle for file `file` (at `path`) of a set holding `num_files` files. The table
+  // grows to `num_files`: the set driving the audit can be larger than the one it was
+  // sized from (a hooks loader built over a probe set while FeedShardedEpoch merges N
+  // files). An open failure is prefixed "stream: cannot reopen <path> for <use>: ".
+  Result<std::shared_ptr<ReadableFile>> Get(uint32_t file, size_t num_files,
+                                            const std::string& path, const char* use);
+  Env* env() const { return env_; }
+
+ private:
+  Env* const env_;
+  std::mutex mu_;
+  std::vector<std::shared_ptr<ReadableFile>> files_;  // null = not yet opened.
+};
+
 // Pages individual trace-event payloads in and out of the pass-1 skeleton. Load/Evict
 // calls for one event always come from the thread running that event's chunk, and chunks
 // partition the rids, so implementations need no per-event locking — only whatever guards
@@ -95,11 +116,10 @@ class TraceChunkLoader {
   virtual void OnChunkEvicted(uint64_t bytes) { (void)bytes; }
 };
 
-// The real loader: positional reads against lazily opened files, so concurrent workers
-// never share a file position. All reads go through the Env (transient faults retry with
-// bounded backoff), and every re-read is checked against the CRC32C pass 1 recorded
-// before it is decoded — a spill file mutated mid-audit surfaces as an I/O error, never
-// as silent misattribution.
+// The real loader: positional reads against a SpillFileTable. All reads go through the
+// Env (transient faults retry with bounded backoff), and every re-read is checked against
+// the CRC32C pass 1 recorded before it is decoded — a spill file mutated mid-audit
+// surfaces as an I/O error, never as silent misattribution.
 class FileTraceChunkLoader : public TraceChunkLoader {
  public:
   // `set` only pre-sizes the file table; Load follows the set it is handed (the audit's
@@ -119,14 +139,11 @@ class FileTraceChunkLoader : public TraceChunkLoader {
   void Evict(const StreamTraceSet& set, size_t index, TraceEvent* event) override;
 
  private:
-  Result<std::shared_ptr<ReadableFile>> OpenFile(const StreamTraceSet& set, uint32_t file);
   // CRC-checks, decodes, and installs one event's payload bytes.
   Status InstallPayload(const StreamTraceSet& set, size_t index, TraceEvent* event,
                         const char* payload, size_t n);
 
-  Env* const env_;
-  std::mutex mu_;  // Guards files_ (lazy opens); reads themselves are lock-free.
-  std::vector<std::shared_ptr<ReadableFile>> files_;  // null = not yet opened.
+  SpillFileTable files_;
 };
 
 // Pages runs of op-log entry *contents* in and out of a reports skeleton
@@ -157,7 +174,7 @@ class ReportsChunkLoader {
   virtual void OnChunkEvicted(uint64_t bytes) { (void)bytes; }
 };
 
-// The real loader: positional reads against lazily opened files, one read per maximal
+// The real loader: positional reads against a SpillFileTable, one read per maximal
 // file-contiguous run (entries merged from different shard files fall back to one read
 // per contiguous piece), each run's entries verified against their pass-1 CRCs.
 class FileReportsChunkLoader : public ReportsChunkLoader {
@@ -178,9 +195,7 @@ class FileReportsChunkLoader : public ReportsChunkLoader {
   Status LoadRun(StreamReportsSet* set, size_t object, uint64_t first_seqnum,
                  uint64_t count);
 
-  Env* const env_;
-  std::mutex mu_;  // Guards files_ (lazy opens); reads themselves are lock-free.
-  std::vector<std::shared_ptr<ReadableFile>> files_;  // null = not yet opened.
+  SpillFileTable files_;
 };
 
 }  // namespace orochi

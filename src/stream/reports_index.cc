@@ -27,13 +27,13 @@ Status StreamReportsSet::AppendFile(const std::string& path, Env* env) {
   if (Status st = reader.Open(path, env); !st.ok()) {
     return st;
   }
-  const uint32_t file = static_cast<uint32_t>(files_.size());
-  // Decode into a per-file Reports first (validation identical to ReadReportsFile, object
-  // ids local to this file), then fold it onto the merged skeleton with the remap
-  // AppendReports applied.
-  Reports file_reports;
-  std::vector<std::vector<OpLogEntryLoc>> file_locs;
+  // Index into a fresh one-file set first (validation identical to ReadReportsFile,
+  // object ids local to this file), then fold it in through Absorb's merge.
+  StreamReportsSet fresh;
+  fresh.files_.push_back(path);
+  Reports& reports = fresh.skeleton_;
   ReportsDecodeState state;
+  OpLogRecordSpans spans;
   uint8_t type = 0;
   std::string payload;
   while (true) {
@@ -44,71 +44,32 @@ Status StreamReportsSet::AppendFile(const std::string& path, Env* env) {
     if (!more.value()) {
       break;
     }
-    if (Status st = DecodeReportsRecordPayload(type, payload, path, &state, &file_reports);
+    if (Status st =
+            DecodeReportsRecordPayload(type, payload, path, &state, &reports, &spans);
         !st.ok()) {
       return st;
     }
-    pass1_transient_peak_bytes_ =
-        std::max<uint64_t>(pass1_transient_peak_bytes_, payload.size());
-    if (type != wire::kReportsRecOpLog && type != wire::kReportsRecOpLogSegment) {
+    fresh.pass1_transient_peak_bytes_ =
+        std::max<uint64_t>(fresh.pass1_transient_peak_bytes_, payload.size());
+    if (spans.entries.empty()) {
       continue;
     }
-    // The decoder accepted the record, so the entry frames sit back-to-back after the
-    // fixed prefix (12 bytes monolithic, 24 bytes segment); the spans must tile the
-    // payload exactly as the decoded entries do. A segment record covers only the tail of
-    // entries it just appended — earlier segments of the same object already shed theirs.
-    uint32_t object = 0;
-    size_t first_index = 0;  // Log index of the first entry this record covers.
-    std::vector<OpLogEntrySpan> spans;
-    if (type == wire::kReportsRecOpLog) {
-      const unsigned char* p = reinterpret_cast<const unsigned char*>(payload.data());
-      for (int i = 0; i < 4; i++) {
-        object |= static_cast<uint32_t>(p[i]) << (8 * i);
-      }
-      spans = IndexOpLogEntries(payload);
-    } else {
-      OpLogSegmentHeader h;
-      spans = IndexOpLogSegmentEntries(payload, &h);
-      object = h.object;
-      first_index = static_cast<size_t>(h.first_seqnum - 1);
-    }
-    file_locs.resize(file_reports.op_logs.size());
-    std::vector<OpRecord>& log = file_reports.op_logs[object];
-    if (first_index + spans.size() != log.size()) {
-      return Status::Error("stream: op-log index drifted from the decoder in " + path);
-    }
-    std::vector<OpLogEntryLoc>& locs = file_locs[object];
-    locs.reserve(log.size());
-    for (const OpLogEntrySpan& span : spans) {
-      locs.push_back({file, reader.last_payload_offset() + span.offset, span.bytes,
+    fresh.locs_.resize(reports.op_logs.size());
+    std::vector<OpLogEntryLoc>& locs = fresh.locs_[spans.object];
+    std::vector<OpRecord>& log = reports.op_logs[spans.object];
+    for (size_t k = 0; k < spans.entries.size(); k++) {
+      const OpLogEntrySpan& span = spans.entries[k];
+      locs.push_back({0, reader.last_payload_offset() + span.offset, span.bytes,
                       Crc32c(payload.data() + span.offset, span.bytes)});
-    }
-    // Shed the covered contents now that their locations are indexed, so at most one
-    // record's contents are transiently resident during the pass.
-    for (size_t i = first_index; i < log.size(); i++) {
-      log[i].contents.clear();
-      log[i].contents.shrink_to_fit();
+      fresh.total_log_payload_bytes_ += span.bytes;
+      // Shed the contents now that the location is indexed, so at most one record's
+      // contents are transiently resident during the pass.
+      std::string().swap(log[spans.first + k].contents);
     }
   }
-  Pass1TransientGauge()->SetMax(static_cast<int64_t>(pass1_transient_peak_bytes_));
-  file_locs.resize(file_reports.op_logs.size());
-
-  ReportsMergeMap map;
-  if (Status st = AppendReports(&skeleton_, file_reports, &map); !st.ok()) {
-    // Merge-level errors (possible only past the first file) name the offending file so
-    // shard-merge callers surface the same "path: reason" shape decode errors carry.
-    return st.Prefixed(path + ": ");
-  }
-  locs_.resize(skeleton_.op_logs.size());
-  for (size_t i = 0; i < file_locs.size(); i++) {
-    std::vector<OpLogEntryLoc>& dst = locs_[map.object_remap[i]];
-    for (const OpLogEntryLoc& loc : file_locs[i]) {
-      dst.push_back(loc);
-      total_log_payload_bytes_ += loc.bytes;
-    }
-  }
-  files_.push_back(path);
-  return Status::Ok();
+  Pass1TransientGauge()->SetMax(static_cast<int64_t>(fresh.pass1_transient_peak_bytes_));
+  fresh.locs_.resize(reports.op_logs.size());
+  return Absorb(std::move(fresh), path);
 }
 
 Status StreamReportsSet::Absorb(StreamReportsSet&& other, const std::string& label) {

@@ -46,9 +46,10 @@ struct OpLogEntryLoc {
 
 class StreamReportsSet {
  public:
-  // Streams `path` (decoding every record through the same validator the in-memory
-  // reader uses, then shedding op-log contents) and merges it onto the skeleton via
-  // AppendReports semantics. At most one record's payload is transiently resident during
+  // Streams `path` into a fresh one-file set and folds that in through Absorb. Every
+  // record decodes through the same validator the in-memory reader uses, which also
+  // reports each op-log entry's byte span; the entry's location is indexed from that span
+  // and its contents shed. At most one record's payload is transiently resident during
   // the pass — and since v3 writers cap op-log records at wire::kMaxOpLogSegmentBytes,
   // that transient is bounded by one *segment* even for a hot object (v2 files still pay
   // one monolithic record). v3 segment records stitch back into the same per-object
@@ -60,8 +61,8 @@ class StreamReportsSet {
 
   // Folds `other` onto this set with AppendReports merge semantics (object-id remap,
   // group-tag merge, rid-disjointness), remapping its entry locations alongside — the
-  // sequential fold step of a parallel per-shard pass 1. `label` prefixes merge-level
-  // errors exactly as AppendFile's path does.
+  // sequential fold step of a parallel per-shard pass 1 and the last step of AppendFile.
+  // `label` prefixes merge-level errors.
   Status Absorb(StreamReportsSet&& other, const std::string& label);
 
   const Reports& skeleton() const { return skeleton_; }

@@ -216,6 +216,84 @@ TEST(WireReports, NondetOnlySizeIsSmallerAndExact) {
   EXPECT_LE(nd, ReadFileBytes(path).size());
 }
 
+// The decoder's entry spans are what pass 1 indexes op-log entries from, so each span
+// must point at exactly the entry the full decode produced, and the spans of one record
+// must tile its payload after the fixed prefix — for a small object's monolithic record
+// and for a hot object split into segment records alike.
+TEST(WireReports, DecoderEntrySpansTileEachOpLogRecord) {
+  Reports r;
+  r.objects.push_back({ObjectKind::kRegister, "small"});
+  r.objects.push_back({ObjectKind::kKv, ""});
+  r.op_logs.resize(2);
+  r.op_logs[0].push_back({1, 1, StateOpType::kRegisterRead, ""});
+  r.op_logs[0].push_back({2, 1, StateOpType::kRegisterWrite,
+                          MakeRegisterWriteContents(Value::Int(5))});
+  for (RequestId rid = 1; rid <= 300; rid++) {
+    const char fill = static_cast<char>('a' + rid % 26);
+    r.op_logs[1].push_back(
+        {rid, 2, StateOpType::kKvSet, std::string(300 + rid % 7, fill)});
+  }
+  uint64_t hot_bytes = 0;
+  for (const OpRecord& op : r.op_logs[1]) {
+    hot_bytes += 8 + 4 + 1 + 4 + op.contents.size();
+  }
+  ASSERT_GT(hot_bytes, wire::kMaxOpLogSegmentBytes);
+  std::string path = TempPath("reports_spans.bin");
+  ASSERT_TRUE(WriteReportsFile(path, r).ok());
+
+  ReportsRecordReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  Reports decoded;
+  ReportsDecodeState state;
+  OpLogRecordSpans spans;
+  size_t monolithic = 0, segments = 0;
+  std::vector<size_t> spanned(r.op_logs.size(), 0);
+  uint8_t type = 0;
+  std::string payload;
+  while (true) {
+    Result<bool> more = reader.Next(&type, &payload);
+    ASSERT_TRUE(more.ok()) << more.error();
+    if (!more.value()) {
+      break;
+    }
+    ASSERT_TRUE(
+        DecodeReportsRecordPayload(type, payload, path, &state, &decoded, &spans).ok());
+    if (type != wire::kReportsRecOpLog && type != wire::kReportsRecOpLogSegment) {
+      EXPECT_TRUE(spans.entries.empty()) << "record type " << int(type);
+      continue;
+    }
+    const bool segment = type == wire::kReportsRecOpLogSegment;
+    (segment ? segments : monolithic)++;
+    ASSERT_LT(spans.object, r.op_logs.size());
+    EXPECT_EQ(spans.first, spanned[spans.object]);
+    ASSERT_FALSE(spans.entries.empty());
+    // Fixed prefix: object + count, plus segment_seq + first_seqnum for a segment.
+    uint64_t next = segment ? 4 + 4 + 8 + 8 : 4 + 8;
+    for (size_t k = 0; k < spans.entries.size(); k++) {
+      const OpLogEntrySpan& span = spans.entries[k];
+      EXPECT_EQ(span.offset, next) << "entry " << k;
+      next = span.offset + span.bytes;
+      ASSERT_LE(next, payload.size());
+      OpRecord entry;
+      ASSERT_TRUE(DecodeOpLogEntry(payload.data() + span.offset,
+                                   static_cast<size_t>(span.bytes), &entry)
+                      .ok());
+      const OpRecord& full = decoded.op_logs[spans.object][spans.first + k];
+      EXPECT_EQ(entry.rid, full.rid);
+      EXPECT_EQ(entry.opnum, full.opnum);
+      EXPECT_EQ(entry.type, full.type);
+      EXPECT_EQ(entry.contents, full.contents);
+    }
+    EXPECT_EQ(next, payload.size());
+    spanned[spans.object] += spans.entries.size();
+  }
+  EXPECT_EQ(monolithic, 1u);
+  EXPECT_GE(segments, 2u);
+  for (size_t i = 0; i < r.op_logs.size(); i++) {
+    EXPECT_EQ(spanned[i], r.op_logs[i].size()) << "object " << i;
+  }
+}
+
 TEST(WireState, RoundTripAndExactSize) {
   InitialState s = SampleState();
   std::string path = TempPath("state_rt.bin");
