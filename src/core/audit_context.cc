@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "src/common/timer.h"
+#include "src/common/work_steal_pool.h"
+#include "src/core/auditor.h"
 #include "src/objects/db_adapter.h"
 #include "src/sql/sql_parser.h"
 
@@ -26,92 +28,184 @@ void AuditStats::MergeFrom(const AuditStats& o) {
   group_stats.insert(group_stats.end(), o.group_stats.begin(), o.group_stats.end());
 }
 
+Status OpLogScanner::Scan(size_t object, const OpLogEntryFn& fn, bool* load_failed) {
+  for (const OpLogSegment& segment : Segments(object)) {
+    if (Status st = ScanSegment(object, segment, fn, load_failed); !st.ok()) {
+      return st;
+    }
+  }
+  return Status::Ok();
+}
+
+std::vector<OpLogSegment> ResidentOpLogScanner::Segments(size_t object) const {
+  const uint64_t n = reports_->op_logs[object].size();
+  std::vector<OpLogSegment> out;
+  for (uint64_t first = 1; first <= n; first += kSegmentEntries) {
+    out.push_back({first, std::min(kSegmentEntries, n - first + 1)});
+  }
+  return out;
+}
+
+Status ResidentOpLogScanner::ScanSegment(size_t object, OpLogSegment segment,
+                                         const OpLogEntryFn& fn, bool* /*load_failed*/) {
+  const std::vector<OpRecord>& log = reports_->op_logs[object];
+  for (uint64_t s = segment.first_seqnum; s < segment.first_seqnum + segment.count; s++) {
+    if (Status st = fn(log[static_cast<size_t>(s - 1)], s); !st.ok()) {
+      return st;
+    }
+  }
+  return Status::Ok();
+}
+
 AuditContext::AuditContext(const Trace* trace, const Reports* reports, const Application* app,
                            const InitialState* initial, AuditOptions options)
     : trace_(trace), reports_(reports), app_(app), initial_(initial),
-      options_(std::move(options)), inline_ws_(&stats_) {}
+      options_(std::move(options)), resident_scanner_(reports),
+      oplog_scanner_(&resident_scanner_), inline_ws_(&stats_) {}
 
-Status AuditContext::Prepare() {
-  {
-    obs::TraceSpan span(&stats_.phases, obs::Phase::kProcOpReports);
-    if (Status st = CheckTraceBalanced(*trace_); !st.ok()) {
-      return st;
-    }
-    // Per-rid mutable slots are pre-built here so the re-execution phase never inserts
-    // into these maps (concurrent access to distinct entries is then race-free). The
-    // trace is balanced, so every traced rid has exactly one response and one slot.
-    outputs_.reserve(trace_->events.size() / 2);
-    for (size_t i = 0; i < trace_->events.size(); i++) {
-      const TraceEvent& e = trace_->events[i];
-      if (e.kind == TraceEvent::Kind::kRequest) {
-        request_events_[e.rid] = &e;
-      } else {
-        outputs_[e.rid].response = i;
+Status AuditContext::Prepare(bool* load_failed) {
+  kv_object_ = reports_->FindObject(ObjectKind::kKv, "");
+  db_object_ = reports_->FindObject(ObjectKind::kDb, "");
+  const size_t db = static_cast<size_t>(db_object_);
+  const std::vector<OpLogSegment> segments =
+      db_object_ < 0 ? std::vector<OpLogSegment>{} : oplog_scanner_->Segments(db);
+  db_log_parsed_.assign(db_object_ < 0 ? 0 : reports_->op_logs[db].size(), DbContents{});
+  std::vector<DbRedoSlot> slots(db_log_parsed_.size());
+  // Callers resolve the thread count before they build a context; a config error here
+  // only means no pool.
+  Result<size_t> threads = ResolveAuditThreads(options_);
+  const size_t num_threads = threads.ok() ? threads.value() : 1;
+  if (num_threads <= 1) {
+    // Inline, in the serial order: each DB segment is parsed and replayed before the
+    // next one pages in, and the first failure ends Prepare.
+    {
+      obs::TraceSpan span(&stats_.phases, obs::Phase::kProcOpReports);
+      if (Status st = ProcessReports(); !st.ok()) {
+        return st;
       }
     }
-    nondet_cursors_.reserve(request_events_.size());
-    for (const auto& [rid, ev] : request_events_) {
-      (void)ev;
-      nondet_cursors_.emplace(rid, NondetCursor{});
-    }
-    Result<ProcessedReports> processed = ProcessOpReports(*trace_, *reports_);
-    if (!processed.ok()) {
-      return processed.status();
-    }
-    processed_ = std::move(processed).value();
-  }
-  {
     obs::TraceSpan span(&stats_.phases, obs::Phase::kDbRedo);
-    kv_object_ = reports_->FindObject(ObjectKind::kKv, "");
-    db_object_ = reports_->FindObject(ObjectKind::kDb, "");
-    if (Status st = BuildRegisterIndexes(); !st.ok()) {
+    if (Status st = BuildStores(load_failed); !st.ok()) {
       return st;
     }
-    if (Status st = BuildVersionedKv(); !st.ok()) {
-      return st;
+    for (const OpLogSegment& segment : segments) {
+      ParseDbSegment(segment, &slots);
+      if (Status st = ReplayDbSlots(segment.first_seqnum, segment.count, &slots, load_failed);
+          !st.ok()) {
+        return st;
+      }
     }
-    if (Status st = BuildVersionedDb(); !st.ok()) {
-      return st;
-    }
-    // Redo is done: from here on every read of versioned storage is against an immutable
-    // snapshot, so audit workers query it without locks.
     versioned_db_.Freeze();
+    return Status::Ok();
   }
+
+  // Task 0 is ProcessOpReports, task 1 the register + KV + snapshot builds, task 2 + k
+  // the parse of DB segment k. Each task times itself into its own breakdown.
+  std::vector<size_t> tasks(2 + segments.size());
+  for (size_t t = 0; t < tasks.size(); t++) {
+    tasks[t] = t;
+  }
+  std::vector<obs::PhaseBreakdown> task_phases(tasks.size());
+  Status processed;
+  Status stores;
+  bool stores_load_failed = false;  // Reported only if no ProcessOpReports error outranks it.
+  WorkStealPool(std::min(num_threads, tasks.size())).Run(tasks, [&](size_t t) {
+    obs::TraceSpan span(&task_phases[t],
+                        t == 0 ? obs::Phase::kProcOpReports : obs::Phase::kDbRedo);
+    if (t == 0) {
+      processed = ProcessReports();
+    } else if (t == 1) {
+      stores = BuildStores(&stores_load_failed);
+    } else {
+      ParseDbSegment(segments[t - 2], &slots);
+    }
+  });
+  for (const obs::PhaseBreakdown& p : task_phases) {
+    stats_.phases.MergeFrom(p);
+  }
+  // The serial order's first failure wins, whichever task hit its own first.
+  if (!processed.ok()) {
+    return processed;
+  }
+  if (!stores.ok()) {
+    if (load_failed != nullptr) {
+      *load_failed = stores_load_failed;
+    }
+    return stores;
+  }
+  obs::TraceSpan span(&stats_.phases, obs::Phase::kDbRedo);
+  if (Status st = ReplayDbSlots(1, slots.size(), &slots, load_failed); !st.ok()) {
+    return st;
+  }
+  // Redo is done: from here on every read of versioned storage is against an immutable
+  // snapshot, so audit workers query it without locks.
+  versioned_db_.Freeze();
   return Status::Ok();
 }
 
-Status AuditContext::ScanOpLog(size_t object,
-                               const std::function<Status(const OpRecord&, uint64_t)>& fn) {
-  if (oplog_scanner_ != nullptr) {
-    return oplog_scanner_->Scan(object, fn);
+Status AuditContext::ProcessReports() {
+  if (Status st = CheckTraceBalanced(*trace_); !st.ok()) {
+    return st;
   }
-  const std::vector<OpRecord>& log = reports_->op_logs[object];
-  for (size_t j = 0; j < log.size(); j++) {
-    if (Status st = fn(log[j], j + 1); !st.ok()) {
-      return st;
+  // Per-rid mutable slots are pre-built here so the re-execution phase never inserts
+  // into these maps (concurrent access to distinct entries is then race-free). The
+  // trace is balanced, so every traced rid has exactly one response and one slot.
+  outputs_.reserve(trace_->events.size() / 2);
+  for (size_t i = 0; i < trace_->events.size(); i++) {
+    const TraceEvent& e = trace_->events[i];
+    if (e.kind == TraceEvent::Kind::kRequest) {
+      request_events_[e.rid] = &e;
+    } else {
+      outputs_[e.rid].response = i;
     }
   }
+  nondet_cursors_.reserve(request_events_.size());
+  for (const auto& [rid, ev] : request_events_) {
+    (void)ev;
+    nondet_cursors_.emplace(rid, NondetCursor{});
+  }
+  Result<ProcessedReports> processed = ProcessOpReports(*trace_, *reports_);
+  if (!processed.ok()) {
+    return processed.status();
+  }
+  processed_ = std::move(processed).value();
   return Status::Ok();
 }
 
-Status AuditContext::BuildRegisterIndexes() {
+Status AuditContext::BuildStores(bool* load_failed) {
+  if (Status st = BuildRegisterIndexes(load_failed); !st.ok()) {
+    return st;
+  }
+  if (Status st = BuildVersionedKv(load_failed); !st.ok()) {
+    return st;
+  }
+  if (Status st = versioned_db_.LoadInitial(initial_->db); !st.ok()) {
+    return st.Prefixed("initial db load: ");
+  }
+  return Status::Ok();
+}
+
+Status AuditContext::BuildRegisterIndexes(bool* load_failed) {
   register_writes_.resize(reports_->objects.size());
   for (size_t i = 0; i < reports_->objects.size(); i++) {
     if (reports_->objects[i].kind != ObjectKind::kRegister) {
       continue;
     }
-    Status st = ScanOpLog(i, [&](const OpRecord& op, uint64_t seqnum) {
-      if (op.type != StateOpType::kRegisterWrite) {
-        return Status::Ok();
-      }
-      Result<Value> v = ParseRegisterWriteContents(op.contents);
-      if (!v.ok()) {
-        return Status::Error("register log " + std::to_string(i) + " entry " +
-                             std::to_string(seqnum) + ": " + v.error());
-      }
-      register_writes_[i].emplace_back(seqnum, std::move(v).value());
-      return Status::Ok();
-    });
+    Status st = oplog_scanner_->Scan(
+        i,
+        [&](const OpRecord& op, uint64_t seqnum) {
+          if (op.type != StateOpType::kRegisterWrite) {
+            return Status::Ok();
+          }
+          Result<Value> v = ParseRegisterWriteContents(op.contents);
+          if (!v.ok()) {
+            return Status::Error("register log " + std::to_string(i) + " entry " +
+                                 std::to_string(seqnum) + ": " + v.error());
+          }
+          register_writes_[i].emplace_back(seqnum, std::move(v).value());
+          return Status::Ok();
+        },
+        load_failed);
     if (!st.ok()) {
       return st;
     }
@@ -119,108 +213,103 @@ Status AuditContext::BuildRegisterIndexes() {
   return Status::Ok();
 }
 
-Status AuditContext::BuildVersionedKv() {
+Status AuditContext::BuildVersionedKv(bool* load_failed) {
   versioned_kv_.LoadInitial(initial_->kv);
   if (kv_object_ < 0) {
     return Status::Ok();
   }
-  return ScanOpLog(static_cast<size_t>(kv_object_), [&](const OpRecord& op, uint64_t seqnum) {
-    if (op.type != StateOpType::kKvSet) {
-      return Status::Ok();
-    }
-    Result<KvSetContents> kv = ParseKvSetContents(op.contents);
-    if (!kv.ok()) {
-      return Status::Error("kv log entry " + std::to_string(seqnum) + ": " + kv.error());
-    }
-    versioned_kv_.AddSet(kv.value().key, seqnum, std::move(kv).value().value);
-    return Status::Ok();
-  });
+  return oplog_scanner_->Scan(
+      static_cast<size_t>(kv_object_),
+      [&](const OpRecord& op, uint64_t seqnum) {
+        if (op.type != StateOpType::kKvSet) {
+          return Status::Ok();
+        }
+        Result<KvSetContents> kv = ParseKvSetContents(op.contents);
+        if (!kv.ok()) {
+          return Status::Error("kv log entry " + std::to_string(seqnum) + ": " + kv.error());
+        }
+        versioned_kv_.AddSet(kv.value().key, seqnum, std::move(kv).value().value);
+        return Status::Ok();
+      },
+      load_failed);
 }
 
-Status AuditContext::BuildVersionedDb() {
-  // Initial snapshot loads at ts 0.
-  for (const std::string& table : initial_->db.TableNames()) {
-    SqlStatement create;
-    create.kind = SqlStmtKind::kCreateTable;
-    create.table = table;
-    create.columns = *initial_->db.Schema(table);
-    Result<StmtResult> rc = versioned_db_.ApplyWrite(create, 0);
-    if (!rc.ok()) {
-      return Status::Error("initial db load: " + rc.error());
+void AuditContext::ParseDbSegment(OpLogSegment segment, std::vector<DbRedoSlot>* slots) {
+  bool load_failed = false;
+  Status st = oplog_scanner_->ScanSegment(
+      static_cast<size_t>(db_object_), segment,
+      [&](const OpRecord& op, uint64_t s) {
+        if (op.type != StateOpType::kDbOp) {
+          return Status::Ok();  // Type mismatch is caught by CheckOp if referenced.
+        }
+        DbRedoSlot& slot = (*slots)[s - 1];
+        Result<DbContents> dc = ParseDbContents(op.contents);
+        if (!dc.ok()) {
+          slot.error = Status::Error("db log entry " + std::to_string(s) + ": " + dc.error());
+          return Status::Ok();
+        }
+        DbContents& contents = db_log_parsed_[s - 1];
+        contents = std::move(dc).value();
+        if (contents.sql.size() > VersionedDatabase::kMaxQueriesPerTxn - 1) {
+          slot.error = Status::Error("db log entry " + std::to_string(s) +
+                                     ": too many statements");
+          return Status::Ok();
+        }
+        // A claimed failure is checked only for single statements (see ReplayDbSlots).
+        const size_t parse = contents.success ? contents.sql.size()
+                                              : (contents.sql.size() == 1 ? 1 : 0);
+        slot.stmts.reserve(parse);
+        for (size_t q = 0; q < parse; q++) {
+          slot.stmts.push_back(ParseCached(contents.sql[q], CacheShard(contents.sql[q])));
+        }
+        return Status::Ok();
+      },
+      &load_failed);
+  if (!st.ok()) {
+    // Only paging fails a segment (entry errors stay in their slots). The replay reaches
+    // this before any of the segment's entries.
+    DbRedoSlot& first = (*slots)[segment.first_seqnum - 1];
+    first.error = std::move(st);
+    first.load_failed = load_failed;
+  }
+}
+
+Status AuditContext::ReplayDbSlots(uint64_t first, uint64_t count,
+                                   std::vector<DbRedoSlot>* slots, bool* load_failed) {
+  // Redo pass (§4.5): replay every logged transaction, stamping query q of log entry s
+  // with ts = s * MAXQ + q. Claimed failures are validated where the engine permits.
+  const std::vector<OpRecord>& log = reports_->op_logs[static_cast<size_t>(db_object_)];
+  for (uint64_t s = first; s < first + count; s++) {
+    DbRedoSlot slot = std::move((*slots)[s - 1]);
+    if (!slot.error.ok()) {
+      if (slot.load_failed && load_failed != nullptr) {
+        *load_failed = true;
+      }
+      return slot.error;
     }
-    const std::vector<SqlRow>* rows = initial_->db.Rows(table);
-    if (rows == nullptr || rows->empty()) {
+    if (log[s - 1].type != StateOpType::kDbOp) {
       continue;
     }
-    SqlStatement insert;
-    insert.kind = SqlStmtKind::kInsert;
-    insert.table = table;
-    for (const ColumnDef& c : create.columns) {
-      insert.insert_columns.push_back(c.name);
-    }
-    for (const SqlRow& row : *rows) {
-      std::vector<SqlExprPtr> exprs;
-      for (const SqlValue& v : row) {
-        auto e = std::make_unique<SqlExpr>();
-        e->kind = SqlExprKind::kLiteral;
-        e->literal = v;
-        exprs.push_back(std::move(e));
-      }
-      insert.insert_rows.push_back(std::move(exprs));
-    }
-    Result<StmtResult> ri = versioned_db_.ApplyWrite(insert, 0);
-    if (!ri.ok()) {
-      return Status::Error("initial db load: " + ri.error());
-    }
-  }
-
-  if (db_object_ < 0) {
-    return Status::Ok();
-  }
-  // Redo pass (§4.5): replay every logged transaction, stamping query q of log entry s
-  // with ts = s * MAXQ + q. Claimed failures are validated where the engine permits. The
-  // log is consumed as one forward scan, so the out-of-core path can page its contents in
-  // segment by segment instead of keeping the (typically dominant) SQL text resident.
-  db_log_parsed_.reserve(reports_->op_logs[static_cast<size_t>(db_object_)].size());
-  return ScanOpLog(static_cast<size_t>(db_object_), [&](const OpRecord& op, uint64_t s) {
-    if (op.type != StateOpType::kDbOp) {
-      db_log_parsed_.emplace_back();  // Type mismatch is caught by CheckOp if referenced.
-      return Status::Ok();
-    }
-    Result<DbContents> dc = ParseDbContents(op.contents);
-    if (!dc.ok()) {
-      return Status::Error("db log entry " + std::to_string(s) + ": " + dc.error());
-    }
-    DbContents contents = std::move(dc).value();
-    if (contents.sql.size() > VersionedDatabase::kMaxQueriesPerTxn - 1) {
-      return Status::Error("db log entry " + std::to_string(s) + ": too many statements");
-    }
+    const DbContents& contents = db_log_parsed_[s - 1];
     if (!contents.success) {
       // The executor claims this op failed/aborted. For single statements the claim is
       // checkable exactly; multi-statement aborts are accepted as reported (§4.6 leeway:
       // transaction aborts are a form of non-determinism).
-      if (contents.sql.size() == 1) {
+      if (contents.sql.size() == 1 && slot.stmts[0].ok()) {
+        const SqlStatement& stmt = *slot.stmts[0].value();
         uint64_t ts = VersionedDatabase::MakeTimestamp(s, 1);
-        Result<std::shared_ptr<const SqlStatement>> stmt =
-            ParseCached(contents.sql[0], CacheShard(contents.sql[0]));
-        if (stmt.ok()) {
-          Result<StmtResult> r =
-              stmt.value()->kind == SqlStmtKind::kSelect
-                  ? versioned_db_.Select(*stmt.value(), ts)
-                  : versioned_db_.ApplyWrite(*stmt.value(), ts, /*commit=*/false);
-          if (r.ok()) {
-            return Status::Error("db log entry " + std::to_string(s) +
-                                 " claims failure but the statement succeeds on replay");
-          }
+        Result<StmtResult> r = stmt.kind == SqlStmtKind::kSelect
+                                   ? versioned_db_.Select(stmt, ts)
+                                   : versioned_db_.ApplyWrite(stmt, ts, /*commit=*/false);
+        if (r.ok()) {
+          return Status::Error("db log entry " + std::to_string(s) +
+                               " claims failure but the statement succeeds on replay");
         }
       }
-      db_log_parsed_.push_back(std::move(contents));
-      return Status::Ok();
+      continue;
     }
     for (size_t q = 1; q <= contents.sql.size(); q++) {
-      uint64_t ts = VersionedDatabase::MakeTimestamp(s, q);
-      const std::string& sql = contents.sql[q - 1];
-      Result<std::shared_ptr<const SqlStatement>> stmt = ParseCached(sql, CacheShard(sql));
+      const Result<std::shared_ptr<const SqlStatement>>& stmt = slot.stmts[q - 1];
       if (!stmt.ok()) {
         return Status::Error("db log entry " + std::to_string(s) +
                              " claims success but statement " + std::to_string(q) +
@@ -229,6 +318,7 @@ Status AuditContext::BuildVersionedDb() {
       if (stmt.value()->kind == SqlStmtKind::kSelect) {
         continue;  // Reads re-execute during SimOp at their timestamp.
       }
+      uint64_t ts = VersionedDatabase::MakeTimestamp(s, q);
       Result<StmtResult> r = versioned_db_.ApplyWrite(*stmt.value(), ts);
       if (!r.ok()) {
         return Status::Error("db log entry " + std::to_string(s) +
@@ -236,9 +326,8 @@ Status AuditContext::BuildVersionedDb() {
       }
       redo_affected_[ts] = r.value().affected;
     }
-    db_log_parsed_.push_back(std::move(contents));
-    return Status::Ok();
-  });
+  }
+  return Status::Ok();
 }
 
 uint32_t AuditContext::OpCount(RequestId rid) const {

@@ -3,15 +3,20 @@
 // (§4.6), and read-query deduplication. Both the grouped SIMD-on-demand re-execution and
 // the per-request (baseline / fallback / OOO) re-executions drive this context.
 //
-// Concurrency model (parallel audit): after Prepare() the versioned stores, parsed logs,
-// OpMap, and trace indexes are immutable, so CheckOp/SimOp reads are lock-free. The only
-// mutable shared state on the re-execution path is (a) the SELECT parse + dedup caches,
-// which are sharded with per-shard mutexes so §4.5 query dedup keeps working across
-// threads, and (b) per-request cursors and output-verdict slots, which are pre-built for
-// every traced rid in Prepare() and only ever touched by the one worker executing that
-// rid's group.
+// Concurrency model (parallel audit): Prepare() runs on the worker pool too. Its tasks
+// write disjoint state: ProcessOpReports fills the OpMap and the per-rid slots, the store
+// task fills the register indexes, the versioned KV store and the initial DB snapshot,
+// and each DB log segment's parse task fills only its own entries' slots. They share only
+// the SELECT parse cache. The DB replay runs after the join, on the calling thread.
+// After Prepare() the versioned stores, parsed logs, OpMap, and trace indexes are
+// immutable, so CheckOp/SimOp reads are lock-free. The only mutable shared state on the
+// re-execution path is (a) the SELECT parse + dedup caches, which are sharded with
+// per-shard mutexes so §4.5 query dedup keeps working across threads, and (b) per-request
+// cursors and output-verdict slots, which are pre-built for every traced rid in Prepare()
+// and only ever touched by the one worker executing that rid's group.
 // Stats on the hot path accumulate into a per-worker AuditWorkerState and are merged at
-// join, keeping counters contention-free.
+// join, keeping counters contention-free; each Prepare task times itself into its own
+// phase breakdown, merged after the join.
 #ifndef SRC_CORE_AUDIT_CONTEXT_H_
 #define SRC_CORE_AUDIT_CONTEXT_H_
 
@@ -107,24 +112,49 @@ struct AuditWorkerState {
   std::string scratch;
 };
 
-// Forward-scan access to one object's op log with entry contents materialized. The
-// in-memory path never installs one (the resident Reports backs scans directly); the
-// out-of-core path installs a segment-paging scanner (src/stream/reports_index.h) before
-// Prepare(), so the versioned-store builds read spilled log contents in bounded pages
-// charged against the same budget as trace payloads. The entries handed to `fn` must be
-// identical to the resident log's — the scanner only changes *when* contents bytes are
-// resident, never what the builds see.
+// A run of contiguous entries of one object's op log: the unit a scanner pages in at once
+// and the unit of one Prepare parse task.
+struct OpLogSegment {
+  uint64_t first_seqnum = 1;  // 1-based.
+  uint64_t count = 0;
+};
+
+using OpLogEntryFn = std::function<Status(const OpRecord&, uint64_t)>;
+
+// Segment-wise access to one object's op log with entry contents materialized. The
+// in-memory path scans the resident Reports (ResidentOpLogScanner); the out-of-core path
+// installs a segment-paging scanner (src/stream/reports_index.h) before Prepare(), so the
+// versioned-store builds read spilled log contents in bounded pages charged against the
+// same budget as trace payloads. The entries handed to `fn` must be identical to the
+// resident log's: a scanner only changes *when* contents bytes are resident, never what
+// the builds see. Distinct segments may be scanned concurrently.
 class OpLogScanner {
  public:
   virtual ~OpLogScanner() = default;
-  // Invokes fn(entry, seqnum) for every entry of `object`'s log in order (seqnum is
-  // 1-based). A non-ok Status from fn aborts the scan and is returned; the scanner's own
-  // I/O failures are also returned (callers distinguish them via io_failed()).
-  virtual Status Scan(size_t object,
-                      const std::function<Status(const OpRecord&, uint64_t)>& fn) = 0;
-  // True when the last Scan error came from paging (a file-level problem, not an audit
-  // verdict) — mirrors AuditExecOutcome::gate_error.
-  virtual bool io_failed() const { return false; }
+  // `object`'s log cut into consecutive segments, in seqnum order.
+  virtual std::vector<OpLogSegment> Segments(size_t object) const = 0;
+  // Invokes fn(entry, seqnum) for every entry of `segment` in order and returns fn's
+  // first error, stopping there. A failure to page the segment in is returned too, and
+  // sets *load_failed: a file-level error, not an audit verdict.
+  virtual Status ScanSegment(size_t object, OpLogSegment segment, const OpLogEntryFn& fn,
+                             bool* load_failed) = 0;
+  // Every segment of `object`'s log in order; stops at the first error.
+  Status Scan(size_t object, const OpLogEntryFn& fn, bool* load_failed);
+};
+
+// Scans the resident reports. Nothing pages, so a segment is a fixed run of entries,
+// sized so that a typical epoch's DB log splits into several parse tasks.
+class ResidentOpLogScanner : public OpLogScanner {
+ public:
+  static constexpr uint64_t kSegmentEntries = 128;
+
+  explicit ResidentOpLogScanner(const Reports* reports) : reports_(reports) {}
+  std::vector<OpLogSegment> Segments(size_t object) const override;
+  Status ScanSegment(size_t object, OpLogSegment segment, const OpLogEntryFn& fn,
+                     bool* load_failed) override;
+
+ private:
+  const Reports* reports_;
 };
 
 class AuditContext {
@@ -134,13 +164,25 @@ class AuditContext {
 
   // Installs the op-log scanner the versioned-store builds read spilled contents through.
   // Must be called before Prepare(); null (the default) scans the resident reports.
-  void set_oplog_scanner(OpLogScanner* scanner) { oplog_scanner_ = scanner; }
+  void set_oplog_scanner(OpLogScanner* scanner) {
+    oplog_scanner_ = scanner != nullptr ? scanner : &resident_scanner_;
+  }
 
   // Balanced-trace check, ProcessOpReports, and the versioned-storage builds, timed as
   // the proc_op_reports and db_redo phases. An error means the audit REJECTs with that
-  // reason. On success the versioned stores are frozen: everything the re-execution phase
-  // reads is immutable from here on.
-  Status Prepare();
+  // reason, unless it is a failure to page an op-log segment in: then it is the loader's
+  // Status and *load_failed is set, a file-level error rather than a verdict. On success
+  // the versioned stores are frozen: everything the re-execution phase reads is immutable
+  // from here on.
+  //
+  // At AuditOptions::num_threads > 1, ProcessOpReports, the register + KV builds and the
+  // parse of each DB log segment run as tasks of one WorkStealPool run; the DB replay
+  // then walks the parsed entries on the calling thread. Whatever the thread count, the
+  // error returned is the one a serial Prepare reaches first: ProcessOpReports, then the
+  // registers, the KV store, the initial DB snapshot, and the DB log in seqnum order (a
+  // segment's load failure just before its first entry). At one thread everything runs
+  // inline, one segment parsed and replayed at a time.
+  Status Prepare(bool* load_failed = nullptr);
 
   // CheckOp (Figure 12 lines 10-15): validates that the program-generated op matches the
   // unique log entry claiming (rid, opnum); returns that entry's (object, seqnum).
@@ -197,14 +239,28 @@ class AuditContext {
   InitialState ExtractFinalState() const;
 
  private:
-  // Forward scan over one op log: via the installed scanner (spilled contents paged in
-  // per segment) or directly over the resident reports. Shared by the three builds.
-  Status ScanOpLog(size_t object,
-                   const std::function<Status(const OpRecord&, uint64_t)>& fn);
+  // One DB log entry as the parse stage leaves it for the replay: the entry's error, or
+  // its statements parsed (every statement of an entry claiming success, the single
+  // statement of one claiming failure). Its DbContents go to db_log_parsed_.
+  struct DbRedoSlot {
+    Status error;              // Replay stops here with this error.
+    bool load_failed = false;  // `error` is the page-in failure of the segment this opens.
+    std::vector<Result<std::shared_ptr<const SqlStatement>>> stmts;
+  };
 
-  Status BuildRegisterIndexes();
-  Status BuildVersionedKv();
-  Status BuildVersionedDb();
+  // Balanced-trace check, per-rid slot pre-build, ProcessOpReports.
+  Status ProcessReports();
+  // Register indexes, the versioned KV store and the initial DB snapshot, in that order.
+  Status BuildStores(bool* load_failed);
+  Status BuildRegisterIndexes(bool* load_failed);
+  Status BuildVersionedKv(bool* load_failed);
+  // Pages one DB log segment in and fills its entries' slots; thread-safe across
+  // segments.
+  void ParseDbSegment(OpLogSegment segment, std::vector<DbRedoSlot>* slots);
+  // The redo pass (§4.5) over parsed entries [first, first + count): claimed-failure dry
+  // runs and ApplyWrite in seqnum order, stopping at the first failure.
+  Status ReplayDbSlots(uint64_t first, uint64_t count, std::vector<DbRedoSlot>* slots,
+                       bool* load_failed);
 
   Result<Value> SimDbOp(const StateOpRequest& op, OpLocation loc, AuditWorkerState* ws);
   // Executes (or dedups) one SELECT at timestamp ts; returns its script-level Value.
@@ -215,7 +271,8 @@ class AuditContext {
   const Application* app_;
   const InitialState* initial_;
   AuditOptions options_;
-  OpLogScanner* oplog_scanner_ = nullptr;
+  ResidentOpLogScanner resident_scanner_;
+  OpLogScanner* oplog_scanner_;
 
   ProcessedReports processed_;
   std::unordered_map<RequestId, const TraceEvent*> request_events_;
@@ -227,7 +284,8 @@ class AuditContext {
   int kv_object_ = -1;
   int db_object_ = -1;
 
-  // Parsed DB log entries (per seqnum-1) and redo outcomes for write statements (by ts).
+  // Parsed DB log entries (per seqnum-1, sized in Prepare so parse tasks fill their own
+  // entries) and redo outcomes for write statements (by ts).
   std::vector<DbContents> db_log_parsed_;
   std::unordered_map<uint64_t, int64_t> redo_affected_;
 

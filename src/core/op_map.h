@@ -26,8 +26,6 @@ class OpMap {
     slots_[rid].resize(op_count);
   }
 
-  bool Knows(RequestId rid) const { return slots_.count(rid) > 0; }
-
   // False when the slot is already set (duplicate claim) or out of range.
   bool Insert(RequestId rid, uint32_t opnum, OpLocation loc) {
     auto it = slots_.find(rid);

@@ -112,6 +112,38 @@ Result<StmtResult> VersionedDatabase::ApplyWriteText(const std::string& sql, uin
   return ApplyWrite(stmt.value(), ts);
 }
 
+Status VersionedDatabase::LoadInitial(const Database& snapshot) {
+  if (frozen_) {
+    return Status::Error("LoadInitial: versioned database is frozen");
+  }
+  for (const std::string& name : snapshot.TableNames()) {
+    if (tables_.count(name) > 0) {
+      return Status::Error("table '" + name + "' already exists");
+    }
+    VTable t;
+    t.schema = *snapshot.Schema(name);
+    t.eq_index.resize(t.schema.size());
+    NoteModification(&t, 0);
+    const std::vector<SqlRow>& rows = *snapshot.Rows(name);
+    t.rows.reserve(rows.size());
+    for (const SqlRow& row : rows) {
+      if (row.size() != t.schema.size()) {
+        return Status::Error("table '" + name + "': row width " + std::to_string(row.size()) +
+                             " does not match schema width " +
+                             std::to_string(t.schema.size()));
+      }
+      SqlRow values;
+      values.reserve(row.size());
+      for (size_t c = 0; c < row.size(); c++) {
+        values.push_back(CoerceToColumnType(row[c], t.schema[c].type));
+      }
+      AppendVersion(&t, {0, kOpenEnd, t.next_row_id++, std::move(values)});
+    }
+    tables_.emplace(name, std::move(t));
+  }
+  return Status::Ok();
+}
+
 Result<StmtResult> VersionedDatabase::ApplyWrite(const SqlStatement& stmt, uint64_t ts,
                                                  bool commit) {
   if (frozen_) {

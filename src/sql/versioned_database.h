@@ -51,6 +51,12 @@ class VersionedDatabase {
   Result<StmtResult> ApplyWrite(const SqlStatement& stmt, uint64_t ts, bool commit = true);
   Result<StmtResult> ApplyWriteText(const std::string& sql, uint64_t ts);
 
+  // Loads every table of `snapshot` at timestamp 0, the epoch's initial state. Rows are
+  // coerced to their column types and appended directly; the row ids, equality indexes
+  // and modification stamps equal those of a CREATE plus one multi-row INSERT per table
+  // at ts 0, without building either statement. Fails on a table that already exists.
+  Status LoadInitial(const Database& snapshot);
+
   // Marks the end of the redo pass: any later ApplyWrite fails. A frozen database is
   // immutable, so Select / TableModifiedBetween are lock-free thread-safe snapshot reads
   // — the property the parallel audit relies on.

@@ -96,16 +96,15 @@ Status StreamReportsSet::Absorb(StreamReportsSet&& other, const std::string& lab
   return Status::Ok();
 }
 
-Status SegmentedOpLogScanner::Scan(
-    size_t object, const std::function<Status(const OpRecord&, uint64_t)>& fn) {
-  io_failed_ = false;
-  // Segments never exceed the budget (when one is set), so forward scans page within the
-  // same ceiling re-execution honors; only a single entry larger than the whole budget
-  // takes the oversized-chunk admission path.
+std::vector<OpLogSegment> SegmentedOpLogScanner::Segments(size_t object) const {
+  // Segments never exceed the budget (when one is set), so scans page within the same
+  // ceiling re-execution honors; only a single entry larger than the whole budget takes
+  // the oversized-chunk admission path.
   const uint64_t cap = budget_->max_bytes() > 0 && budget_->max_bytes() < kSegmentBytes
                            ? budget_->max_bytes()
                            : kSegmentBytes;
   const uint64_t n = set_->log_size(object);
+  std::vector<OpLogSegment> out;
   uint64_t seq = 1;
   while (seq <= n) {
     uint64_t count = 1;
@@ -118,29 +117,39 @@ Status SegmentedOpLogScanner::Scan(
       bytes += next;
       count++;
     }
-    budget_->Acquire(bytes);
-    loader_->OnChunkResident(bytes);
-    Status load = loader_->Load(set_, object, seq, count);
-    Status fn_status;
-    if (load.ok()) {
-      const std::vector<OpRecord>& log = set_->skeleton().op_logs[object];
-      for (uint64_t i = 0; i < count && fn_status.ok(); i++) {
-        fn_status = fn(log[static_cast<size_t>(seq - 1 + i)], seq + i);
-      }
-      loader_->Evict(set_, object, seq, count);
-    }
-    loader_->OnChunkEvicted(bytes);
-    budget_->Release(bytes);
-    if (!load.ok()) {
-      io_failed_ = true;
-      return load;
-    }
-    if (!fn_status.ok()) {
-      return fn_status;
-    }
+    out.push_back({seq, count});
     seq += count;
   }
-  return Status::Ok();
+  return out;
+}
+
+Status SegmentedOpLogScanner::ScanSegment(size_t object, OpLogSegment segment,
+                                          const OpLogEntryFn& fn, bool* load_failed) {
+  const uint64_t first = segment.first_seqnum;
+  uint64_t bytes = 0;
+  for (uint64_t i = 0; i < segment.count; i++) {
+    bytes += set_->loc(object, first + i).bytes;
+  }
+  budget_->Acquire(bytes);
+  loader_->OnChunkResident(bytes);
+  Status load = loader_->Load(set_, object, first, segment.count);
+  Status fn_status;
+  if (load.ok()) {
+    const std::vector<OpRecord>& log = set_->skeleton().op_logs[object];
+    for (uint64_t i = 0; i < segment.count && fn_status.ok(); i++) {
+      fn_status = fn(log[static_cast<size_t>(first - 1 + i)], first + i);
+    }
+    loader_->Evict(set_, object, first, segment.count);
+  }
+  loader_->OnChunkEvicted(bytes);
+  budget_->Release(bytes);
+  if (!load.ok()) {
+    if (load_failed != nullptr) {
+      *load_failed = true;
+    }
+    return load;
+  }
+  return fn_status;
 }
 
 }  // namespace orochi

@@ -100,31 +100,31 @@ class StreamReportsSet {
 };
 
 // OpLogScanner over spilled logs: Prepare()'s versioned-store builds (register indexes,
-// versioned KV, the db redo pass) consume each log as one forward scan, so this scanner
+// versioned KV, the db parse tasks) consume each log segment by segment, so this scanner
 // pages byte-capped segments of contiguous entries through the loader under the budget —
 // the same residency ceiling re-execution honors — and hands the builds fully
-// materialized entries one at a time.
+// materialized entries one at a time. The loader and budget are thread-safe, and distinct
+// segments touch distinct skeleton entries, so Prepare's pool tasks scan concurrently.
 class SegmentedOpLogScanner : public OpLogScanner {
  public:
-  // Forward scans page runs of up to this many frame bytes at once (a single entry
-  // larger than this still forms its own one-entry segment, admitted via the budget's
-  // oversized-chunk path). Deliberately the same cap the v3 writer applies to on-disk
-  // op-log segments, so scan paging and pass-1 transients share one ceiling.
+  // Segments hold up to this many frame bytes (a single entry larger than this still
+  // forms its own one-entry segment, admitted via the budget's oversized-chunk path).
+  // Deliberately the same cap the v3 writer applies to on-disk op-log segments, so scan
+  // paging and pass-1 transients share one ceiling.
   static constexpr uint64_t kSegmentBytes = wire::kMaxOpLogSegmentBytes;
 
   SegmentedOpLogScanner(StreamReportsSet* set, ReportsChunkLoader* loader,
                         ChunkBudget* budget)
       : set_(set), loader_(loader), budget_(budget) {}
 
-  Status Scan(size_t object,
-              const std::function<Status(const OpRecord&, uint64_t)>& fn) override;
-  bool io_failed() const override { return io_failed_; }
+  std::vector<OpLogSegment> Segments(size_t object) const override;
+  Status ScanSegment(size_t object, OpLogSegment segment, const OpLogEntryFn& fn,
+                     bool* load_failed) override;
 
  private:
   StreamReportsSet* set_;
   ReportsChunkLoader* loader_;
   ChunkBudget* budget_;
-  bool io_failed_ = false;
 };
 
 }  // namespace orochi

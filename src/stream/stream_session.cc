@@ -5,8 +5,10 @@
 //           keep trace and reports skeletons + byte-offset indexes (payloads and op-log
 //           contents stay on disk); each trace file and reports file is its own task on
 //           the worker pool
-//   prepare AuditContext::Prepare — the versioned-store builds consume each op log as a
-//           forward scan, paged in by SegmentedOpLogScanner in byte-capped segments
+//   prepare AuditContext::Prepare — ProcessOpReports, the register + KV builds and one
+//           parse task per DB log segment (paged in by SegmentedOpLogScanner in
+//           byte-capped segments) run on the worker pool; the DB replay then walks the
+//           parsed entries in seqnum order on the calling thread
 //   pass 2  ExecuteAuditPlan + StreamTaskGate — re-execute chunks whose request payloads
 //           AND claimed op-log entry contents are paged in on demand, both charged to the
 //           one ChunkBudget; as a chunk retires, its worker pages each of its responses
@@ -14,8 +16,8 @@
 //           checks the output against it, and evicts it
 //   verdict AuditContext::CompareOutputs — the per-rid verdicts scanned in trace order
 //
-// Passes 1 and 2 run on AuditOptions::num_threads workers; only Prepare (and the shard
-// merge's fold) runs on one thread.
+// Passes 1 and 2 and most of Prepare run on AuditOptions::num_threads workers; only the
+// shard merge's fold, Prepare's DB replay and the final verdict scan run on one thread.
 //
 // Verdict, rejection reason, and final_state are bit-identical to the in-memory
 // FeedEpoch over the decoded files at every thread count: both paths run the same
@@ -309,8 +311,9 @@ Result<AuditResult> AuditSession::FeedMergedEpochStreamed(MergedShards&& merged,
   // budget-bounded segment scans instead of resident logs.
   SegmentedOpLogScanner scanner(&merged.reports, reports_loader, budget);
   ctx.set_oplog_scanner(&scanner);
-  if (Status st = ctx.Prepare(); !st.ok()) {
-    if (scanner.io_failed()) {
+  bool prepare_load_failed = false;
+  if (Status st = ctx.Prepare(&prepare_load_failed); !st.ok()) {
+    if (prepare_load_failed) {
       // Paging a log segment in failed (spill file vanished or changed mid-audit): a
       // file-level error, not a verdict — the epoch is unconsumed.
       epochs_fed_--;

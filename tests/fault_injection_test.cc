@@ -17,8 +17,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -854,6 +857,216 @@ TEST(FaultInjection, CorruptTraceOutranksCorruptReportsInPass1) {
       EXPECT_EQ(r.status().offset(), wire::kEnvelopeHeaderBytes) << r.error();
       EXPECT_EQ(ClassifyAuditOutcome(r), AuditOutcome::kIoError) << r.error();
       EXPECT_EQ(session.epochs_fed(), 0u);
+    }
+  }
+}
+
+// --- 4. Prepare's failure precedence at every thread count ---
+
+// Fails every read of `path` that covers byte `offset`, except the first: pass 1 streams
+// the file once, so the first covering read is pass 1's and the next is the Prepare
+// segment load that pages that byte's op-log entry back in. FaultInjectingEnv draws its
+// faults from a global operation index, which cannot aim one fault at one segment across
+// thread counts; this env can.
+class SegmentReadFaultEnv : public Env {
+ public:
+  SegmentReadFaultEnv(std::string path, uint64_t offset)
+      : path_(std::move(path)), offset_(offset) {}
+
+  Result<std::unique_ptr<ReadableFile>> OpenRead(const std::string& path) override {
+    Result<std::unique_ptr<ReadableFile>> file = Env::Default()->OpenRead(path);
+    if (!file.ok() || path != path_) {
+      return file;
+    }
+    return std::unique_ptr<ReadableFile>(new File(std::move(file).value(), this));
+  }
+  Result<std::unique_ptr<WritableFile>> OpenWrite(const std::string& path) override {
+    return Env::Default()->OpenWrite(path);
+  }
+  Result<std::unique_ptr<WritableFile>> OpenAppend(const std::string& path) override {
+    return Env::Default()->OpenAppend(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return Env::Default()->Rename(from, to);
+  }
+  Status Remove(const std::string& path) override { return Env::Default()->Remove(path); }
+  Result<bool> FileExists(const std::string& path) override {
+    return Env::Default()->FileExists(path);
+  }
+
+  uint64_t covering_reads() const { return covering_reads_.load(); }
+
+ private:
+  class File : public ReadableFile {
+   public:
+    File(std::unique_ptr<ReadableFile> base, SegmentReadFaultEnv* env)
+        : base_(std::move(base)), env_(env) {}
+    Result<size_t> PReadSome(uint64_t offset, size_t n, char* buf) override {
+      if (offset <= env_->offset_ && env_->offset_ < offset + n &&
+          env_->covering_reads_.fetch_add(1) > 0) {
+        return Status::Error("injected read fault");
+      }
+      return base_->PReadSome(offset, n, buf);
+    }
+
+   private:
+    std::unique_ptr<ReadableFile> base_;
+    SegmentReadFaultEnv* env_;
+  };
+
+  const std::string path_;
+  const uint64_t offset_;
+  std::atomic<uint64_t> covering_reads_{0};
+};
+
+// Pairs of faults planted in one epoch. Whatever the thread count, budget and feed,
+// Prepare must report the fault a serial Prepare reaches first — ProcessOpReports, then
+// the stores, then the DB log in seqnum order with a segment's load failure just before
+// its first entry — even when an overlapped task hits the other fault first.
+TEST(FaultInjection, PrepareReportsTheFaultTheSerialOrderReachesFirst) {
+  // ~900-byte callers make each INSERT entry large, so the DB log spans several 64 KiB
+  // scan segments even with no budget.
+  Workload w = CounterWorkload(160);
+  for (size_t i = 0; i < w.items.size(); i++) {
+    w.items[i].params["who"] += std::string(900, 'a' + static_cast<char>(i % 7));
+  }
+  ServedWorkload served = ServeWorkload(w);
+  const std::string trace_path = ::testing::TempDir() + "/fi_prec_trace.bin";
+  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
+  const int db_object = served.reports.FindObject(ObjectKind::kDb, "");
+  ASSERT_GE(db_object, 0);
+  const size_t db = static_cast<size_t>(db_object);
+  const std::vector<OpRecord>& db_log = served.reports.op_logs[db];
+  std::vector<uint64_t> inserts;  // Seqnums of the INSERT entries.
+  for (size_t j = 0; j < db_log.size(); j++) {
+    Result<DbContents> dc = ParseDbContents(db_log[j].contents);
+    ASSERT_TRUE(dc.ok());
+    if (dc.value().sql.size() == 1 && dc.value().sql[0].rfind("INSERT", 0) == 0) {
+      inserts.push_back(j + 1);
+    }
+  }
+  ASSERT_GE(inserts.size(), 20u);
+  const uint64_t early = inserts[2];
+  const uint64_t late = inserts[inserts.size() - 3];
+  const uint64_t last = db_log.size();
+
+  auto set_entry = [&](Reports* r, uint64_t s, std::vector<std::string> sql, bool success) {
+    r->op_logs[db][s - 1].contents = MakeDbContents(sql, /*is_txn=*/false, success);
+  };
+  auto unparsable = [&](Reports* r, uint64_t s) {
+    set_entry(r, s, {"SELEKT n FROM hits"}, true);
+  };
+  auto replay_fails = [&](Reports* r, uint64_t s) {
+    set_entry(r, s, {"INSERT INTO nosuch (a) VALUES (1)"}, true);
+  };
+  auto claims_failure = [&](Reports* r, uint64_t s) {
+    Result<DbContents> dc = ParseDbContents(r->op_logs[db][s - 1].contents);
+    set_entry(r, s, dc.value().sql, false);
+  };
+  auto entry = [](uint64_t s) { return "db log entry " + std::to_string(s) + " "; };
+
+  struct Case {
+    std::string name;
+    std::function<void(Reports*)> plant;
+    uint64_t read_fault_seqnum;  // 0 = no read fault.
+    AuditOutcome outcome;
+    std::string reason_prefix;  // Of a REJECT.
+  };
+  const std::vector<Case> cases = {
+      {"procopreports+db-parse",
+       [&](Reports* r) {
+         unparsable(r, early);
+         for (size_t i = 0; i < r->op_logs.size(); i++) {
+           if (i != db && !r->op_logs[i].empty()) {
+             r->op_logs[i][0].rid = 999999;  // Names a request the trace lacks.
+             break;
+           }
+         }
+       },
+       0, AuditOutcome::kRejected, "CheckLogs: log entry names rid 999999"},
+      {"early-replay+late-parse",
+       [&](Reports* r) {
+         replay_fails(r, early);
+         unparsable(r, late);
+       },
+       0, AuditOutcome::kRejected, entry(early) + "claims success but replay fails"},
+      {"early-parse+late-replay",
+       [&](Reports* r) {
+         unparsable(r, early);
+         replay_fails(r, late);
+       },
+       0, AuditOutcome::kRejected,
+       entry(early) + "claims success but statement 1 does not parse"},
+      {"claimed-failure+late-parse",
+       [&](Reports* r) {
+         claims_failure(r, early);
+         unparsable(r, late);
+       },
+       0, AuditOutcome::kRejected,
+       entry(early) + "claims failure but the statement succeeds on replay"},
+      {"read-fault-before-verdict", [&](Reports* r) { unparsable(r, late); }, early,
+       AuditOutcome::kIoError, ""},
+      {"read-fault-after-verdict", [&](Reports* r) { unparsable(r, early); }, last,
+       AuditOutcome::kRejected,
+       entry(early) + "claims success but statement 1 does not parse"},
+  };
+
+  enum Feed { kInMemory, kFiles, kOneShard };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Reports tampered = served.reports;
+    c.plant(&tampered);
+    const std::string reports_path = ::testing::TempDir() + "/fi_prec_" + c.name + ".bin";
+    ASSERT_TRUE(WriteReportsFile(reports_path, tampered).ok());
+    uint64_t fault_offset = 0;
+    if (c.read_fault_seqnum != 0) {
+      StreamReportsSet probe;
+      ASSERT_TRUE(probe.AppendFile(reports_path).ok());
+      fault_offset = probe.loc(db, c.read_fault_seqnum).offset;
+    }
+    for (Feed feed : {kInMemory, kFiles, kOneShard}) {
+      if (feed == kInMemory && c.read_fault_seqnum != 0) {
+        continue;  // The in-memory feed reads no file.
+      }
+      for (size_t budget : {size_t{0}, size_t{4096}}) {
+        std::string reference;
+        for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+          SCOPED_TRACE("feed=" + std::to_string(feed) + " threads=" +
+                       std::to_string(threads) + " budget=" + std::to_string(budget));
+          SegmentReadFaultEnv env(reports_path, fault_offset);
+          AuditOptions opts;
+          opts.num_threads = threads;
+          opts.max_group_size = 8;
+          opts.max_resident_bytes = budget;
+          opts.io_env = c.read_fault_seqnum != 0 ? &env : nullptr;
+          AuditSession session = AuditSession::Open(&w.app, opts, served.initial);
+          Result<AuditResult> r =
+              feed == kInMemory
+                  ? Result<AuditResult>(session.FeedEpoch(served.trace, tampered))
+              : feed == kFiles
+                  ? session.FeedEpochFilesStreamed(trace_path, reports_path)
+                  : session.FeedShardedEpoch(
+                        std::vector<ShardEpochFiles>{{trace_path, reports_path}});
+          const AuditOutcome outcome = ClassifyAuditOutcome(r);
+          const std::string text = r.ok() ? r.value().reason : r.error();
+          EXPECT_EQ(outcome, c.outcome) << text;
+          if (threads == 1) {
+            reference = text;
+            if (c.outcome == AuditOutcome::kRejected) {
+              EXPECT_EQ(text.rfind(c.reason_prefix, 0), 0u) << text;
+            } else {
+              EXPECT_EQ(r.status().file(), reports_path) << text;
+            }
+            if (c.read_fault_seqnum != 0) {
+              // The first covering read (pass 1) passed; at one thread the replay stops
+              // at the verdict before a later segment pages in.
+              EXPECT_EQ(env.covering_reads(), c.outcome == AuditOutcome::kIoError ? 2u : 1u);
+            }
+          } else {
+            EXPECT_EQ(text, reference);
+          }
+        }
+      }
     }
   }
 }
