@@ -1,6 +1,7 @@
 #include "src/core/audit_context.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/common/timer.h"
 #include "src/common/work_steal_pool.h"
@@ -66,6 +67,11 @@ AuditContext::AuditContext(const Trace* trace, const Reports* reports, const App
 Status AuditContext::Prepare(bool* load_failed) {
   kv_object_ = reports_->FindObject(ObjectKind::kKv, "");
   db_object_ = reports_->FindObject(ObjectKind::kDb, "");
+  for (size_t i = 0; i < reports_->objects.size(); i++) {
+    if (reports_->objects[i].kind == ObjectKind::kRegister) {
+      register_objects_.emplace(reports_->objects[i].name, static_cast<uint32_t>(i));
+    }
+  }
   const size_t db = static_cast<size_t>(db_object_);
   const std::vector<OpLogSegment> segments =
       db_object_ < 0 ? std::vector<OpLogSegment>{} : oplog_scanner_->Segments(db);
@@ -109,14 +115,23 @@ Status AuditContext::Prepare(bool* load_failed) {
   Status processed;
   Status stores;
   bool stores_load_failed = false;  // Reported only if no ProcessOpReports error outranks it.
+  // Set once task 0 or 1 fails. Their error outranks every DB-log error, so a parse task
+  // that has not started yet returns without paging its segment in.
+  std::atomic<bool> stage1_failed{false};
   WorkStealPool(std::min(num_threads, tasks.size())).Run(tasks, [&](size_t t) {
     obs::TraceSpan span(&task_phases[t],
                         t == 0 ? obs::Phase::kProcOpReports : obs::Phase::kDbRedo);
     if (t == 0) {
       processed = ProcessReports();
+      if (!processed.ok()) {
+        stage1_failed.store(true);
+      }
     } else if (t == 1) {
       stores = BuildStores(&stores_load_failed);
-    } else {
+      if (!stores.ok()) {
+        stage1_failed.store(true);
+      }
+    } else if (!stage1_failed.load()) {
       ParseDbSegment(segments[t - 2], &slots);
     }
   });
@@ -350,12 +365,13 @@ Result<OpLocation> AuditContext::CheckOp(RequestId rid, uint32_t opnum,
                     std::to_string(opnum) + ") not in OpMap");
   }
   // The object the program targeted must be the object whose log claims this op.
-  ObjectKind kind = op.type == StateOpType::kRegisterRead ||
-                            op.type == StateOpType::kRegisterWrite
-                        ? ObjectKind::kRegister
-                        : (op.type == StateOpType::kDbOp ? ObjectKind::kDb : ObjectKind::kKv);
-  const std::string& name = kind == ObjectKind::kRegister ? op.target : std::string();
-  int expected_object = reports_->FindObject(kind, name);
+  int expected_object = -1;
+  if (op.type == StateOpType::kRegisterRead || op.type == StateOpType::kRegisterWrite) {
+    auto it = register_objects_.find(op.target);
+    expected_object = it == register_objects_.end() ? -1 : static_cast<int>(it->second);
+  } else {
+    expected_object = op.type == StateOpType::kDbOp ? db_object_ : kv_object_;
+  }
   if (expected_object < 0 || static_cast<uint32_t>(expected_object) != loc.object) {
     return R::Error("CheckOp: object mismatch for (rid " + std::to_string(rid) + ", opnum " +
                     std::to_string(opnum) + ")");

@@ -180,8 +180,9 @@ class AuditContext {
   // then walks the parsed entries on the calling thread. Whatever the thread count, the
   // error returned is the one a serial Prepare reaches first: ProcessOpReports, then the
   // registers, the KV store, the initial DB snapshot, and the DB log in seqnum order (a
-  // segment's load failure just before its first entry). At one thread everything runs
-  // inline, one segment parsed and replayed at a time.
+  // segment's load failure just before its first entry). Once ProcessOpReports or the
+  // store builds fail, DB segment parses that have not started yet are skipped. At one
+  // thread everything runs inline, one segment parsed and replayed at a time.
   Status Prepare(bool* load_failed = nullptr);
 
   // CheckOp (Figure 12 lines 10-15): validates that the program-generated op matches the
@@ -283,6 +284,9 @@ class AuditContext {
   VersionedDatabase versioned_db_;
   int kv_object_ = -1;
   int db_object_ = -1;
+  // Register name -> object id, built in Prepare() so CheckOp resolves its target in
+  // constant time; the first object of a name wins, as Reports::FindObject picks.
+  std::unordered_map<std::string, uint32_t> register_objects_;
 
   // Parsed DB log entries (per seqnum-1, sized in Prepare so parse tasks fill their own
   // entries) and redo outcomes for write statements (by ts).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -169,9 +170,12 @@ void SectionWriter::Write(const char* data, size_t n) {
 }
 
 // Record stream over one open section file: validates the envelope header on Open, then
-// yields records until the end record, verifying per-record CRCs and the footer. All
-// reads retry transient faults (ReadFullAt); every error is located in the file at a byte
-// offset, so corruption localizes to an exact record.
+// yields records until the end record, verifying per-record CRCs and the footer. The file
+// is read forward through one kReadWindowBytes window: a refill keeps the window's unread
+// tail and reads the rest in one call, so a record that fits costs no read of its own and
+// its payload is checked and decoded in place. A payload larger than the window is read
+// into its own buffer. All reads retry transient faults (ReadUpToAt); every error is
+// located in the file at a byte offset, so corruption localizes to an exact record.
 class RecordStream {
  public:
   Status Open(Env* env, const std::string& path, Section want) {
@@ -181,31 +185,30 @@ class RecordStream {
       return f.status();
     }
     file_ = std::move(f).value();
-    char h[kEnvelopeHeaderBytes];
-    Result<size_t> got = ReadUpToAt(file_.get(), path_, 0, sizeof(h), h);
+    window_.reset(new char[kReadWindowBytes]);
+    Result<size_t> got = Fill(0, kEnvelopeHeaderBytes);
     if (!got.ok()) {
       return got.status();
     }
-    if (Status st = CheckEnvelopeHeader(h, got.value(), want, path_); !st.ok()) {
+    if (Status st = CheckEnvelopeHeader(At(0), got.value(), want, path_); !st.ok()) {
       return st;
     }
     pos_ = kEnvelopeHeaderBytes;
     return Status::Ok();
   }
 
-  // True: *type/*payload hold the next record. False: end record consumed and validated
-  // (footer counts match, no trailing bytes).
-  Result<bool> Next(uint8_t* type, std::string* payload) {
+  // True: *type/*payload hold the next record, the payload viewing this stream's buffers
+  // until the next call. False: end record consumed and validated (footer counts match,
+  // no trailing bytes).
+  Result<bool> Next(uint8_t* type, std::string_view* payload) {
     const uint64_t frame_start = pos_;
-    char frame[kRecordFrameBytesV2];
-    Result<size_t> got =
-        ReadUpToAt(file_.get(), path_, frame_start, kRecordFrameBytesV2, frame);
+    Result<size_t> got = Fill(frame_start, kRecordFrameBytesV2);
     if (!got.ok()) {
       return got.status();
     }
     uint64_t len = 0;
     uint32_t crc = 0;
-    if (!ParseRecordFrameV2(frame, got.value(), type, &len, &crc)) {
+    if (!ParseRecordFrameV2(At(frame_start), got.value(), type, &len, &crc)) {
       return Corrupt(
           "wire: truncated record frame at offset " + std::to_string(frame_start),
           frame_start);
@@ -218,30 +221,29 @@ class RecordStream {
                      frame_start);
     }
     const uint64_t payload_offset = frame_start + kRecordFrameBytesV2;
-    payload->resize(static_cast<size_t>(len));
-    if (len > 0) {
-      Result<size_t> body = ReadUpToAt(file_.get(), path_, payload_offset,
-                                       payload->size(), &(*payload)[0]);
-      if (!body.ok()) {
-        return body.status();
-      }
-      if (body.value() != payload->size()) {
-        return Corrupt("wire: truncated record payload at offset " +
-                           std::to_string(payload_offset),
-                       payload_offset);
-      }
+    const size_t n = static_cast<size_t>(len);
+    Result<size_t> body = ReadPayload(payload_offset, n);
+    if (!body.ok()) {
+      return body.status();
     }
-    const uint32_t payload_crc = Crc32c(*payload);
+    if (body.value() != n) {
+      return Corrupt(
+          "wire: truncated record payload at offset " + std::to_string(payload_offset),
+          payload_offset);
+    }
+    const char* data = n > kReadWindowBytes ? large_.get() : At(payload_offset);
+    const uint32_t payload_crc = Crc32c(data, n);
     if (payload_crc != crc) {
       return Corrupt("wire: crc mismatch in record " + std::to_string(records_) +
                          " (type " + std::to_string(*type) + ") at offset " +
                          std::to_string(frame_start),
                      frame_start);
     }
-    pos_ = payload_offset + payload->size();
+    pos_ = payload_offset + n;
     records_++;
     last_payload_offset_ = payload_offset;
     last_crc_ = payload_crc;
+    *payload = std::string_view(data, n);
     return true;
   }
 
@@ -250,6 +252,44 @@ class RecordStream {
   uint32_t last_crc() const { return last_crc_; }
 
  private:
+  // Makes file bytes [offset, offset + n) resident in the window (n <= kReadWindowBytes,
+  // offset within or just past the window, as a forward scan guarantees) and returns how
+  // many of them the file holds: fewer than n only when it ends first.
+  Result<size_t> Fill(uint64_t offset, size_t n) {
+    const uint64_t window_end = window_start_ + window_len_;
+    if (offset + n <= window_end) {
+      return n;
+    }
+    const size_t keep = static_cast<size_t>(window_end - offset);
+    std::memmove(window_.get(), At(offset), keep);
+    window_start_ = offset;
+    window_len_ = keep;
+    Result<size_t> got = ReadUpToAt(file_.get(), path_, offset + keep,
+                                    kReadWindowBytes - keep, window_.get() + keep);
+    if (!got.ok()) {
+      return got.status();
+    }
+    window_len_ += got.value();
+    return std::min(n, window_len_);
+  }
+
+  // Reads the n-byte payload at `offset`: through the window when it fits, else into
+  // large_, after which the window restarts just past the payload. Returns the bytes the
+  // file holds, as Fill does.
+  Result<size_t> ReadPayload(uint64_t offset, size_t n) {
+    if (n <= kReadWindowBytes) {
+      return Fill(offset, n);
+    }
+    large_.reset(new char[n]);
+    window_start_ = offset + n;
+    window_len_ = 0;
+    return ReadUpToAt(file_.get(), path_, offset, n, large_.get());
+  }
+
+  const char* At(uint64_t offset) const {
+    return window_.get() + static_cast<size_t>(offset - window_start_);
+  }
+
   // A framing or checksum failure: "<what> in <path>", located at `offset` of the file.
   Status Corrupt(const std::string& what, uint64_t offset) const {
     return Status::Error(StatusCode::kCorruption, what + " in " + path_).At(path_, offset);
@@ -260,21 +300,21 @@ class RecordStream {
       return Corrupt("wire: malformed end record at offset " + std::to_string(frame_start),
                      frame_start);
     }
-    char footer[kFooterPayloadBytes];
     const uint64_t footer_offset = frame_start + kRecordFrameBytesV2;
-    Result<size_t> got = ReadUpToAt(file_.get(), path_, footer_offset, sizeof(footer), footer);
+    Result<size_t> got = Fill(footer_offset, kFooterPayloadBytes);
     if (!got.ok()) {
       return got.status();
     }
-    if (got.value() != sizeof(footer)) {
+    if (got.value() != kFooterPayloadBytes) {
       return Corrupt("wire: truncated footer", footer_offset);
     }
-    if (Crc32c(footer, sizeof(footer)) != crc) {
+    const char* footer = At(footer_offset);
+    if (Crc32c(footer, kFooterPayloadBytes) != crc) {
       return Status::Error(StatusCode::kCorruption,
                            "wire: crc mismatch in footer of " + path_)
           .At(path_, frame_start);
     }
-    Cursor c{reinterpret_cast<const unsigned char*>(footer), sizeof(footer)};
+    Cursor c{reinterpret_cast<const unsigned char*>(footer), kFooterPayloadBytes};
     uint64_t record_count = 0, end_offset = 0;
     (void)c.TakeU64(&record_count);
     (void)c.TakeU64(&end_offset);
@@ -286,9 +326,9 @@ class RecordStream {
     if (end_offset != frame_start) {
       return Corrupt("wire: footer end-offset mismatch", frame_start);
     }
-    const uint64_t after = footer_offset + sizeof(footer);  // First byte past the section.
-    char probe;
-    Result<size_t> trailing = ReadUpToAt(file_.get(), path_, after, 1, &probe);
+    // First byte past the section.
+    const uint64_t after = footer_offset + kFooterPayloadBytes;
+    Result<size_t> trailing = Fill(after, 1);
     if (!trailing.ok()) {
       return trailing.status();
     }
@@ -300,6 +340,10 @@ class RecordStream {
 
   std::unique_ptr<ReadableFile> file_;
   std::string path_;
+  std::unique_ptr<char[]> window_;  // kReadWindowBytes of file bytes from window_start_.
+  uint64_t window_start_ = 0;
+  size_t window_len_ = 0;           // Valid bytes in window_.
+  std::unique_ptr<char[]> large_;   // The last payload larger than the window.
   uint64_t pos_ = 0;      // File offset of the next record frame.
   uint64_t records_ = 0;  // Non-end records yielded so far.
   uint64_t last_payload_offset_ = 0;
@@ -331,8 +375,11 @@ void EncodeTraceEvent(const TraceEvent& e, std::string* out) {
   }
 }
 
-Result<TraceEvent> DecodeTraceEvent(uint8_t type, const std::string& payload,
-                                    const std::string& path) {
+// The one trace-record decoder. kSkeleton steps over the parameter and body strings
+// (SkipStr) where kFull copies them out, so both modes fail on exactly the same bytes.
+Result<TraceEvent> DecodeTraceEvent(uint8_t type, std::string_view payload,
+                                    const std::string& path, TraceDecode decode) {
+  const bool keep = decode == TraceDecode::kFull;
   TraceEvent e;
   Cursor c = MakeCursor(payload);
   if (type == kRecRequest) {
@@ -343,14 +390,18 @@ Result<TraceEvent> DecodeTraceEvent(uint8_t type, const std::string& payload,
     }
     for (uint32_t i = 0; i < nparams; i++) {
       std::string k, v;
-      if (!c.TakeStr(&k) || !c.TakeStr(&v)) {
+      const bool taken =
+          keep ? c.TakeStr(&k) && c.TakeStr(&v) : c.SkipStr() && c.SkipStr();
+      if (!taken) {
         return Result<TraceEvent>::Error("wire: malformed request params in " + path);
       }
-      e.params[std::move(k)] = std::move(v);
+      if (keep) {
+        e.params[std::move(k)] = std::move(v);
+      }
     }
   } else if (type == kRecResponse) {
     e.kind = TraceEvent::Kind::kResponse;
-    if (!c.TakeU64(&e.rid) || !c.TakeStr(&e.body)) {
+    if (!c.TakeU64(&e.rid) || !(keep ? c.TakeStr(&e.body) : c.SkipStr())) {
       return Result<TraceEvent>::Error("wire: malformed response record in " + path);
     }
   } else {
@@ -527,7 +578,7 @@ size_t SectionWireBytes(const std::function<void(const RecordFn&)>& for_each) {
 // legitimize an op-log already rejected), and no (kind, name) descriptor may be declared
 // twice (FindObject resolves a descriptor to one id; a duplicate would let two distinct
 // byte streams decode to the same Reports).
-Status DecodeReportsRecordPayload(uint8_t type, const std::string& payload,
+Status DecodeReportsRecordPayload(uint8_t type, std::string_view payload,
                                   const std::string& path, ReportsDecodeState* state,
                                   Reports* out, OpLogRecordSpans* spans) {
   Cursor c = MakeCursor(payload);
@@ -870,7 +921,7 @@ void EnumerateStateRecords(const InitialState& state, const RecordFn& fn) {
   }
 }
 
-Status DecodeStateRecord(uint8_t type, const std::string& payload, const std::string& path,
+Status DecodeStateRecord(uint8_t type, std::string_view payload, const std::string& path,
                          bool* saw_registers, bool* saw_kv, InitialState* out) {
   Cursor c = MakeCursor(payload);
   switch (type) {
@@ -960,7 +1011,7 @@ Status ReadSectionFile(const std::string& path, wire::Section section, Env* env,
   if (Status st = stream.Open(env, path, section); !st.ok()) {
     return st;
   }
-  std::string payload;
+  std::string_view payload;
   while (true) {
     uint8_t type = 0;
     Result<bool> more = stream.Next(&type, &payload);
@@ -1030,7 +1081,7 @@ Status TraceReader::Open(const std::string& path, Env* env) {
   return Status::Ok();
 }
 
-Result<bool> TraceReader::Next(TraceEvent* event) {
+Result<bool> TraceReader::Next(TraceEvent* event, TraceDecode decode) {
   if (done_) {
     // A clean end stays a clean end on repeated calls; a failure stays sticky.
     if (!error_.ok()) {
@@ -1052,7 +1103,8 @@ Result<bool> TraceReader::Next(TraceEvent* event) {
   };
   while (true) {
     uint8_t type = 0;
-    Result<bool> more = stream_->Next(&type, &scratch_);
+    std::string_view payload;
+    Result<bool> more = stream_->Next(&type, &payload);
     if (!more.ok()) {
       return fail(more.status());
     }
@@ -1070,7 +1122,7 @@ Result<bool> TraceReader::Next(TraceEvent* event) {
       if (records_seen_ != 0) {
         return fail_in_file("out-of-order shard-info record");
       }
-      Cursor c = MakeCursor(scratch_);
+      Cursor c = MakeCursor(payload);
       uint32_t id = 0;
       if (!c.TakeU32(&id) || !c.AtEnd()) {
         return fail_in_file("malformed shard-info record");
@@ -1084,13 +1136,13 @@ Result<bool> TraceReader::Next(TraceEvent* event) {
       continue;
     }
     records_seen_++;
-    Result<TraceEvent> decoded = DecodeTraceEvent(type, scratch_, stream_->path());
+    Result<TraceEvent> decoded = DecodeTraceEvent(type, payload, stream_->path(), decode);
     if (!decoded.ok()) {
       return fail(decoded.status());
     }
     *event = std::move(decoded).value();
     last_payload_offset_ = stream_->last_payload_offset();
-    last_payload_bytes_ = scratch_.size();
+    last_payload_bytes_ = payload.size();
     last_record_type_ = type;
     last_payload_crc_ = stream_->last_crc();
     return true;
@@ -1131,8 +1183,9 @@ Result<Trace> ReadTraceFile(const std::string& path, Env* env) {
   return trace;
 }
 
-Result<TraceEvent> DecodeTraceEventPayload(uint8_t record_type, const std::string& payload) {
-  return DecodeTraceEvent(record_type, payload, "trace file");
+Result<TraceEvent> DecodeTraceEventPayload(uint8_t record_type,
+                                           std::string_view payload) {
+  return DecodeTraceEvent(record_type, payload, "trace file", TraceDecode::kFull);
 }
 
 void EncodeTraceEventRecord(const TraceEvent& event, uint8_t* type, std::string* payload) {
@@ -1171,7 +1224,7 @@ Result<ShardManifest> ReadShardManifestFile(const std::string& path, Env* env) {
   bool saw_shard = false;
   std::set<uint32_t> shard_ids;
   Status st = ReadSectionFile(
-      path, wire::Section::kManifest, env, [&](uint8_t type, const std::string& payload) {
+      path, wire::Section::kManifest, env, [&](uint8_t type, std::string_view payload) {
         Cursor c = MakeCursor(payload);
         switch (type) {
           case kRecManifestEpoch:
@@ -1231,7 +1284,7 @@ Result<Reports> ReadReportsFile(const std::string& path, Env* env) {
   Reports out;
   ReportsDecodeState state;
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   while (true) {
     Result<bool> more = reader.Next(&type, &payload);
     if (!more.ok()) {
@@ -1264,7 +1317,7 @@ Status ReportsRecordReader::Open(const std::string& path, Env* env) {
   return Status::Ok();
 }
 
-Result<bool> ReportsRecordReader::Next(uint8_t* type, std::string* payload) {
+Result<bool> ReportsRecordReader::Next(uint8_t* type, std::string_view* payload) {
   if (done_) {
     // A clean end stays a clean end on repeated calls; a failure stays sticky.
     if (!error_.ok()) {
@@ -1304,7 +1357,7 @@ Result<InitialState> ReadInitialStateFile(const std::string& path, Env* env) {
   bool saw_registers = false;
   bool saw_kv = false;
   Status st = ReadSectionFile(path, wire::Section::kState, env,
-                              [&](uint8_t type, const std::string& payload) {
+                              [&](uint8_t type, std::string_view payload) {
                                 return DecodeStateRecord(type, payload, path, &saw_registers,
                                                          &saw_kv, &out);
                               });

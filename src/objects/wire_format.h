@@ -39,6 +39,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -107,6 +108,12 @@ inline constexpr uint8_t kReportsRecOpLogSegment = 6;
 // larger than the cap rides alone in its own segment), so pass-1 indexing never holds
 // more than ~one segment of one object transiently resident.
 inline constexpr uint64_t kMaxOpLogSegmentBytes = 64 * 1024;
+
+// Section readers scan a file forward through one read-ahead window of this many bytes:
+// a frame or payload that fits is served from the window (one read per window refill,
+// not two per record), and a payload larger than the window is read on its own. Sized
+// to the segment cap, so every op-log segment record fits.
+inline constexpr size_t kReadWindowBytes = kMaxOpLogSegmentBytes;
 
 // The 13-byte envelope header for `section` at kFormatVersion, for sidecar writers.
 std::string EnvelopeHeader(Section section);
@@ -188,6 +195,11 @@ class TraceWriter {
   std::string scratch_;
 };
 
+// How much of each trace event TraceReader::Next keeps. kSkeleton keeps the kind, rid and
+// script and steps over the parameter and body bytes, with the same bounds, trailing-byte
+// and record-type checks (and the same errors) as kFull.
+enum class TraceDecode { kFull, kSkeleton };
+
 class TraceReader {
  public:
   TraceReader();
@@ -200,7 +212,7 @@ class TraceReader {
   // further calls). Error: corrupt/truncated file (sticky across calls). A shard-info
   // record is consumed transparently (see shard_id()); it must be the first record of the
   // section and must not repeat — a duplicate or out-of-order in-section header rejects.
-  Result<bool> Next(TraceEvent* event);
+  Result<bool> Next(TraceEvent* event, TraceDecode decode = TraceDecode::kFull);
 
   // Shard id from the file's shard-info record; 0 until one is read (unsharded files
   // never carry one).
@@ -218,7 +230,6 @@ class TraceReader {
 
  private:
   std::unique_ptr<wire::RecordStream> stream_;
-  std::string scratch_;
   bool done_ = false;
   Status error_;  // Not OK once a read has failed.
   uint64_t records_seen_ = 0;
@@ -237,7 +248,7 @@ Result<Trace> ReadTraceFile(const std::string& path, Env* env = nullptr);
 // Decodes one trace record payload (wire::kTraceRecRequest / kTraceRecResponse) exactly as
 // TraceReader::Next would. The out-of-core audit uses this to materialize a single event
 // from a point read at an offset recorded during the streaming pass.
-Result<TraceEvent> DecodeTraceEventPayload(uint8_t record_type, const std::string& payload);
+Result<TraceEvent> DecodeTraceEventPayload(uint8_t record_type, std::string_view payload);
 
 // Encodes one trace event as the record TraceWriter would frame — record type + canonical
 // payload — so the socket transport (src/net) can stream events record-by-record and a
@@ -264,9 +275,10 @@ class ReportsRecordReader {
   ReportsRecordReader& operator=(const ReportsRecordReader&) = delete;
 
   Status Open(const std::string& path, Env* env = nullptr);
-  // True: *type/*payload hold the next record. False: clean end of section (and on any
-  // further calls). Error: corrupt/truncated file (sticky across calls).
-  Result<bool> Next(uint8_t* type, std::string* payload);
+  // True: *type/*payload hold the next record; *payload views the reader's buffer and
+  // stays valid until the next call. False: clean end of section (and on any further
+  // calls). Error: corrupt/truncated file (sticky across calls).
+  Result<bool> Next(uint8_t* type, std::string_view* payload);
 
   // Location of the record the last successful Next() returned: the file offset of the
   // record's payload (just past the frame), its byte length, and its CRC32C (see
@@ -320,7 +332,7 @@ struct OpLogRecordSpans {
 // `spans` set, an op-log record also reports where each decoded entry sits in `payload`
 // (any other record leaves spans->entries empty), so a streaming index can locate the
 // entries without parsing the payload a second time.
-Status DecodeReportsRecordPayload(uint8_t type, const std::string& payload,
+Status DecodeReportsRecordPayload(uint8_t type, std::string_view payload,
                                   const std::string& path, ReportsDecodeState* state,
                                   Reports* out, OpLogRecordSpans* spans = nullptr);
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace orochi {
 namespace wire_primitives {
@@ -92,6 +93,15 @@ struct Cursor {
     pos += len;
     return true;
   }
+  // TakeStr's bounds checks without the copy: steps over one length-prefixed string.
+  bool SkipStr() {
+    uint32_t len;
+    if (!TakeU32(&len) || pos + len > n) {
+      return false;
+    }
+    pos += len;
+    return true;
+  }
   bool AtEnd() const { return pos == n; }
 
   size_t Remaining() const { return n - pos; }
@@ -105,7 +115,7 @@ struct Cursor {
   }
 };
 
-inline Cursor MakeCursor(const std::string& bytes) {
+inline Cursor MakeCursor(std::string_view bytes) {
   return Cursor{reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()};
 }
 

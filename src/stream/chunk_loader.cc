@@ -199,8 +199,7 @@ Status FileTraceChunkLoader::InstallPayload(const StreamTraceSet& set, size_t in
                               "payload at offset " + std::to_string(loc.offset) +
                                   " failed checksum");
   }
-  Result<TraceEvent> decoded =
-      DecodeTraceEventPayload(loc.record_type, std::string(payload, n));
+  Result<TraceEvent> decoded = DecodeTraceEventPayload(loc.record_type, {payload, n});
   if (!decoded.ok()) {
     return ChangedDuringAudit(set.file_path(loc.file), loc.offset, decoded.error());
   }
@@ -224,17 +223,19 @@ Status FileTraceChunkLoader::Load(const StreamTraceSet& set, size_t index,
   if (!file.ok()) {
     return file.status();
   }
-  std::string payload(static_cast<size_t>(loc.bytes), '\0');
+  // Uninitialized: the read overwrites every byte, and decoding copies the params or
+  // body straight out of it.
+  const size_t n = static_cast<size_t>(loc.bytes);
+  std::unique_ptr<char[]> payload(new char[n]);
   ReadMetrics::Get()->issued->Inc();
   if (Status st = files_.env()
                       ->StartReadAt(file.value().get(), set.file_path(loc.file),
-                                    loc.offset, payload.size(),
-                                    payload.empty() ? nullptr : &payload[0])
+                                    loc.offset, n, payload.get())
                       ->Wait();
       !st.ok()) {
     return st;
   }
-  return InstallPayload(set, index, event, payload.data(), payload.size());
+  return InstallPayload(set, index, event, payload.get(), n);
 }
 
 Status FileTraceChunkLoader::LoadBatch(const StreamTraceSet& set,
@@ -258,7 +259,8 @@ Status FileTraceChunkLoader::LoadBatch(const StreamTraceSet& set,
     return st;
   };
   size_t span_start = 0;
-  std::string buf;
+  std::unique_ptr<char[]> buf;
+  size_t buf_bytes = 0;
   while (span_start < sorted.size()) {
     const TraceEventLoc& head = set.loc(sorted[span_start]);
     size_t span_len = 1;
@@ -279,13 +281,15 @@ Status FileTraceChunkLoader::LoadBatch(const StreamTraceSet& set,
     }
     const TraceEventLoc& tail = set.loc(sorted[span_start + span_len - 1]);
     const size_t span_bytes = static_cast<size_t>(tail.offset + tail.bytes - head.offset);
-    buf.resize(span_bytes);
+    if (span_bytes > buf_bytes) {
+      buf.reset(new char[span_bytes]);
+      buf_bytes = span_bytes;
+    }
     ReadMetrics::Get()->issued->Inc();
     ReadMetrics::Get()->coalesced->Inc(span_len - 1);
     if (Status st = files_.env()
                         ->StartReadAt(file.value().get(), set.file_path(head.file),
-                                      head.offset, span_bytes,
-                                      span_bytes == 0 ? nullptr : &buf[0])
+                                      head.offset, span_bytes, buf.get())
                         ->Wait();
         !st.ok()) {
       return fail(st);
@@ -294,7 +298,7 @@ Status FileTraceChunkLoader::LoadBatch(const StreamTraceSet& set,
       const size_t index = sorted[span_start + k];
       const TraceEventLoc& loc = set.loc(index);
       if (Status st = InstallPayload(set, index, &skeleton->events[index],
-                                     buf.data() + (loc.offset - head.offset),
+                                     buf.get() + (loc.offset - head.offset),
                                      static_cast<size_t>(loc.bytes));
           !st.ok()) {
         return fail(st);

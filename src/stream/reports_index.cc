@@ -35,7 +35,7 @@ Status StreamReportsSet::AppendFile(const std::string& path, Env* env) {
   ReportsDecodeState state;
   OpLogRecordSpans spans;
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   while (true) {
     Result<bool> more = reader.Next(&type, &payload);
     if (!more.ok()) {

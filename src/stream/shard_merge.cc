@@ -20,7 +20,7 @@ Result<uint32_t> PeekTraceShardId(const std::string& path, Env* env) {
     return st;
   }
   TraceEvent event;
-  Result<bool> more = reader.Next(&event);
+  Result<bool> more = reader.Next(&event, TraceDecode::kSkeleton);
   if (!more.ok()) {
     return more.status();
   }

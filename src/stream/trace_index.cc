@@ -15,7 +15,7 @@ Result<uint32_t> StreamTraceSet::AppendFile(const std::string& path, Env* env) {
   files_.push_back(path);
   while (true) {
     TraceEvent event;
-    Result<bool> more = reader.Next(&event);
+    Result<bool> more = reader.Next(&event, TraceDecode::kSkeleton);
     if (!more.ok()) {
       return more.status();
     }
@@ -31,11 +31,6 @@ Result<uint32_t> StreamTraceSet::AppendFile(const std::string& path, Env* env) {
     if (event.kind == TraceEvent::Kind::kRequest) {
       request_index_.emplace(event.rid, locs_.size());
       total_request_payload_bytes_ += loc.bytes;
-      // Keep the script (planning groups by it); shed the payload.
-      event.params = RequestParams{};
-    } else {
-      event.body.clear();
-      event.body.shrink_to_fit();
     }
     locs_.push_back(loc);
     skeleton_.events.push_back(std::move(event));

@@ -35,8 +35,9 @@ struct TraceEventLoc {
 
 class StreamTraceSet {
  public:
-  // Streams `path` (decoding each record to validate it exactly as the in-memory reader
-  // would, then dropping the payload) and appends its events to the skeleton. Multiple
+  // Streams `path` (a skeleton decode: each record is validated exactly as the in-memory
+  // reader would, but its params and body are never copied out) and appends its events
+  // to the skeleton. Multiple
   // files concatenate in call order — the shard merge order. Returns the file's stamped
   // shard id (0 when unsharded). Reads go through `env` (nullptr = the production
   // posix environment), so transient faults retry and injected-fault tests reach pass 1.

@@ -863,15 +863,21 @@ TEST(FaultInjection, CorruptTraceOutranksCorruptReportsInPass1) {
 
 // --- 4. Prepare's failure precedence at every thread count ---
 
-// Fails every read of `path` that covers byte `offset`, except the first: pass 1 streams
-// the file once, so the first covering read is pass 1's and the next is the Prepare
-// segment load that pages that byte's op-log entry back in. FaultInjectingEnv draws its
-// faults from a global operation index, which cannot aim one fault at one segment across
-// thread counts; this env can.
-class SegmentReadFaultEnv : public Env {
+// Faults the reads of `path` whose range covers byte `offset`, numbering them from 0 in
+// the order they arrive: reads `first` through `last` get `fault`, the others pass.
+// FaultInjectingEnv draws its faults from a global operation index, which cannot aim one
+// fault at one byte of one file across thread counts; this env can.
+class CoveringReadFaultEnv : public Env {
  public:
-  SegmentReadFaultEnv(std::string path, uint64_t offset)
-      : path_(std::move(path)), offset_(offset) {}
+  enum class Fault { kShortRead, kTransient, kPermanent };
+
+  CoveringReadFaultEnv(std::string path, uint64_t offset, Fault fault, uint64_t first,
+                       uint64_t last = UINT64_MAX)
+      : path_(std::move(path)),
+        offset_(offset),
+        fault_(fault),
+        first_(first),
+        last_(last) {}
 
   Result<std::unique_ptr<ReadableFile>> OpenRead(const std::string& path) override {
     Result<std::unique_ptr<ReadableFile>> file = Env::Default()->OpenRead(path);
@@ -895,28 +901,51 @@ class SegmentReadFaultEnv : public Env {
   }
 
   uint64_t covering_reads() const { return covering_reads_.load(); }
+  // The file offset and requested length of covering read `first`.
+  uint64_t fault_offset() const { return fault_offset_; }
+  size_t fault_bytes() const { return fault_bytes_; }
 
  private:
   class File : public ReadableFile {
    public:
-    File(std::unique_ptr<ReadableFile> base, SegmentReadFaultEnv* env)
+    File(std::unique_ptr<ReadableFile> base, CoveringReadFaultEnv* env)
         : base_(std::move(base)), env_(env) {}
     Result<size_t> PReadSome(uint64_t offset, size_t n, char* buf) override {
-      if (offset <= env_->offset_ && env_->offset_ < offset + n &&
-          env_->covering_reads_.fetch_add(1) > 0) {
-        return Status::Error("injected read fault");
+      if (offset > env_->offset_ || env_->offset_ >= offset + n) {
+        return base_->PReadSome(offset, n, buf);
       }
-      return base_->PReadSome(offset, n, buf);
+      const uint64_t index = env_->covering_reads_.fetch_add(1);
+      if (index < env_->first_ || index > env_->last_) {
+        return base_->PReadSome(offset, n, buf);
+      }
+      if (index == env_->first_) {
+        env_->fault_offset_ = offset;
+        env_->fault_bytes_ = n;
+      }
+      switch (env_->fault_) {
+        case Fault::kShortRead:
+          return base_->PReadSome(offset, n / 2, buf);
+        case Fault::kTransient:
+          return Status::Error(StatusCode::kTransient, "injected transient read fault");
+        case Fault::kPermanent:
+          break;
+      }
+      return Status::Error("injected read fault");
     }
 
    private:
     std::unique_ptr<ReadableFile> base_;
-    SegmentReadFaultEnv* env_;
+    CoveringReadFaultEnv* env_;
   };
 
   const std::string path_;
   const uint64_t offset_;
+  const Fault fault_;
+  const uint64_t first_;
+  const uint64_t last_;
   std::atomic<uint64_t> covering_reads_{0};
+  uint64_t fault_offset_ = 0;  // Written once, by covering read `first`.
+  size_t fault_bytes_ = 0;
 };
 
 // Pairs of faults planted in one epoch. Whatever the thread count, budget and feed,
@@ -1033,7 +1062,10 @@ TEST(FaultInjection, PrepareReportsTheFaultTheSerialOrderReachesFirst) {
         for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
           SCOPED_TRACE("feed=" + std::to_string(feed) + " threads=" +
                        std::to_string(threads) + " budget=" + std::to_string(budget));
-          SegmentReadFaultEnv env(reports_path, fault_offset);
+          // Pass 1 streams the file once, so the first covering read is pass 1's and the
+          // next is the Prepare segment load that pages that byte's op-log entry back in.
+          CoveringReadFaultEnv env(reports_path, fault_offset,
+                                   CoveringReadFaultEnv::Fault::kPermanent, /*first=*/1);
           AuditOptions opts;
           opts.num_threads = threads;
           opts.max_group_size = 8;
@@ -1065,6 +1097,81 @@ TEST(FaultInjection, PrepareReportsTheFaultTheSerialOrderReachesFirst) {
           } else {
             EXPECT_EQ(text, reference);
           }
+        }
+      }
+    }
+  }
+}
+
+// --- 5. Faults inside a read-window refill ---
+
+// End offset of the record (frame + payload) of section file `path` that holds byte
+// `offset`.
+uint64_t RecordEndPast(const std::string& path, uint64_t offset) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  size_t pos = wire::kEnvelopeHeaderBytes;
+  uint8_t type;
+  uint64_t len;
+  uint32_t crc;
+  while (wire::ParseRecordFrameV2(data.data() + pos, data.size() - pos, &type, &len,
+                                  &crc) &&
+         pos + wire::kRecordFrameBytesV2 + len <= offset) {
+    pos += wire::kRecordFrameBytesV2 + len;
+  }
+  return pos + wire::kRecordFrameBytesV2 + len;
+}
+
+// A short read and a transient EIO that land inside a pass-1 window refill, of the trace
+// file or of the reports file, are absorbed: the audit accepts with the true final state.
+// A permanent EIO there is an I/O error located in that file, never a rejection.
+TEST(FaultInjection, WindowRefillFaultsKeepTheOutcomeTaxonomy) {
+  // ~900-byte callers make both spill files span several read windows.
+  Workload w = CounterWorkload(160);
+  for (size_t i = 0; i < w.items.size(); i++) {
+    w.items[i].params["who"] += std::string(900, 'a' + static_cast<char>(i % 7));
+  }
+  ServedWorkload served = ServeWorkload(w);
+  const std::string truth = InitialStateFingerprint(served.final_state);
+  const std::string trace_path = ::testing::TempDir() + "/fi_refill.trace";
+  const std::string reports_path = ::testing::TempDir() + "/fi_refill.reports";
+  ASSERT_TRUE(WriteTraceFile(trace_path, served.trace).ok());
+  ASSERT_TRUE(WriteReportsFile(reports_path, served.reports).ok());
+  using Fault = CoveringReadFaultEnv::Fault;
+  for (const std::string& path : {trace_path, reports_path}) {
+    for (Fault fault : {Fault::kShortRead, Fault::kTransient, Fault::kPermanent}) {
+      for (size_t threads : {size_t{1}, size_t{2}}) {
+        SCOPED_TRACE(path + " fault=" + std::to_string(static_cast<int>(fault)) +
+                     " threads=" + std::to_string(threads));
+        // Section readers scan a file through one wire::kReadWindowBytes window, so the
+        // first read covering the first window's end is pass 1's first refill.
+        CoveringReadFaultEnv env(path, wire::kReadWindowBytes, fault, /*first=*/0,
+                                 /*last=*/0);
+        AuditOptions opts;
+        opts.num_threads = threads;
+        opts.max_group_size = 8;
+        opts.max_resident_bytes = 4096;
+        opts.io_env = &env;
+        AuditSession session = AuditSession::Open(&w.app, opts, served.initial);
+        Result<AuditResult> r = session.FeedEpochFilesStreamed(trace_path, reports_path);
+        ASSERT_GT(env.covering_reads(), 0u);
+        // The faulted read is a refill: it starts where the first window ended and reads
+        // ahead past the record that straddles that edge.
+        EXPECT_EQ(env.fault_offset(), wire::kReadWindowBytes);
+        EXPECT_GT(env.fault_offset() + env.fault_bytes(),
+                  RecordEndPast(path, wire::kReadWindowBytes));
+        if (fault == Fault::kPermanent) {
+          ASSERT_EQ(ClassifyAuditOutcome(r), AuditOutcome::kIoError)
+              << (r.ok() ? r.value().reason : "");
+          EXPECT_EQ(r.status().code(), StatusCode::kError) << r.error();
+          EXPECT_EQ(r.status().file(), path) << r.error();
+          EXPECT_EQ(r.status().offset(), wire::kReadWindowBytes) << r.error();
+          EXPECT_EQ(session.epochs_fed(), 0u);
+        } else {
+          ASSERT_EQ(ClassifyAuditOutcome(r), AuditOutcome::kAccepted)
+              << (r.ok() ? r.value().reason : r.error());
+          EXPECT_EQ(InitialStateFingerprint(r.value().final_state), truth);
         }
       }
     }

@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -42,7 +43,7 @@ ReportsFileShape ScanReportsFile(const std::string& path) {
   ReportsRecordReader reader;
   EXPECT_TRUE(reader.Open(path).ok());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   while (true) {
     Result<bool> next = reader.Next(&type, &payload);
     EXPECT_TRUE(next.ok()) << next.error();
@@ -1129,6 +1130,98 @@ TEST(StreamAudit, PointReadsReproducePayloadsExactly) {
   loader.Evict(set, 1, &skeleton->events[1]);
   EXPECT_TRUE(skeleton->events[0].params.empty());
   EXPECT_TRUE(skeleton->events[1].body.empty());
+}
+
+// Pass 1 decodes only each event's skeleton, stepping over params and bodies; on records
+// whose CRC is valid but whose contents are malformed it must fail exactly as the full
+// decode of ReadTraceFile does.
+TEST(StreamAudit, SkeletonDecodeFailsLikeTheFullDecode) {
+  auto u32 = [](std::string* out, uint32_t v) {
+    for (int i = 0; i < 4; i++) {
+      out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  auto u64 = [](std::string* out, uint64_t v) {
+    for (int i = 0; i < 8; i++) {
+      out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  auto str = [&](std::string* out, const std::string& v) {
+    u32(out, static_cast<uint32_t>(v.size()));
+    out->append(v);
+  };
+  // A request payload: rid 2, script "/s", `nparams` claimed, then `tail`.
+  auto request = [&](uint32_t nparams, const std::string& tail) {
+    std::string p;
+    u64(&p, 2);
+    str(&p, "/s");
+    u32(&p, nparams);
+    return p + tail;
+  };
+  std::string one_param;
+  str(&one_param, "k");
+  str(&one_param, "v");
+  std::string script_past_end;
+  u64(&script_past_end, 2);
+  u32(&script_past_end, 1000);
+  script_past_end += "/s";
+  std::string value_past_end;
+  str(&value_past_end, "k");
+  u32(&value_past_end, 1000);
+  value_past_end += "v";
+  std::string body_past_end;
+  u64(&body_past_end, 2);
+  u32(&body_past_end, 1000);
+  body_past_end += "body";
+  std::string response_trailing;
+  u64(&response_trailing, 2);
+  str(&response_trailing, "body");
+  response_trailing += "x";
+
+  struct Case {
+    std::string name;
+    uint8_t type;
+    std::string payload;
+    std::string message;  // Before " in <path>".
+  };
+  const std::vector<Case> cases = {
+      {"param count past the pairs", wire::kTraceRecRequest, request(2, one_param),
+       "wire: malformed request params"},
+      {"script length past the end", wire::kTraceRecRequest, script_past_end,
+       "wire: malformed request record"},
+      {"param value past the end", wire::kTraceRecRequest, request(1, value_past_end),
+       "wire: malformed request params"},
+      {"body length past the end", wire::kTraceRecResponse, body_past_end,
+       "wire: malformed response record"},
+      {"request trailing bytes", wire::kTraceRecRequest, request(1, one_param + "x"),
+       "wire: trailing bytes in trace record"},
+      {"response trailing bytes", wire::kTraceRecResponse, response_trailing,
+       "wire: trailing bytes in trace record"},
+      {"unknown record type", 9, request(0, ""), "wire: unknown trace record type 9"},
+  };
+  const std::string path = ::testing::TempDir() + "/stream_skeleton_parity.bin";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // A valid event first, then the forged record; every frame carries a valid CRC.
+    std::string bytes = wire::EnvelopeHeader(wire::Section::kTrace);
+    wire::AppendRecordFrame(&bytes, wire::kTraceRecRequest, request(1, one_param));
+    wire::AppendRecordFrame(&bytes, c.type, c.payload);
+    wire::AppendEndRecordFrame(&bytes, 2, bytes.size());
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    Result<Trace> full = ReadTraceFile(path);
+    ASSERT_FALSE(full.ok());
+    EXPECT_EQ(full.error(), c.message + " in " + path);
+    StreamTraceSet set;
+    Result<uint32_t> skeleton = set.AppendFile(path);
+    ASSERT_FALSE(skeleton.ok());
+    EXPECT_EQ(skeleton.status().code(), full.status().code());
+    EXPECT_EQ(skeleton.error(), full.error());
+    EXPECT_EQ(skeleton.status().file(), full.status().file());
+    EXPECT_EQ(skeleton.status().offset(), full.status().offset());
+  }
 }
 
 TEST(StreamAudit, BudgetResolutionPrefersOptionsOverEnv) {

@@ -249,7 +249,7 @@ TEST(WireReports, DecoderEntrySpansTileEachOpLogRecord) {
   size_t monolithic = 0, segments = 0;
   std::vector<size_t> spanned(r.op_logs.size(), 0);
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   while (true) {
     Result<bool> more = reader.Next(&type, &payload);
     ASSERT_TRUE(more.ok()) << more.error();
@@ -709,6 +709,177 @@ TEST(WireReports, CrcLocalizesPayloadCorruption) {
             std::string::npos)
       << back.error();
   EXPECT_NE(back.error().find(path), std::string::npos) << back.error();
+}
+
+// --- Records at the read window's edges ---
+// Section readers scan through one wire::kReadWindowBytes window. These layouts put
+// record frames and payloads across, onto and past its edge; each file must read back
+// exactly, and each corruption must fail with the code, message and {file, offset} that
+// per-record reads gave.
+
+constexpr uint64_t kWindow = wire::kReadWindowBytes;
+
+// A request (31-byte record at offset 13), a response whose `first_body`-byte body sets
+// where the records after it fall relative to the first window edge, a small request
+// (41-byte record), a response larger than the window, a response whose payload is
+// exactly one window, and a last small pair.
+Trace WindowTrace(size_t first_body) {
+  Trace t;
+  auto request = [&](RequestId rid, RequestParams params) {
+    TraceEvent e;
+    e.kind = TraceEvent::Kind::kRequest;
+    e.rid = rid;
+    e.script = "/s";
+    e.params = std::move(params);
+    t.events.push_back(std::move(e));
+  };
+  auto response = [&](RequestId rid, size_t body_bytes) {
+    TraceEvent e;
+    e.kind = TraceEvent::Kind::kResponse;
+    e.rid = rid;
+    e.body.resize(body_bytes);
+    for (size_t i = 0; i < body_bytes; i++) {
+      e.body[i] = static_cast<char>('a' + (i * 7 + rid) % 26);
+    }
+    t.events.push_back(std::move(e));
+  };
+  request(1, {});
+  response(1, first_body);
+  request(2, {{"k", "v"}});
+  response(2, kWindow + 1 - 12);  // Payload: rid + length prefix + body = window + 1.
+  request(3, {});
+  response(3, kWindow - 12);  // Payload exactly one window.
+  request(4, {});
+  response(4, 1);
+  return t;
+}
+
+// File offset of record `index`'s frame (`index` = the record count for the end record).
+uint64_t RecordFrameOffset(const std::string& bytes, size_t index) {
+  uint64_t pos = wire::kEnvelopeHeaderBytes;
+  for (size_t i = 0; i < index; i++) {
+    uint8_t type = 0;
+    uint64_t len = 0;
+    uint32_t crc = 0;
+    EXPECT_TRUE(wire::ParseRecordFrameV2(bytes.data() + pos, bytes.size() - pos, &type,
+                                         &len, &crc));
+    pos += wire::kRecordFrameBytesV2 + len;
+  }
+  return pos;
+}
+
+// Record 1 (the first response) ends 69 + first_body bytes into the file.
+constexpr size_t kEndsOnEdge = kWindow - 69;
+
+void ExpectCorruption(const Result<Trace>& got, const std::string& message,
+                      const std::string& path, uint64_t offset) {
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << got.error();
+  EXPECT_EQ(got.error(), message + " in " + path);
+  EXPECT_EQ(got.status().file(), path) << got.error();
+  EXPECT_EQ(got.status().offset(), offset) << got.error();
+}
+
+TEST(WireWindow, RecordsAcrossOnAndPastTheEdgeReadBack) {
+  const std::string path = TempPath("window_edge.bin");
+  // first_body walks record 1's end from 60 bytes before the edge to 20 past it, so
+  // record 2's frame and then its payload straddle the edge, and records 1 and 2 each
+  // end exactly on it once.
+  for (size_t first_body = kEndsOnEdge - 60; first_body <= kEndsOnEdge + 20;
+       first_body++) {
+    SCOPED_TRACE("first_body=" + std::to_string(first_body));
+    const Trace t = WindowTrace(first_body);
+    ASSERT_TRUE(WriteTraceFile(path, t).ok());
+    const std::string bytes = ReadFileBytes(path);
+    ASSERT_EQ(bytes.size(), t.WireBytes());
+    TraceReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    Trace streamed;
+    for (size_t i = 0;; i++) {
+      TraceEvent e;
+      Result<bool> more = reader.Next(&e);
+      ASSERT_TRUE(more.ok()) << more.error();
+      if (!more.value()) {
+        break;
+      }
+      const uint64_t payload = RecordFrameOffset(bytes, i) + wire::kRecordFrameBytesV2;
+      EXPECT_EQ(reader.last_payload_offset(), payload) << "record " << i;
+      EXPECT_EQ(reader.last_payload_bytes(), RecordFrameOffset(bytes, i + 1) - payload);
+      streamed.events.push_back(std::move(e));
+    }
+    EXPECT_TRUE(TraceEq(t, streamed));
+  }
+}
+
+TEST(WireWindow, TruncationAtTheEdgeFailsAsBefore) {
+  const std::string path = TempPath("window_truncated.bin");
+  struct Case {
+    size_t first_body;
+    size_t record;  // The record the cut lands in.
+    bool mid_payload;
+  };
+  // Record 2's frame straddles the edge; record 2's payload straddles it; record 1 ends
+  // on it (the cut leaves no byte of record 2's frame); and a cut inside record 3, whose
+  // payload is larger than the window.
+  for (const Case& c : {Case{kEndsOnEdge - 5, 2, false}, Case{kEndsOnEdge - 20, 2, true},
+                        Case{kEndsOnEdge, 2, false}, Case{kEndsOnEdge, 3, true}}) {
+    SCOPED_TRACE("first_body=" + std::to_string(c.first_body) + " record " +
+                 std::to_string(c.record));
+    ASSERT_TRUE(WriteTraceFile(path, WindowTrace(c.first_body)).ok());
+    const std::string bytes = ReadFileBytes(path);
+    const uint64_t frame = RecordFrameOffset(bytes, c.record);
+    const uint64_t payload = frame + wire::kRecordFrameBytesV2;
+    const uint64_t cut = c.record == 2 ? kWindow : payload + kWindow / 2;
+    ASSERT_LE(frame, cut);
+    ASSERT_LT(cut, RecordFrameOffset(bytes, c.record + 1));
+    ASSERT_EQ(cut > payload, c.mid_payload);
+    WriteFileBytes(path, bytes.substr(0, cut));
+    if (c.mid_payload) {
+      ExpectCorruption(
+          ReadTraceFile(path),
+          "wire: truncated record payload at offset " + std::to_string(payload), path,
+          payload);
+    } else {
+      ExpectCorruption(ReadTraceFile(path),
+                       "wire: truncated record frame at offset " + std::to_string(frame),
+                       path, frame);
+    }
+  }
+}
+
+TEST(WireWindow, FlippedPayloadByteAcrossTheEdgeFailsItsCrc) {
+  const std::string path = TempPath("window_flip.bin");
+  // A byte of record 2's payload just past the edge, and one near the end of record 3's
+  // payload, which is larger than the window.
+  for (size_t record : {size_t{2}, size_t{3}}) {
+    SCOPED_TRACE("record " + std::to_string(record));
+    ASSERT_TRUE(WriteTraceFile(path, WindowTrace(kEndsOnEdge - 20)).ok());
+    std::string bytes = ReadFileBytes(path);
+    const uint64_t frame = RecordFrameOffset(bytes, record);
+    const uint64_t flip =
+        record == 2 ? kWindow + 4 : RecordFrameOffset(bytes, record + 1) - 10;
+    ASSERT_GT(flip, frame + wire::kRecordFrameBytesV2);
+    bytes[flip] ^= 0x01;
+    WriteFileBytes(path, bytes);
+    const int type = record == 2 ? wire::kTraceRecRequest : wire::kTraceRecResponse;
+    ExpectCorruption(ReadTraceFile(path),
+                     "wire: crc mismatch in record " + std::to_string(record) +
+                         " (type " + std::to_string(type) + ") at offset " +
+                         std::to_string(frame),
+                     path, frame);
+  }
+}
+
+TEST(WireWindow, TrailingByteAfterTheEndRecordFails) {
+  const std::string path = TempPath("window_trailing.bin");
+  // The end record inside the first window, and after payloads larger than it.
+  for (const Trace& t : {SampleTrace(), WindowTrace(kEndsOnEdge)}) {
+    ASSERT_TRUE(WriteTraceFile(path, t).ok());
+    const std::string bytes = ReadFileBytes(path);
+    WriteFileBytes(path, bytes + "x");
+    ExpectCorruption(ReadTraceFile(path), "wire: trailing bytes after end record", path,
+                     bytes.size());
+  }
 }
 
 // v1 files (9-byte frames, no CRC, bare end record) are no longer read: the envelope
