@@ -35,7 +35,8 @@ class WorkStealPool {
 
   // Runs fn(task) for every element of `tasks` across the pool's workers and blocks until
   // all have returned. The calling thread acts as worker 0, so only num_threads - 1
-  // threads are spawned. fn must be safe to call concurrently from distinct threads.
+  // threads are spawned: a pool of one runs every task on the caller, in list order.
+  // fn must be safe to call concurrently from distinct threads.
   void Run(const std::vector<size_t>& tasks, const std::function<void(size_t)>& fn) {
     const size_t w = num_threads_;
     std::vector<Shard> shards(w);
@@ -72,6 +73,10 @@ class WorkStealPool {
         fn(task);
       }
     };
+    if (w == 1) {
+      worker(0);  // Nothing to place.
+      return;
+    }
     const Placement placement;
     std::vector<std::thread> threads;
     threads.reserve(w - 1);

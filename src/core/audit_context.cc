@@ -81,29 +81,6 @@ Status AuditContext::Prepare(bool* load_failed) {
   // only means no pool.
   Result<size_t> threads = ResolveAuditThreads(options_);
   const size_t num_threads = threads.ok() ? threads.value() : 1;
-  if (num_threads <= 1) {
-    // Inline, in the serial order: each DB segment is parsed and replayed before the
-    // next one pages in, and the first failure ends Prepare.
-    {
-      obs::TraceSpan span(&stats_.phases, obs::Phase::kProcOpReports);
-      if (Status st = ProcessReports(); !st.ok()) {
-        return st;
-      }
-    }
-    obs::TraceSpan span(&stats_.phases, obs::Phase::kDbRedo);
-    if (Status st = BuildStores(load_failed); !st.ok()) {
-      return st;
-    }
-    for (const OpLogSegment& segment : segments) {
-      ParseDbSegment(segment, &slots);
-      if (Status st = ReplayDbSlots(segment.first_seqnum, segment.count, &slots, load_failed);
-          !st.ok()) {
-        return st;
-      }
-    }
-    versioned_db_.Freeze();
-    return Status::Ok();
-  }
 
   // Task 0 is ProcessOpReports, task 1 the register + KV + snapshot builds, task 2 + k
   // the parse of DB segment k. Each task times itself into its own breakdown.
@@ -113,27 +90,58 @@ Status AuditContext::Prepare(bool* load_failed) {
   }
   std::vector<obs::PhaseBreakdown> task_phases(tasks.size());
   Status processed;
-  Status stores;
-  bool stores_load_failed = false;  // Reported only if no ProcessOpReports error outranks it.
-  // Set once task 0 or 1 fails. Their error outranks every DB-log error, so a parse task
-  // that has not started yet returns without paging its segment in.
-  std::atomic<bool> stage1_failed{false};
+  // The store builds' outcome, then the replay's: the replay starts once they succeed.
+  Status redo;
+  bool redo_load_failed = false;
+  // Set by the first failure, which outranks every DB log entry the replay has not
+  // reached: a task >= 1 that has not started yet returns without paging anything in.
+  std::atomic<bool> stop{false};
+  // The replay frontier over stages: stage 0 is the store task, stage k + 1 DB segment k.
+  // The task that finishes a stage while no one replays replays the ready prefix in
+  // seqnum order, inside its own span. Only the replayer touches `frontier`.
+  std::mutex frontier_mu;
+  std::vector<bool> stage_done(1 + segments.size());
+  bool replaying = false;
+  size_t frontier = 0;  // First stage not yet replayed.
   WorkStealPool(std::min(num_threads, tasks.size())).Run(tasks, [&](size_t t) {
     obs::TraceSpan span(&task_phases[t],
                         t == 0 ? obs::Phase::kProcOpReports : obs::Phase::kDbRedo);
     if (t == 0) {
       processed = ProcessReports();
       if (!processed.ok()) {
-        stage1_failed.store(true);
+        stop.store(true);
       }
-    } else if (t == 1) {
-      stores = BuildStores(&stores_load_failed);
-      if (!stores.ok()) {
-        stage1_failed.store(true);
+      return;
+    }
+    if (stop.load()) {
+      return;
+    }
+    if (t == 1) {
+      redo = BuildStores(&redo_load_failed);
+      if (!redo.ok()) {
+        stop.store(true);
       }
-    } else if (!stage1_failed.load()) {
+    } else {
       ParseDbSegment(segments[t - 2], &slots);
     }
+    std::unique_lock<std::mutex> lock(frontier_mu);
+    stage_done[t - 1] = true;
+    if (replaying) {
+      return;
+    }
+    replaying = true;
+    while (frontier < stage_done.size() && stage_done[frontier] && !stop.load()) {
+      const size_t stage = frontier++;
+      lock.unlock();
+      if (stage > 0) {
+        redo = ReplayDbSegment(segments[stage - 1], &slots, &redo_load_failed);
+        if (!redo.ok()) {
+          stop.store(true);
+        }
+      }
+      lock.lock();
+    }
+    replaying = false;
   });
   for (const obs::PhaseBreakdown& p : task_phases) {
     stats_.phases.MergeFrom(p);
@@ -142,15 +150,11 @@ Status AuditContext::Prepare(bool* load_failed) {
   if (!processed.ok()) {
     return processed;
   }
-  if (!stores.ok()) {
+  if (!redo.ok()) {
     if (load_failed != nullptr) {
-      *load_failed = stores_load_failed;
+      *load_failed = redo_load_failed;
     }
-    return stores;
-  }
-  obs::TraceSpan span(&stats_.phases, obs::Phase::kDbRedo);
-  if (Status st = ReplayDbSlots(1, slots.size(), &slots, load_failed); !st.ok()) {
-    return st;
+    return redo;
   }
   // Redo is done: from here on every read of versioned storage is against an immutable
   // snapshot, so audit workers query it without locks.
@@ -270,7 +274,7 @@ void AuditContext::ParseDbSegment(OpLogSegment segment, std::vector<DbRedoSlot>*
                                      ": too many statements");
           return Status::Ok();
         }
-        // A claimed failure is checked only for single statements (see ReplayDbSlots).
+        // A claimed failure is checked only for single statements (see ReplayDbSegment).
         const size_t parse = contents.success ? contents.sql.size()
                                               : (contents.sql.size() == 1 ? 1 : 0);
         slot.stmts.reserve(parse);
@@ -289,12 +293,12 @@ void AuditContext::ParseDbSegment(OpLogSegment segment, std::vector<DbRedoSlot>*
   }
 }
 
-Status AuditContext::ReplayDbSlots(uint64_t first, uint64_t count,
-                                   std::vector<DbRedoSlot>* slots, bool* load_failed) {
+Status AuditContext::ReplayDbSegment(OpLogSegment segment, std::vector<DbRedoSlot>* slots,
+                                     bool* load_failed) {
   // Redo pass (§4.5): replay every logged transaction, stamping query q of log entry s
   // with ts = s * MAXQ + q. Claimed failures are validated where the engine permits.
   const std::vector<OpRecord>& log = reports_->op_logs[static_cast<size_t>(db_object_)];
-  for (uint64_t s = first; s < first + count; s++) {
+  for (uint64_t s = segment.first_seqnum; s < segment.first_seqnum + segment.count; s++) {
     DbRedoSlot slot = std::move((*slots)[s - 1]);
     if (!slot.error.ok()) {
       if (slot.load_failed && load_failed != nullptr) {

@@ -7,7 +7,8 @@
 // write disjoint state: ProcessOpReports fills the OpMap and the per-rid slots, the store
 // task fills the register indexes, the versioned KV store and the initial DB snapshot,
 // and each DB log segment's parse task fills only its own entries' slots. They share only
-// the SELECT parse cache. The DB replay runs after the join, on the calling thread.
+// the SELECT parse cache. The DB replay follows the parse frontier, on whichever worker
+// completes the parsed prefix, one worker at a time.
 // After Prepare() the versioned stores, parsed logs, OpMap, and trace indexes are
 // immutable, so CheckOp/SimOp reads are lock-free. The only mutable shared state on the
 // re-execution path is (a) the SELECT parse + dedup caches, which are sharded with
@@ -175,14 +176,14 @@ class AuditContext {
   // the versioned stores are frozen: everything the re-execution phase reads is immutable
   // from here on.
   //
-  // At AuditOptions::num_threads > 1, ProcessOpReports, the register + KV builds and the
-  // parse of each DB log segment run as tasks of one WorkStealPool run; the DB replay
-  // then walks the parsed entries on the calling thread. Whatever the thread count, the
-  // error returned is the one a serial Prepare reaches first: ProcessOpReports, then the
-  // registers, the KV store, the initial DB snapshot, and the DB log in seqnum order (a
-  // segment's load failure just before its first entry). Once ProcessOpReports or the
-  // store builds fail, DB segment parses that have not started yet are skipped. At one
-  // thread everything runs inline, one segment parsed and replayed at a time.
+  // ProcessOpReports, the register + KV builds and each DB log segment's parse are tasks
+  // of one WorkStealPool run of AuditOptions::num_threads workers; the DB replay follows
+  // the parse frontier in seqnum order, so only segments parsed ahead of it hold ASTs.
+  // Whatever the thread count, the error returned is the one a serial Prepare reaches
+  // first: ProcessOpReports, then the registers, the KV store, the initial DB snapshot,
+  // and the DB log in seqnum order (a segment's load failure just before its first
+  // entry). After any failure, tasks that have not started are skipped; a pool of one
+  // thus parses and replays one segment at a time.
   Status Prepare(bool* load_failed = nullptr);
 
   // CheckOp (Figure 12 lines 10-15): validates that the program-generated op matches the
@@ -258,10 +259,10 @@ class AuditContext {
   // Pages one DB log segment in and fills its entries' slots; thread-safe across
   // segments.
   void ParseDbSegment(OpLogSegment segment, std::vector<DbRedoSlot>* slots);
-  // The redo pass (§4.5) over parsed entries [first, first + count): claimed-failure dry
-  // runs and ApplyWrite in seqnum order, stopping at the first failure.
-  Status ReplayDbSlots(uint64_t first, uint64_t count, std::vector<DbRedoSlot>* slots,
-                       bool* load_failed);
+  // The redo pass (§4.5) over one parsed segment: claimed-failure dry runs and
+  // ApplyWrite in seqnum order, stopping at the first failure.
+  Status ReplayDbSegment(OpLogSegment segment, std::vector<DbRedoSlot>* slots,
+                         bool* load_failed);
 
   Result<Value> SimDbOp(const StateOpRequest& op, OpLocation loc, AuditWorkerState* ws);
   // Executes (or dedups) one SELECT at timestamp ts; returns its script-level Value.

@@ -212,13 +212,7 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
         serial_tasks.push_back(i);
       }
     }
-    if (num_threads <= 1 || pool_tasks.size() <= 1) {
-      for (size_t i : pool_tasks) {
-        run_task(i);
-      }
-    } else {
-      WorkStealPool(std::min(num_threads, pool_tasks.size())).Run(pool_tasks, run_task);
-    }
+    WorkStealPool(std::min(num_threads, pool_tasks.size())).Run(pool_tasks, run_task);
     for (size_t i : serial_tasks) {
       run_task(i);
     }

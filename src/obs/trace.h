@@ -39,7 +39,7 @@ namespace obs {
 enum class Phase : int {
   kShardMerge = 0,    // Sequential fold of per-shard skeletons into one epoch.
   kPass1Skeleton,     // Streaming spill files into skeletons + offset indexes: a span per
-                      // pool task (one file; a whole trace/reports pair at one thread).
+                      // pool task (one file).
   kProcOpReports,     // Balanced-trace check, per-rid slot pre-build, ProcessOpReports.
   kDbRedo,            // Versioned-store builds (register / KV / DB redo).
   kPass2IoWait,       // Worker time blocked in the chunk gate paging bytes in (budget

@@ -45,28 +45,25 @@ std::vector<ShardSkeletons> StreamShardSkeletons(const std::vector<ShardEpochFil
                                                  Env* env, size_t num_threads,
                                                  obs::PhaseBreakdown* phases) {
   std::vector<ShardSkeletons> out(shards.size());
-  // Tasks per pair: on the pool a pair's two files are separate tasks (trace task 2i,
-  // reports task 2i + 1, so round-robin dealing puts them on different workers); at one
-  // thread a pair is one task, the order the files were always read in.
-  const size_t per_shard = num_threads > 1 ? 2 : 1;
-  std::vector<size_t> tasks(shards.size() * per_shard);
+  // Two tasks per pair: trace task 2i and reports task 2i + 1, so round-robin dealing
+  // puts them on different workers and a pool of one reads the trace file first.
+  std::vector<size_t> tasks(shards.size() * 2);
   for (size_t t = 0; t < tasks.size(); t++) {
     tasks[t] = t;
   }
   std::vector<obs::PhaseBreakdown> task_phases(tasks.size());
   WorkStealPool(std::min(num_threads, tasks.size())).Run(tasks, [&](size_t t) {
     obs::TraceSpan span(&task_phases[t], obs::Phase::kPass1Skeleton);
-    const ShardEpochFiles& files = shards[t / per_shard];
-    ShardSkeletons& pair = out[t / per_shard];
-    if (per_shard == 1 || t % 2 == 0) {
+    const ShardEpochFiles& files = shards[t / 2];
+    ShardSkeletons& pair = out[t / 2];
+    if (t % 2 == 0) {
       Result<uint32_t> appended = pair.traces.AppendFile(files.trace_path, env);
       if (!appended.ok()) {
         pair.trace_error = appended.status();
         return;
       }
       pair.stamped_id = appended.value();
-    }
-    if (per_shard == 1 || t % 2 == 1) {
+    } else {
       pair.reports_error = pair.reports.AppendFile(files.reports_path, env);
     }
   });

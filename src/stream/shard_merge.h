@@ -54,12 +54,11 @@ struct ShardSkeletons {
 };
 
 // Pass 1 over spill pairs, the shared front half of FeedEpochFilesStreamed and
-// MergeShards. With `num_threads` > 1, each pair's trace file and reports file are two
-// tasks on a work-stealing pool of up to `num_threads` workers, so even a single epoch
-// streams its two files at once. At one thread (0 or 1) each pair is one task run inline
-// in list order — trace file, then reports file, which is skipped once the trace failed.
-// Every task times itself as one pass1_skeleton span in its own breakdown; `phases`
-// receives their sum (worker-seconds). The result parallels `shards`.
+// MergeShards. Each pair's trace file and reports file are two tasks on a work-stealing
+// pool of up to `num_threads` workers (0 or 1 = a pool of one), so even a single epoch
+// streams its two files at once. Every task times itself as one pass1_skeleton span in
+// its own breakdown; `phases` receives their sum (worker-seconds). The result parallels
+// `shards`.
 std::vector<ShardSkeletons> StreamShardSkeletons(const std::vector<ShardEpochFiles>& shards,
                                                  Env* env, size_t num_threads,
                                                  obs::PhaseBreakdown* phases);
@@ -69,7 +68,7 @@ std::vector<ShardSkeletons> StreamShardSkeletons(const std::vector<ShardEpochFil
 // passed off as the manifest's shard 2.
 //
 // Per-shard pass-1 skeleton builds run on StreamShardSkeletons' pool of `num_threads`
-// workers (0 or 1 = sequential), then fold sequentially in merge order, so the merged
+// workers (0 or 1 = a pool of one), then fold sequentially in merge order, so the merged
 // epoch is bit-identical at every thread count. A shard whose files fail to stream is
 // quarantined: the merge errors out naming the shard id and both file paths, so the
 // operator knows exactly which collector's spill to restore. Reads go through

@@ -7,8 +7,8 @@
 //           the worker pool
 //   prepare AuditContext::Prepare — ProcessOpReports, the register + KV builds and one
 //           parse task per DB log segment (paged in by SegmentedOpLogScanner in
-//           byte-capped segments) run on the worker pool; the DB replay then walks the
-//           parsed entries in seqnum order on the calling thread
+//           byte-capped segments) run on the worker pool; the DB replay follows the
+//           parse frontier in seqnum order, on one worker at a time
 //   pass 2  ExecuteAuditPlan + StreamTaskGate — re-execute chunks whose request payloads
 //           AND claimed op-log entry contents are paged in on demand, both charged to the
 //           one ChunkBudget; as a chunk retires, its worker pages each of its responses
@@ -16,8 +16,8 @@
 //           checks the output against it, and evicts it
 //   verdict AuditContext::CompareOutputs — the per-rid verdicts scanned in trace order
 //
-// Passes 1 and 2 and most of Prepare run on AuditOptions::num_threads workers; only the
-// shard merge's fold, Prepare's DB replay and the final verdict scan run on one thread.
+// Passes 1 and 2 and Prepare run on AuditOptions::num_threads workers; only the shard
+// merge's fold and the final verdict scan run on the calling thread.
 //
 // Verdict, rejection reason, and final_state are bit-identical to the in-memory
 // FeedEpoch over the decoded files at every thread count: both paths run the same

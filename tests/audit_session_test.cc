@@ -240,14 +240,13 @@ size_t PlannedChunks(const Workload& w, const ServedWorkload& served,
   return PlanAuditTasks(&ctx, served.reports, &w.app, options).tasks.size();
 }
 
-// Prepare's db_redo span count at more than one thread: the store task, one parse task
-// per DB log segment, and the replay.
+// Prepare's db_redo span count: the store task and one parse task per DB log segment.
 size_t PlannedRedoSpans(const ServedWorkload& served) {
   const int db = served.reports.FindObject(ObjectKind::kDb, "");
   const size_t segments =
       db < 0 ? 0
              : ResidentOpLogScanner(&served.reports).Segments(static_cast<size_t>(db)).size();
-  return segments + 2;
+  return segments + 1;
 }
 
 TEST(AuditSession, ConcurrentSessionsKeepTheirOwnPhaseBreakdown) {

@@ -5,6 +5,7 @@
 
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__linux__)
@@ -213,6 +214,21 @@ TEST(ParallelAudit, DuplicateRidAcrossGroupsStaysDeterministic) {
     EXPECT_EQ(r.reason, base.reason) << "threads=" << threads;
   }
   (void)first_tag;
+}
+
+// A pool of one spawns no thread and runs the list in its given order, so every
+// one-thread audit stage is that stage's serial order.
+TEST(WorkStealPool, OneWorkerRunsEveryTaskOnTheCallerInListOrder) {
+  const std::vector<size_t> tasks = {5, 3, 9, 0, 7, 1, 8, 2, 6, 4};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> ran;
+  bool on_caller = true;
+  WorkStealPool(1).Run(tasks, [&](size_t t) {
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+    ran.push_back(t);
+  });
+  EXPECT_EQ(ran, tasks);
+  EXPECT_TRUE(on_caller);
 }
 
 #if defined(__linux__)

@@ -955,15 +955,23 @@ TEST(ShardedAudit, PhasesAreDisjointAndFitInTheCallAtOneThread) {
   auto spans = [](const AuditResult& r, obs::Phase p) {
     return r.stats.phases.spans[static_cast<int>(p)];
   };
+  // Prepare's db_redo spans on a streamed feed: the store task plus one parse task per
+  // DB log segment the paging scanner cuts under kBudget.
+  auto streamed_redo_spans = [](StreamReportsSet* set) {
+    const int db = set->skeleton().FindObject(ObjectKind::kDb, "");
+    ChunkBudget budget(kBudget);
+    SegmentedOpLogScanner scanner(set, /*loader=*/nullptr, &budget);
+    return 1 + (db < 0 ? 0 : scanner.Segments(static_cast<size_t>(db)).size());
+  };
   auto check = [&](const AuditResult& r, double wall, uint64_t pass1_spans,
-                   uint64_t merge_spans) {
+                   uint64_t merge_spans, uint64_t redo_spans) {
     ASSERT_TRUE(r.accepted) << r.reason;
     EXPECT_LE(r.stats.phases.total_seconds(), wall);
     EXPECT_GT(r.stats.phases.total_seconds(), 0.0);
     EXPECT_EQ(spans(r, obs::Phase::kPass1Skeleton), pass1_spans);
     EXPECT_EQ(spans(r, obs::Phase::kShardMerge), merge_spans);
     EXPECT_EQ(spans(r, obs::Phase::kProcOpReports), 1u);
-    EXPECT_EQ(spans(r, obs::Phase::kDbRedo), 1u);
+    EXPECT_EQ(spans(r, obs::Phase::kDbRedo), redo_spans);
     EXPECT_GT(spans(r, obs::Phase::kPass2Execute), 0u);
     // One output-check span per re-executed chunk, plus the final verdict scan.
     EXPECT_EQ(spans(r, obs::Phase::kCompare), spans(r, obs::Phase::kPass2Execute) + 1);
@@ -978,7 +986,10 @@ TEST(ShardedAudit, PhasesAreDisjointAndFitInTheCallAtOneThread) {
     AuditSession session = AuditSession::Open(&e.w.app, StreamOptions(1, 0), e.initial);
     WallTimer wall;
     AuditResult r = session.FeedEpoch(trace.value(), reports.value());
-    check(r, wall.Seconds(), 0, 0);
+    const int db = reports.value().FindObject(ObjectKind::kDb, "");
+    ASSERT_GE(db, 0);
+    check(r, wall.Seconds(), 0, 0,
+          1 + ResidentOpLogScanner(&reports.value()).Segments(static_cast<size_t>(db)).size());
   }
   {
     AuditSession session =
@@ -987,7 +998,9 @@ TEST(ShardedAudit, PhasesAreDisjointAndFitInTheCallAtOneThread) {
     Result<AuditResult> r = session.FeedEpochFilesStreamed(e.trace_path, e.reports_path);
     const double seconds = wall.Seconds();
     ASSERT_TRUE(r.ok()) << r.error();
-    check(r.value(), seconds, 1, 0);
+    StreamReportsSet probe;
+    ASSERT_TRUE(probe.AppendFile(e.reports_path).ok());
+    check(r.value(), seconds, 2, 0, streamed_redo_spans(&probe));
   }
   {
     Workload base = CounterWorkload(0);
@@ -1004,7 +1017,9 @@ TEST(ShardedAudit, PhasesAreDisjointAndFitInTheCallAtOneThread) {
     Result<AuditResult> r = session.FeedShardedEpoch(shard_files);
     const double seconds = wall.Seconds();
     ASSERT_TRUE(r.ok()) << r.error();
-    check(r.value(), seconds, 3, 1);
+    Result<MergedShards> merged = MergeShards(shard_files);
+    ASSERT_TRUE(merged.ok()) << merged.error();
+    check(r.value(), seconds, 6, 1, streamed_redo_spans(&merged.value().reports));
   }
 }
 
