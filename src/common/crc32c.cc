@@ -90,6 +90,104 @@ uint32_t ExtendSoftware(uint32_t crc, const char* data, size_t n) {
 
 #if defined(OROCHI_CRC32C_X86)
 
+#if defined(__x86_64__)
+
+// One _mm_crc32_u64 has a latency of three cycles but issues every cycle, so a single
+// dependency chain runs at a third of the instruction's throughput. The kernel therefore
+// runs three chains over three adjacent blocks of kBlock bytes and joins them with the
+// linearity of the CRC register: after blocks A, B, C the register is
+//   Shift(Shift(crc_A) ^ crc_B) ^ crc_C,
+// where crc_B and crc_C start from 0 and Shift(x) is x advanced over kBlock zero bytes.
+// Shift is linear in x's 32 bits, so it is four lookups in a 4x256-word table.
+namespace {
+
+constexpr size_t kLongBlock = 8192;
+constexpr size_t kShortBlock = 256;
+
+struct ZeroShiftTable {
+  uint32_t t[4][256];
+};
+
+struct ZeroShiftTables {
+  ZeroShiftTable long_block;   // Over kLongBlock zero bytes.
+  ZeroShiftTable short_block;  // Over kShortBlock zero bytes.
+};
+
+__attribute__((target("sse4.2"))) uint32_t AdvanceOverZeros(uint32_t crc, size_t n) {
+  uint64_t crc64 = crc;
+  for (size_t i = 0; i < n; i += 8) {
+    crc64 = _mm_crc32_u64(crc64, 0);
+  }
+  return static_cast<uint32_t>(crc64);
+}
+
+void BuildShiftTable(size_t bytes, ZeroShiftTable* z) {
+  uint32_t bit_image[32];
+  for (int b = 0; b < 32; b++) {
+    bit_image[b] = AdvanceOverZeros(uint32_t{1} << b, bytes);
+  }
+  for (int k = 0; k < 4; k++) {
+    for (uint32_t v = 0; v < 256; v++) {
+      uint32_t image = 0;
+      for (int b = 0; b < 8; b++) {
+        if ((v >> b) & 1) {
+          image ^= bit_image[8 * k + b];
+        }
+      }
+      z->t[k][v] = image;
+    }
+  }
+}
+
+// Built once, on the first input long enough to take the three-stream loop.
+const ZeroShiftTables& ShiftTables() {
+  static const ZeroShiftTables* const tables = [] {
+    auto* z = new ZeroShiftTables();
+    BuildShiftTable(kLongBlock, &z->long_block);
+    BuildShiftTable(kShortBlock, &z->short_block);
+    return z;
+  }();
+  return *tables;
+}
+
+inline uint32_t Shift(const ZeroShiftTable& z, uint64_t crc) {
+  return z.t[0][crc & 0xff] ^ z.t[1][(crc >> 8) & 0xff] ^ z.t[2][(crc >> 16) & 0xff] ^
+         z.t[3][(crc >> 24) & 0xff];
+}
+
+inline uint64_t Load64(const unsigned char* p) {
+  uint64_t word;
+  std::memcpy(&word, p, 8);
+  return word;
+}
+
+// Folds as many whole 3 x kBlock runs of *p as *n holds into crc; `z` shifts by kBlock.
+template <size_t kBlock>
+__attribute__((target("sse4.2"))) uint64_t ThreeStreams(const ZeroShiftTable& z,
+                                                        uint64_t crc,
+                                                        const unsigned char** p,
+                                                        size_t* n) {
+  while (*n >= 3 * kBlock) {
+    const unsigned char* q = *p;
+    uint64_t c0 = crc;
+    uint64_t c1 = 0;
+    uint64_t c2 = 0;
+    for (size_t i = 0; i < kBlock; i += 8) {
+      c0 = _mm_crc32_u64(c0, Load64(q + i));
+      c1 = _mm_crc32_u64(c1, Load64(q + kBlock + i));
+      c2 = _mm_crc32_u64(c2, Load64(q + 2 * kBlock + i));
+    }
+    crc = Shift(z, Shift(z, c0) ^ c1) ^ c2;
+    *p += 3 * kBlock;
+    *n -= 3 * kBlock;
+  }
+  return crc;
+}
+
+}  // namespace
+
+#endif  // __x86_64__
+
 __attribute__((target("sse4.2"))) uint32_t ExtendHardwareImpl(uint32_t crc,
                                                               const char* data,
                                                               size_t n) {
@@ -102,10 +200,13 @@ __attribute__((target("sse4.2"))) uint32_t ExtendHardwareImpl(uint32_t crc,
   }
 #if defined(__x86_64__)
   uint64_t crc64 = crc;
+  if (n >= 3 * kShortBlock) {
+    const ZeroShiftTables& z = ShiftTables();
+    crc64 = ThreeStreams<kLongBlock>(z.long_block, crc64, &p, &n);
+    crc64 = ThreeStreams<kShortBlock>(z.short_block, crc64, &p, &n);
+  }
   while (n >= 8) {
-    uint64_t word;
-    std::memcpy(&word, p, 8);
-    crc64 = _mm_crc32_u64(crc64, word);
+    crc64 = _mm_crc32_u64(crc64, Load64(p));
     p += 8;
     n -= 8;
   }

@@ -3,7 +3,11 @@
 // shared by all three so a value computed by any writer verifies under any reader.
 //
 // The implementation (crc32c.cc) dispatches at first use: SSE4.2 _mm_crc32_u64 on x86-64,
-// the ARMv8 crc32c instructions on aarch64, and slice-by-8 tables everywhere else. Every
+// the ARMv8 crc32c instructions on aarch64, and slice-by-8 tables everywhere else. On
+// x86-64 the kernel runs three independent CRC chains over adjacent blocks (3 x 8192
+// bytes, then 3 x 256 bytes, then one chain over the tail), which hides the instruction's
+// three-cycle latency, and joins the three partial CRCs with one table of 4 x 256 words
+// per block size that advances a CRC over that many zero bytes. Every
 // backend computes the same polynomial (0x82f63b78, reflected) bit-identically — spill
 // files, frames, and checkpoints verify identically on every host the verifier runs on,
 // hardware acceleration only changes the cycle count. tests/crc32c_test.cc pins all

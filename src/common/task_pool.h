@@ -1,10 +1,12 @@
-// A minimal work-stealing pool for a fixed batch of tasks (no dynamic submission).
+// A minimal thread pool for a fixed batch of tasks (no dynamic submission).
 //
-// The audit scheduler hands the pool an index list pre-sorted largest-first; worker w's
-// initial share is the indices at positions w, w+W, 2w+W, ... (round-robin over the sorted
-// list, an LPT-style assignment), and a worker whose own deque drains steals from the back
-// of another worker's deque. Tasks never spawn tasks, so a worker that finds every deque
-// empty can exit: all remaining work is already running elsewhere.
+// Every worker, the caller among them, claims the next unclaimed entry of the caller's
+// task list from one shared atomic cursor, so tasks start in list order and no worker
+// idles while a task is unclaimed. The audit scheduler hands the pool a list sorted
+// largest-first, which makes this greedy longest-processing-time (LPT) list scheduling:
+// each next-largest task goes to the first worker that frees up. Tasks never spawn
+// tasks, so a worker that finds the cursor past the end exits: all remaining work is
+// already running elsewhere.
 //
 // Worker placement. The workers live for one Run, so the CPU a new thread starts on is
 // usually the CPU it finishes on. Where the kernel does not spread new threads or
@@ -14,12 +16,11 @@
 // So each spawned worker first moves itself to its own CPU of the caller's affinity mask,
 // taken round-robin after the caller's current CPU, and then restores the full mask. The
 // start is spread, and the kernel can still move the worker later.
-#ifndef SRC_COMMON_WORK_STEAL_POOL_H_
-#define SRC_COMMON_WORK_STEAL_POOL_H_
+#ifndef SRC_COMMON_TASK_POOL_H_
+#define SRC_COMMON_TASK_POOL_H_
 
-#include <deque>
+#include <atomic>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -29,9 +30,9 @@
 
 namespace orochi {
 
-class WorkStealPool {
+class TaskPool {
  public:
-  explicit WorkStealPool(size_t num_threads) : num_threads_(num_threads < 1 ? 1 : num_threads) {}
+  explicit TaskPool(size_t num_threads) : num_threads_(num_threads < 1 ? 1 : num_threads) {}
 
   // Runs fn(task) for every element of `tasks` across the pool's workers and blocks until
   // all have returned. The calling thread acts as worker 0, so only num_threads - 1
@@ -39,54 +40,30 @@ class WorkStealPool {
   // fn must be safe to call concurrently from distinct threads.
   void Run(const std::vector<size_t>& tasks, const std::function<void(size_t)>& fn) {
     const size_t w = num_threads_;
-    std::vector<Shard> shards(w);
-    for (size_t i = 0; i < tasks.size(); i++) {
-      shards[i % w].q.push_back(tasks[i]);
-    }
-    auto worker = [&shards, &fn, w](size_t self) {
-      while (true) {
-        size_t task = 0;
-        bool found = false;
-        {
-          std::lock_guard<std::mutex> lock(shards[self].mu);
-          if (!shards[self].q.empty()) {
-            task = shards[self].q.front();
-            shards[self].q.pop_front();
-            found = true;
-          }
-        }
-        if (!found) {
-          // Steal from the back of the first non-empty victim.
-          for (size_t k = 1; k < w && !found; k++) {
-            Shard& victim = shards[(self + k) % w];
-            std::lock_guard<std::mutex> lock(victim.mu);
-            if (!victim.q.empty()) {
-              task = victim.q.back();
-              victim.q.pop_back();
-              found = true;
-            }
-          }
-        }
-        if (!found) {
-          return;  // Every deque is empty and no task can create more work.
-        }
-        fn(task);
-      }
-    };
     if (w == 1) {
-      worker(0);  // Nothing to place.
+      for (size_t task : tasks) {
+        fn(task);  // Nothing to place or share.
+      }
       return;
     }
+    // The cursor only hands out positions; join() publishes every task's effects.
+    std::atomic<size_t> next{0};
+    auto worker = [&tasks, &fn, &next] {
+      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < tasks.size();
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(tasks[i]);
+      }
+    };
     const Placement placement;
     std::vector<std::thread> threads;
     threads.reserve(w - 1);
     for (size_t i = 1; i < w; i++) {
       threads.emplace_back([&worker, &placement, i] {
         placement.MoveToOwnCpu(i);
-        worker(i);
+        worker();
       });
     }
-    worker(0);
+    worker();
     for (std::thread& t : threads) {
       t.join();
     }
@@ -134,14 +111,9 @@ class WorkStealPool {
 #endif
   };
 
-  struct Shard {
-    std::mutex mu;
-    std::deque<size_t> q;
-  };
-
   size_t num_threads_;
 };
 
 }  // namespace orochi
 
-#endif  // SRC_COMMON_WORK_STEAL_POOL_H_
+#endif  // SRC_COMMON_TASK_POOL_H_

@@ -4,7 +4,7 @@
 #include <atomic>
 
 #include "src/common/timer.h"
-#include "src/common/work_steal_pool.h"
+#include "src/common/task_pool.h"
 #include "src/core/auditor.h"
 #include "src/objects/db_adapter.h"
 #include "src/sql/sql_parser.h"
@@ -103,7 +103,7 @@ Status AuditContext::Prepare(bool* load_failed) {
   std::vector<bool> stage_done(1 + segments.size());
   bool replaying = false;
   size_t frontier = 0;  // First stage not yet replayed.
-  WorkStealPool(std::min(num_threads, tasks.size())).Run(tasks, [&](size_t t) {
+  TaskPool(std::min(num_threads, tasks.size())).Run(tasks, [&](size_t t) {
     obs::TraceSpan span(&task_phases[t],
                         t == 0 ? obs::Phase::kProcOpReports : obs::Phase::kDbRedo);
     if (t == 0) {

@@ -177,7 +177,7 @@ class AuditContext {
   // from here on.
   //
   // ProcessOpReports, the register + KV builds and each DB log segment's parse are tasks
-  // of one WorkStealPool run of AuditOptions::num_threads workers; the DB replay follows
+  // of one TaskPool run of AuditOptions::num_threads workers; the DB replay follows
   // the parse frontier in seqnum order, so only segments parsed ahead of it hold ASTs.
   // Whatever the thread count, the error returned is the one a serial Prepare reaches
   // first: ProcessOpReports, then the registers, the KV store, the initial DB snapshot,

@@ -5,7 +5,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/common/work_steal_pool.h"
+#include "src/common/task_pool.h"
 #include "src/core/auditor.h"
 #include "src/core/reexec.h"
 
@@ -83,9 +83,11 @@ AuditPlan PlanAuditTasks(AuditContext* ctx, const Reports& reports, const Applic
 
 namespace {
 
-// Indexes of the plan's non-serial tasks in the order the pool will claim them. Costliest
-// chunk first minimizes makespan (cost = requests + total reported op-length; see
-// AuditTask::cost); scheduling order never affects the verdict.
+// Indexes of the plan's non-serial tasks in the order the pool's workers claim them, one
+// at a time as each frees up. Largest chunk first (cost = requests + total reported
+// op-length; see AuditTask::cost) makes that greedy LPT list scheduling, which keeps the
+// tail short: the last chunks to start are the smallest. Scheduling order never affects
+// the verdict.
 std::vector<size_t> PoolDispatchIndexes(const std::vector<AuditTask>& tasks,
                                         size_t num_threads) {
   std::vector<size_t> pool;
@@ -212,7 +214,7 @@ AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
         serial_tasks.push_back(i);
       }
     }
-    WorkStealPool(std::min(num_threads, pool_tasks.size())).Run(pool_tasks, run_task);
+    TaskPool(std::min(num_threads, pool_tasks.size())).Run(pool_tasks, run_task);
     for (size_t i : serial_tasks) {
       run_task(i);
     }

@@ -1,7 +1,8 @@
 // The grouped SSCO audit engine shared by the in-memory and out-of-core paths: planning
 // (walk the reported groups in order, validate them, cut them into chunk tasks) and
-// parallel execution (dispatch chunks costliest-first over a work-stealing pool with the
-// deterministic smallest-position-failure-wins rejection rule).
+// parallel execution (chunks listed largest-first on a TaskPool, whose idle workers claim
+// them in that order, with the deterministic smallest-position-failure-wins rejection
+// rule).
 //
 // Both `AuditSession::FeedEpoch` and the streaming audit (src/stream/) drive exactly this
 // code, which is what makes their verdict, rejection reason, and final_state bit-identical
@@ -106,15 +107,16 @@ struct AuditExecOutcome {
   Status gate_error;
 };
 
-// Runs the plan's tasks: parallel chunks costliest-first over a work-stealing pool of
-// ResolveAuditThreads(options) workers, then the serial chunks in order. As each chunk
-// retires, its worker checks every output against the traced response
-// (AuditContext::CheckOutput); the caller's CompareOutputs scan turns those verdicts into
-// the output verdict. Per-task stats merge into ctx->stats() in walk order, so merged
-// statistics are schedule-independent. The returned failure is the plan's failure, a
-// task failure, or a gate Acquire failure, whichever claims the smallest walk position.
-// A journaled task replays its record (stats, checkpoint_chunks_reused incremented, its
-// rids marked matched) without touching the gate.
+// Runs the plan's tasks: parallel chunks largest-first on a TaskPool of
+// ResolveAuditThreads(options) workers (greedy LPT list scheduling), then the serial
+// chunks in order. As each chunk retires, its worker checks every output against the
+// traced response (AuditContext::CheckOutput); the caller's CompareOutputs scan turns
+// those verdicts into the output verdict. Per-task stats merge into ctx->stats() in walk
+// order, so merged statistics are schedule-independent. The returned failure is the
+// plan's failure, a task failure, or a gate Acquire failure, whichever claims the
+// smallest walk position. A journaled task replays its record (stats,
+// checkpoint_chunks_reused incremented, its rids marked matched) without touching the
+// gate.
 AuditExecOutcome ExecuteAuditPlan(AuditContext* ctx, const Application* app,
                                   const AuditOptions& options, const AuditPlan& plan,
                                   AuditTaskGate* gate = nullptr,

@@ -34,7 +34,7 @@ void AuditSession::CommitAccepted(AuditContext* ctx, AuditResult* out) {
 
 // The grouped SSCO audit engine (paper Figures 3 and 12): balanced-trace check,
 // consistent-ordering verification and versioned-storage builds (AuditContext::Prepare),
-// grouped SIMD-on-demand re-execution over a work-stealing pool, each chunk's outputs
+// grouped SIMD-on-demand re-execution on a TaskPool, each chunk's outputs
 // checked against the trace as it retires, then the verdict scan over those checks.
 // Planning and execution live in src/core/audit_plan.{h,cc}, shared with the out-of-core
 // streaming path so both are deterministic in lockstep. On ACCEPT, final_state chains

@@ -13,8 +13,8 @@
 // epoch (e.g. re-fetched from the trusted collector after detecting tampering in transit)
 // can be re-fed, after which later epochs verify normally.
 //
-// FeedEpoch owns the grouped SSCO audit engine (planning, the work-stealing parallel
-// re-execution with each chunk's output checks, the final verdict scan); Auditor::Audit
+// FeedEpoch owns the grouped SSCO audit engine (planning, the parallel re-execution on a
+// TaskPool with each chunk's output checks, the final verdict scan); Auditor::Audit
 // is a thin one-epoch wrapper over a fresh session, kept for compatibility.
 #ifndef SRC_CORE_AUDIT_SESSION_H_
 #define SRC_CORE_AUDIT_SESSION_H_

@@ -4,7 +4,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/common/work_steal_pool.h"
+#include "src/common/task_pool.h"
 #include "src/objects/wire_format.h"
 #include "src/obs/trace.h"
 
@@ -45,14 +45,14 @@ std::vector<ShardSkeletons> StreamShardSkeletons(const std::vector<ShardEpochFil
                                                  Env* env, size_t num_threads,
                                                  obs::PhaseBreakdown* phases) {
   std::vector<ShardSkeletons> out(shards.size());
-  // Two tasks per pair: trace task 2i and reports task 2i + 1, so round-robin dealing
-  // puts them on different workers and a pool of one reads the trace file first.
+  // Two tasks per pair: trace task 2i and reports task 2i + 1, so two idle workers take
+  // a pair's files together and a pool of one reads the trace file first.
   std::vector<size_t> tasks(shards.size() * 2);
   for (size_t t = 0; t < tasks.size(); t++) {
     tasks[t] = t;
   }
   std::vector<obs::PhaseBreakdown> task_phases(tasks.size());
-  WorkStealPool(std::min(num_threads, tasks.size())).Run(tasks, [&](size_t t) {
+  TaskPool(std::min(num_threads, tasks.size())).Run(tasks, [&](size_t t) {
     obs::TraceSpan span(&task_phases[t], obs::Phase::kPass1Skeleton);
     const ShardEpochFiles& files = shards[t / 2];
     ShardSkeletons& pair = out[t / 2];

@@ -54,9 +54,9 @@ struct ShardSkeletons {
 };
 
 // Pass 1 over spill pairs, the shared front half of FeedEpochFilesStreamed and
-// MergeShards. Each pair's trace file and reports file are two tasks on a work-stealing
-// pool of up to `num_threads` workers (0 or 1 = a pool of one), so even a single epoch
-// streams its two files at once. Every task times itself as one pass1_skeleton span in
+// MergeShards. Each pair's trace file and reports file are two adjacent tasks on a
+// TaskPool of up to `num_threads` workers (0 or 1 = a pool of one); idle workers claim
+// tasks in list order, so even a single epoch streams its two files at once. Every task times itself as one pass1_skeleton span in
 // its own breakdown; `phases` receives their sum (worker-seconds). The result parallels
 // `shards`.
 std::vector<ShardSkeletons> StreamShardSkeletons(const std::vector<ShardEpochFiles>& shards,

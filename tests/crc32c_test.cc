@@ -8,6 +8,7 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -66,19 +67,24 @@ TEST(Crc32c, Rfc3720GoldenVectors) {
   }
 }
 
+// Lengths at the edges of every hardware loop: the 8-byte kernel and its head/tail byte
+// loops, the three-stream loop over 3 x 256-byte blocks (768) and over 3 x 8192-byte
+// blocks (24576), one run of each plus a tail, and many long runs (1 MiB).
+const size_t kLengths[] = {0,     1,     7,     8,     9,     15,    16,
+                           63,    64,    255,   767,   768,   769,   1024,
+                           4096,  24575, 24576, 24577, 24576 + 768 + 7, size_t{1} << 20};
+
 // The dispatched implementation (whatever backend it picked) must match the portable
-// reference bit-for-bit across lengths that exercise the 8-byte kernel, its head/tail
-// byte loops, and unaligned starts.
+// reference bit-for-bit across lengths that exercise every loop of the kernel and
+// unaligned starts.
 TEST(Crc32c, BackendsAgreeAcrossLengthsAndAlignments) {
   std::mt19937_64 rng(20260807u);
-  std::string buf(4096 + 64, '\0');
+  std::string buf((size_t{1} << 20) + 64, '\0');
   for (char& c : buf) {
     c = static_cast<char>(rng());
   }
-  for (size_t offset : {size_t{0}, size_t{1}, size_t{3}, size_t{7}, size_t{8}}) {
-    for (size_t len :
-         {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{15}, size_t{16},
-          size_t{63}, size_t{64}, size_t{255}, size_t{1024}, size_t{4096}}) {
+  for (size_t offset = 0; offset <= 8; offset++) {
+    for (size_t len : kLengths) {
       const char* p = buf.data() + offset;
       const uint32_t ref = ExtendSoftware(0, p, len);
       EXPECT_EQ(Crc32cExtend(0, p, len), ref) << "offset=" << offset << " len=" << len;
@@ -94,17 +100,26 @@ TEST(Crc32c, BackendsAgreeAcrossLengthsAndAlignments) {
 // for every backend and every split point.
 TEST(Crc32c, ExtendChainsAcrossArbitrarySplits) {
   std::mt19937_64 rng(1u);
-  std::string data(257, '\0');
-  for (char& c : data) {
-    c = static_cast<char>(rng());
-  }
-  for (const Backend& b : Backends()) {
-    SCOPED_TRACE(b.name);
-    const uint32_t whole = OneShot(b, data);
-    for (size_t split : {size_t{0}, size_t{1}, size_t{8}, size_t{100}, data.size()}) {
-      const uint32_t head = b.extend(0, data.data(), split);
-      const uint32_t chained = b.extend(head, data.data() + split, data.size() - split);
-      EXPECT_EQ(chained, whole) << "split=" << split;
+  for (size_t size : {size_t{257}, size_t{1} << 20}) {
+    std::string data(size, '\0');
+    for (char& c : data) {
+      c = static_cast<char>(rng());
+    }
+    for (const Backend& b : Backends()) {
+      SCOPED_TRACE(b.name);
+      const uint32_t whole = OneShot(b, data);
+      std::vector<size_t> splits = {0, 1, 8, 100, data.size()};
+      for (size_t len : kLengths) {
+        if (len <= data.size()) {
+          splits.push_back(len);
+          splits.push_back(data.size() - len);
+        }
+      }
+      for (size_t split : splits) {
+        const uint32_t head = b.extend(0, data.data(), split);
+        const uint32_t chained = b.extend(head, data.data() + split, data.size() - split);
+        EXPECT_EQ(chained, whole) << "size=" << size << " split=" << split;
+      }
     }
   }
 }

@@ -3,6 +3,9 @@
 // never the verdict, the rejection reason, the final state, or the work-volume stats.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -12,7 +15,7 @@
 #include <sched.h>
 #endif
 
-#include "src/common/work_steal_pool.h"
+#include "src/common/task_pool.h"
 #include "src/core/auditor.h"
 #include "src/server/tamper.h"
 #include "tests/test_util.h"
@@ -218,12 +221,12 @@ TEST(ParallelAudit, DuplicateRidAcrossGroupsStaysDeterministic) {
 
 // A pool of one spawns no thread and runs the list in its given order, so every
 // one-thread audit stage is that stage's serial order.
-TEST(WorkStealPool, OneWorkerRunsEveryTaskOnTheCallerInListOrder) {
+TEST(TaskPool, OneWorkerRunsEveryTaskOnTheCallerInListOrder) {
   const std::vector<size_t> tasks = {5, 3, 9, 0, 7, 1, 8, 2, 6, 4};
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<size_t> ran;
   bool on_caller = true;
-  WorkStealPool(1).Run(tasks, [&](size_t t) {
+  TaskPool(1).Run(tasks, [&](size_t t) {
     on_caller = on_caller && std::this_thread::get_id() == caller;
     ran.push_back(t);
   });
@@ -231,11 +234,43 @@ TEST(WorkStealPool, OneWorkerRunsEveryTaskOnTheCallerInListOrder) {
   EXPECT_TRUE(on_caller);
 }
 
+// Idle workers claim tasks in list order from one shared cursor. With task 0 held until
+// every other task has finished, the second worker must run all of 1..9, in list order:
+// a pool that deals the list to workers up front strands part of it behind task 0 (or
+// hands it over out of order).
+TEST(TaskPool, AnIdleWorkerTakesTheNextTaskInListOrder) {
+  std::vector<size_t> tasks(10);
+  std::iota(tasks.begin(), tasks.end(), 0);
+  std::mutex mu;
+  std::condition_variable others_done;
+  std::vector<size_t> ran;  // Every task but 0, in the order they ran.
+  std::thread::id blocked;
+  std::vector<std::thread::id> ran_on;
+  bool released = false;
+  TaskPool(2).Run(tasks, [&](size_t t) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (t == 0) {
+      blocked = std::this_thread::get_id();
+      released = others_done.wait_for(lock, std::chrono::seconds(60),
+                                      [&] { return ran.size() == tasks.size() - 1; });
+      return;
+    }
+    ran.push_back(t);
+    ran_on.push_back(std::this_thread::get_id());
+    others_done.notify_all();
+  });
+  EXPECT_TRUE(released);
+  EXPECT_EQ(ran, std::vector<size_t>({1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_NE(id, blocked);
+  }
+}
+
 #if defined(__linux__)
 // The pool moves each spawned worker to its own CPU only to start it there: every task
 // runs exactly once, with the caller's whole affinity mask, so the kernel may still move
 // the worker. More workers than CPUs wrap around the mask.
-TEST(WorkStealPool, WorkersRunEveryTaskOnceWithTheCallersAffinityMask) {
+TEST(TaskPool, WorkersRunEveryTaskOnceWithTheCallersAffinityMask) {
   cpu_set_t caller;
   CPU_ZERO(&caller);
   ASSERT_EQ(sched_getaffinity(0, sizeof(caller), &caller), 0);
@@ -243,7 +278,7 @@ TEST(WorkStealPool, WorkersRunEveryTaskOnceWithTheCallersAffinityMask) {
   std::iota(tasks.begin(), tasks.end(), 0);
   std::vector<int> runs(tasks.size(), 0);
   std::vector<char> same_mask(tasks.size(), 0);
-  WorkStealPool(8).Run(tasks, [&](size_t t) {
+  TaskPool(8).Run(tasks, [&](size_t t) {
     cpu_set_t mine;
     CPU_ZERO(&mine);
     same_mask[t] = sched_getaffinity(0, sizeof(mine), &mine) == 0 && CPU_EQUAL(&mine, &caller);
