@@ -9,6 +9,12 @@
 // over audit workers, so they stay comparable at any OROCHI_AUDIT_THREADS. "other" is
 // every remaining phase (output compare); "unattrib" is process CPU minus the sum of all
 // phases (planning, pool start-up, scheduler noise), reported rather than hidden.
+//
+// "steps" counts scalar instruction executions: a univalent instruction is one step and a
+// multivalent one is n steps in a group of n (AuditStats::component_steps). "ns/step" is
+// PHP time over steps, so the grouped audit's per-component cost reads against the
+// baseline's time per instruction.
+#include <cstdint>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -25,13 +31,18 @@ void PrintRow(const char* config, const AuditStats& s, double total) {
   const double procop = secs(obs::Phase::kProcOpReports);
   const double redo = secs(obs::Phase::kDbRedo);
   const double phases = s.phases.total_seconds();
+  const uint64_t steps = s.total_instructions - s.multivalent_instructions + s.component_steps;
   std::printf("  %-9s total %6.2fs | PHP %6.2fs | DBquery %6.2fs | ProcOpRep %5.2fs | "
               "DBredo %5.2fs | other %5.2fs | unattrib %5.2fs | "
-              "instr %lluk (%lluk multi)\n",
+              "instr %lluk (%lluk multi) | steps %lluk (%lluk component) | "
+              "PHP %.0f ns/step\n",
               config, total, php, query, procop, redo,
               phases - php - query - procop - redo, total - phases,
               static_cast<unsigned long long>(s.total_instructions / 1000),
-              static_cast<unsigned long long>(s.multivalent_instructions / 1000));
+              static_cast<unsigned long long>(s.multivalent_instructions / 1000),
+              static_cast<unsigned long long>(steps / 1000),
+              static_cast<unsigned long long>(s.component_steps / 1000),
+              steps == 0 ? 0.0 : php * 1e9 / static_cast<double>(steps));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@ void AuditStats::MergeFrom(const AuditStats& o) {
   phases.MergeFrom(o.phases);
   total_instructions += o.total_instructions;
   multivalent_instructions += o.multivalent_instructions;
+  component_steps += o.component_steps;
   num_groups += o.num_groups;
   groups_multi += o.groups_multi;
   fallback_groups += o.fallback_groups;

@@ -77,6 +77,10 @@ struct AuditStats {
 
   uint64_t total_instructions = 0;
   uint64_t multivalent_instructions = 0;
+  // Sum of the group width n over multivalent instructions: the scalar component steps
+  // grouped re-execution performed (a group of n runs each multivalent instruction n
+  // times, once per request).
+  uint64_t component_steps = 0;
   uint64_t num_groups = 0;
   uint64_t groups_multi = 0;     // Groups with more than one request.
   uint64_t fallback_groups = 0;  // Groups re-executed per-request (§4.7 escape hatch).

@@ -116,6 +116,7 @@ Result<std::vector<std::string>> RunGroupChunk(const Application* app,
         }
         ws->stats->total_instructions += acc.total_instructions();
         ws->stats->multivalent_instructions += acc.multivalent_instructions();
+        ws->stats->component_steps += acc.multivalent_instructions() * n;
         uint64_t len = acc.total_instructions();
         ws->stats->group_stats.push_back(
             {prog->script_name, static_cast<uint32_t>(n), len,

@@ -6,6 +6,98 @@
 
 namespace orochi {
 
+namespace {
+
+// One operand of a multivalent instruction, classified once per instruction. Component j
+// is handed out by reference:
+//  - a univalue (an array with no multivalue inside included) is every component;
+//  - a multivalue's component j is items[j];
+//  - an array holding multivalue cells is the one kind that is projected
+//    (ProjectComponent), into a scratch value that the next call overwrites.
+// A lane refers into its operand, which must outlive it and stay unmodified while it is
+// read.
+class Lane {
+ public:
+  explicit Lane(const Value& v)
+      : v_(&v),
+        kind_(v.is_multi() ? Kind::kMulti
+              : ContainsMulti(v) ? Kind::kProjected
+                                 : Kind::kUniform) {}
+
+  bool uniform() const { return kind_ == Kind::kUniform; }
+
+  const Value& operator[](size_t j) {
+    switch (kind_) {
+      case Kind::kUniform:
+        break;
+      case Kind::kMulti:
+        assert(j < v_->multi().items.size());
+        return v_->multi().items[j];
+      case Kind::kProjected:
+        scratch_ = ProjectComponent(*v_, j);
+        return scratch_;
+    }
+    return *v_;
+  }
+
+ private:
+  enum class Kind : uint8_t { kUniform, kMulti, kProjected };
+
+  const Value* v_;
+  Kind kind_;
+  Value scratch_;
+};
+
+bool AllStrings(const std::vector<Value>& items) {
+  for (const Value& v : items) {
+    if (!v.is_string()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<Lane> LanesOf(const std::vector<Value>& operands) {
+  std::vector<Lane> lanes;
+  lanes.reserve(operands.size());
+  for (const Value& v : operands) {
+    lanes.emplace_back(v);
+  }
+  return lanes;
+}
+
+// Splits a pure builtin call into n component calls. Univalue arguments are bound once;
+// only the others are rebound per component. Returns false (setting *failure) when a
+// component traps (=> fallback).
+bool SplitPureCall(const BuiltinInfo& info, const std::vector<Value>& args,
+                   std::vector<Lane>& lanes, size_t n, Value* out, std::string* failure) {
+  std::vector<Value> results;
+  results.reserve(n);
+  std::vector<Value> component_args(args.size());
+  for (size_t k = 0; k < args.size(); k++) {
+    if (lanes[k].uniform()) {
+      component_args[k] = args[k];
+    }
+  }
+  for (size_t j = 0; j < n; j++) {
+    for (size_t k = 0; k < args.size(); k++) {
+      if (!lanes[k].uniform()) {
+        component_args[k] = lanes[k][j];
+      }
+    }
+    Result<Value> r = info.fn(component_args);
+    if (!r.ok()) {
+      *failure = r.error();
+      return false;
+    }
+    results.push_back(std::move(r).value());
+  }
+  *out = MakeMultiCollapsed(std::move(results));
+  return true;
+}
+
+}  // namespace
+
 AccInterpreter::AccInterpreter(const Program* program, std::vector<const RequestParams*> params,
                                InterpreterOptions options)
     : program_(program), params_(std::move(params)), options_(options) {
@@ -69,27 +161,6 @@ AccStepResult AccInterpreter::Run() {
   return Execute();
 }
 
-bool AccInterpreter::SplitPureCall(const BuiltinInfo& info, std::vector<Value>& args,
-                                   Value* out, std::string* failure) {
-  size_t n = params_.size();
-  std::vector<Value> results;
-  results.reserve(n);
-  std::vector<Value> component_args(args.size());
-  for (size_t j = 0; j < n; j++) {
-    for (size_t k = 0; k < args.size(); k++) {
-      component_args[k] = ProjectComponent(args[k], j);
-    }
-    Result<Value> r = info.fn(component_args);
-    if (!r.ok()) {
-      *failure = r.error();
-      return false;
-    }
-    results.push_back(std::move(r).value());
-  }
-  *out = MakeMultiCollapsed(std::move(results));
-  return true;
-}
-
 AccStepResult AccInterpreter::Execute() {
   const size_t n = params_.size();
   while (true) {
@@ -129,26 +200,36 @@ AccStepResult AccInterpreter::Execute() {
         Value suffix = std::move(stack_.back());
         stack_.pop_back();
         Value& slot = frame.slots[static_cast<size_t>(in.a)];
-        if (!ContainsMulti(slot) && !ContainsMulti(suffix)) {
+        Lane slot_lane(slot);
+        Lane suffixes(suffix);
+        if (slot_lane.uniform() && suffixes.uniform()) {
           ScalarAppend(&slot, suffix);
           break;
         }
         // Componentwise, in place on the multivalue the slot owns; a univalue slot (or an
         // array holding multivalue cells) first expands into per-request components.
         multivalent_++;
+        // A multivalue is never uniform, so strings that are not all equal stay so after
+        // the same bytes are appended to each: the collapse check would only compare them.
+        const bool stays_distinct = slot.is_multi() && suffixes.uniform() &&
+                                    AllStrings(slot.multi().items);
         if (!slot.is_multi()) {
           std::vector<Value> components;
           components.reserve(n);
           for (size_t j = 0; j < n; j++) {
-            components.push_back(ProjectComponent(slot, j));
+            components.push_back(slot_lane[j]);
           }
           slot = Value::Multi(std::move(components));
         }
+        // The suffix holds its own reference, so a suffix sharing the slot's multivalue
+        // (`$b = $a; $a .= $b;`) makes MutableMulti copy before any component changes.
         std::vector<Value>& items = slot.MutableMulti().items;
         for (size_t j = 0; j < n; j++) {
-          ScalarAppend(&items[j], ProjectComponent(suffix, j));
+          ScalarAppend(&items[j], suffixes[j]);
         }
-        CollapseIfUniform(&slot);
+        if (!stays_distinct) {
+          CollapseIfUniform(&slot);
+        }
         break;
       }
       case Op::kDup:
@@ -165,7 +246,9 @@ AccStepResult AccInterpreter::Execute() {
         stack_.pop_back();
         Value a = std::move(stack_.back());
         stack_.pop_back();
-        if (!ContainsMulti(a) && !ContainsMulti(b)) {
+        Lane lhs(a);
+        Lane rhs(b);
+        if (lhs.uniform() && rhs.uniform()) {
           Result<Value> r = ScalarBinary(in.op, a, b);
           if (!r.ok()) {
             return Trap(r.error());
@@ -177,7 +260,7 @@ AccStepResult AccInterpreter::Execute() {
         std::vector<Value> results;
         results.reserve(n);
         for (size_t j = 0; j < n; j++) {
-          Result<Value> r = ScalarBinary(in.op, ProjectComponent(a, j), ProjectComponent(b, j));
+          Result<Value> r = ScalarBinary(in.op, lhs[j], rhs[j]);
           if (!r.ok()) {
             return Fallback("component trap in binary op: " + r.error());
           }
@@ -199,10 +282,11 @@ AccStepResult AccInterpreter::Execute() {
           break;
         }
         multivalent_++;
+        Lane operands(v);
         std::vector<Value> results;
         results.reserve(n);
         for (size_t j = 0; j < n; j++) {
-          Result<Value> r = ScalarUnary(in.op, ProjectComponent(v, j));
+          Result<Value> r = ScalarUnary(in.op, operands[j]);
           if (!r.ok()) {
             return Fallback("component trap in unary op: " + r.error());
           }
@@ -272,12 +356,10 @@ AccStepResult AccInterpreter::Execute() {
         }
         switch (info.kind) {
           case BuiltinKind::kPure: {
+            std::vector<Lane> lanes = LanesOf(args);
             bool any_multi = false;
-            for (const Value& a : args) {
-              if (ContainsMulti(a)) {
-                any_multi = true;
-                break;
-              }
+            for (const Lane& lane : lanes) {
+              any_multi = any_multi || !lane.uniform();
             }
             if (!any_multi) {
               Result<Value> r = info.fn(args);
@@ -290,7 +372,7 @@ AccStepResult AccInterpreter::Execute() {
             multivalent_++;
             Value out;
             std::string failure;
-            if (!SplitPureCall(info, args, &out, &failure)) {
+            if (!SplitPureCall(info, args, lanes, n, &out, &failure)) {
               return Fallback("component trap in builtin " + std::string(info.name) + ": " +
                               failure);
             }
@@ -303,13 +385,15 @@ AccStepResult AccInterpreter::Execute() {
             if (name_multi) {
               multivalent_++;
             }
+            Lane names(args[0]);
             std::vector<Value> results;
             results.reserve(n);
             for (size_t j = 0; j < n; j++) {
-              std::string name = ProjectComponent(args[0], j).ToString();
-              auto it = params_[j]->find(name);
-              results.push_back(it == params_[j]->end() ? Value::Null()
-                                                        : Value::Str(it->second));
+              const Value& name = names[j];
+              const RequestParams& params = *params_[j];
+              auto it = name.is_string() ? params.find(name.as_string())
+                                         : params.find(name.ToString());
+              results.push_back(it == params.end() ? Value::Null() : Value::Str(it->second));
             }
             stack_.push_back(MakeMultiCollapsed(std::move(results)));
             break;
@@ -319,30 +403,31 @@ AccStepResult AccInterpreter::Execute() {
             AccStepResult r;
             r.kind = AccStepResult::Kind::kStateOp;
             r.ops.resize(n);
+            std::vector<Lane> lanes = LanesOf(args);
             for (size_t j = 0; j < n; j++) {
               StateOpRequest& op = r.ops[j];
               if (in.a == ids.reg_read) {
                 op.type = StateOpType::kRegisterRead;
-                op.target = ProjectComponent(args[0], j).ToString();
+                op.target = lanes[0][j].ToString();
               } else if (in.a == ids.reg_write) {
                 op.type = StateOpType::kRegisterWrite;
-                op.target = ProjectComponent(args[0], j).ToString();
-                op.value = ProjectComponent(args[1], j);
+                op.target = lanes[0][j].ToString();
+                op.value = lanes[1][j];
               } else if (in.a == ids.kv_get) {
                 op.type = StateOpType::kKvGet;
-                op.key = ProjectComponent(args[0], j).ToString();
+                op.key = lanes[0][j].ToString();
               } else if (in.a == ids.kv_set) {
                 op.type = StateOpType::kKvSet;
-                op.key = ProjectComponent(args[0], j).ToString();
-                op.value = ProjectComponent(args[1], j);
+                op.key = lanes[0][j].ToString();
+                op.value = lanes[1][j];
               } else if (in.a == ids.db_query) {
                 op.type = StateOpType::kDbOp;
                 op.db_is_txn = false;
-                op.sql.push_back(ProjectComponent(args[0], j).ToString());
+                op.sql.push_back(lanes[0][j].ToString());
               } else {  // db_txn
                 op.type = StateOpType::kDbOp;
                 op.db_is_txn = true;
-                Value stmts = ProjectComponent(args[0], j);
+                const Value& stmts = lanes[0][j];
                 if (!stmts.is_array() || stmts.array().size() == 0) {
                   return Fallback("db_txn argument is not a non-empty array");
                 }
@@ -359,10 +444,12 @@ AccStepResult AccInterpreter::Execute() {
             AccStepResult r;
             r.kind = AccStepResult::Kind::kNondet;
             r.nondets.resize(n);
+            std::vector<Lane> lanes = LanesOf(args);
             for (size_t j = 0; j < n; j++) {
               r.nondets[j].name = info.name;
-              for (const Value& a : args) {
-                r.nondets[j].args.push_back(ProjectComponent(a, j));
+              r.nondets[j].args.reserve(lanes.size());
+              for (Lane& lane : lanes) {
+                r.nondets[j].args.push_back(lane[j]);
               }
             }
             pending_value_ = true;
@@ -399,14 +486,16 @@ AccStepResult AccInterpreter::Execute() {
         Value& target = stack_.back();
         if (target.is_multi()) {
           multivalent_++;
+          Lane targets(target);
+          Lane values(v);
           std::vector<Value> results;
           results.reserve(n);
           for (size_t j = 0; j < n; j++) {
-            Value component = ProjectComponent(target, j);
+            Value component = targets[j];
             if (!component.is_array()) {
               return Fallback("append to non-array component");
             }
-            component.MutableArray().Append(ProjectComponent(v, j));
+            component.MutableArray().Append(values[j]);
             results.push_back(std::move(component));
           }
           target = MakeMultiCollapsed(std::move(results));
@@ -425,18 +514,21 @@ AccStepResult AccInterpreter::Execute() {
         Value& target = stack_.back();
         if (target.is_multi() || key.is_multi()) {
           multivalent_++;
+          Lane targets(target);
+          Lane keys(key);
+          Lane values(v);
           std::vector<Value> results;
           results.reserve(n);
           for (size_t j = 0; j < n; j++) {
-            Value component = ProjectComponent(target, j);
+            Value component = targets[j];
             if (!component.is_array()) {
               return Fallback("insert into non-array component");
             }
-            Result<ArrayKey> k = ToArrayKey(ProjectComponent(key, j));
+            Result<ArrayKey> k = ToArrayKey(keys[j]);
             if (!k.ok()) {
               return Fallback(k.error());
             }
-            component.MutableArray().Set(k.value(), ProjectComponent(v, j));
+            component.MutableArray().Set(k.value(), values[j]);
             results.push_back(std::move(component));
           }
           target = MakeMultiCollapsed(std::move(results));
@@ -466,11 +558,12 @@ AccStepResult AccInterpreter::Execute() {
           break;
         }
         multivalent_++;
+        Lane containers(container);
+        Lane keys(key);
         std::vector<Value> results;
         results.reserve(n);
         for (size_t j = 0; j < n; j++) {
-          Result<Value> r =
-              ScalarIndexGet(ProjectComponent(container, j), ProjectComponent(key, j));
+          Result<Value> r = ScalarIndexGet(containers[j], keys[j]);
           if (!r.ok()) {
             return Fallback("component trap in index get: " + r.error());
           }
@@ -543,20 +636,22 @@ AccStepResult AccInterpreter::Execute() {
         // Split path: expand the variable into per-request components and assign
         // componentwise (scalar expansion per §4.3).
         multivalent_++;
+        Lane roots(slot);
+        std::vector<Lane> key_lanes = LanesOf(key_values);
+        Lane values(value);
         std::vector<Value> components;
         components.reserve(n);
+        std::vector<ArrayKey> keys(key_values.size());
         for (size_t j = 0; j < n; j++) {
-          Value component = ProjectComponent(slot, j);
-          std::vector<ArrayKey> keys;
-          keys.reserve(key_values.size());
-          for (const Value& kv : key_values) {
-            Result<ArrayKey> k = ToArrayKey(ProjectComponent(kv, j));
+          Value component = roots[j];
+          for (size_t i = 0; i < key_lanes.size(); i++) {
+            Result<ArrayKey> k = ToArrayKey(key_lanes[i][j]);
             if (!k.ok()) {
               return Fallback(k.error());
             }
-            keys.push_back(std::move(k).value());
+            keys[i] = std::move(k).value();
           }
-          Status st = ScalarIndexSetPath(&component, keys, append, ProjectComponent(value, j));
+          Status st = ScalarIndexSetPath(&component, keys, append, values[j]);
           if (!st.ok()) {
             return Fallback(st.error());
           }
@@ -576,8 +671,9 @@ AccStepResult AccInterpreter::Execute() {
           iter.is_multi = true;
           iter.pos = 0;
           size_t entry_count = 0;
+          Lane subjects(subject);
           for (size_t j = 0; j < n; j++) {
-            Value component = ProjectComponent(subject, j);
+            const Value& component = subjects[j];
             if (!component.is_array()) {
               return Diverge("foreach subject is not an array for every request");
             }
@@ -643,7 +739,8 @@ AccStepResult AccInterpreter::Execute() {
       case Op::kEcho: {
         Value v = std::move(stack_.back());
         stack_.pop_back();
-        if (!ContainsMulti(v)) {
+        Lane components(v);
+        if (components.uniform()) {
           for (std::string& out : outputs_) {
             v.AppendTo(&out);
           }
@@ -651,7 +748,7 @@ AccStepResult AccInterpreter::Execute() {
         }
         multivalent_++;
         for (size_t j = 0; j < n; j++) {
-          ProjectComponent(v, j).AppendTo(&outputs_[j]);
+          components[j].AppendTo(&outputs_[j]);
         }
         break;
       }

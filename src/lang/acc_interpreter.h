@@ -94,11 +94,6 @@ class AccInterpreter {
   AccStepResult Fallback(const std::string& message);
   AccStepResult Execute();
 
-  // Splits a pure builtin call componentwise. Returns false (setting *failure) when a
-  // component traps (=> fallback).
-  bool SplitPureCall(const BuiltinInfo& info, std::vector<Value>& args, Value* out,
-                     std::string* failure);
-
   const Program* program_;
   std::vector<const RequestParams*> params_;
   InterpreterOptions options_;

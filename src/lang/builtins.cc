@@ -1,12 +1,13 @@
 #include "src/lang/builtins.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/common/hash.h"
-#include "src/common/strings.h"
 
 namespace orochi {
 
@@ -14,12 +15,36 @@ namespace {
 
 Result<Value> Err(const std::string& m) { return Result<Value>::Error(m); }
 
-Result<Value> BStrlen(std::vector<Value>& args) {
-  return Value::Int(static_cast<int64_t>(args[0].ToString().size()));
+// A string argument, read in place when it is a string value; any other value renders once
+// (Value::ToString) into a buffer the argument owns.
+class StrArg {
+ public:
+  explicit StrArg(const Value& v) : v_(v) {
+    if (!v.is_string()) {
+      rendered_ = v.ToString();
+    }
+  }
+
+  std::string_view view() const {
+    return v_.is_string() ? std::string_view(v_.as_string()) : std::string_view(rendered_);
+  }
+
+  // The result of a builtin whose output bytes equal this argument's: the argument itself
+  // when it is a string, so the result shares its storage instead of copying it.
+  Value Unchanged() { return v_.is_string() ? v_ : Value::Str(std::move(rendered_)); }
+
+ private:
+  const Value& v_;
+  std::string rendered_;
+};
+
+Result<Value> BStrlen(const std::vector<Value>& args) {
+  return Value::Int(static_cast<int64_t>(StrArg(args[0]).view().size()));
 }
 
-Result<Value> BSubstr(std::vector<Value>& args) {
-  std::string s = args[0].ToString();
+Result<Value> BSubstr(const std::vector<Value>& args) {
+  StrArg arg(args[0]);
+  std::string_view s = arg.view();
   int64_t start = args[1].ToInt();
   int64_t n = static_cast<int64_t>(s.size());
   if (start < 0) {
@@ -36,63 +61,89 @@ Result<Value> BSubstr(std::vector<Value>& args) {
     }
   }
   len = std::min(len, n - start);
-  return Value::Str(s.substr(static_cast<size_t>(start), static_cast<size_t>(len)));
+  if (len == n) {
+    return arg.Unchanged();
+  }
+  return Value::Str(std::string(s.substr(static_cast<size_t>(start), static_cast<size_t>(len))));
 }
 
-Result<Value> BStrpos(std::vector<Value>& args) {
-  std::string hay = args[0].ToString();
-  std::string needle = args[1].ToString();
-  size_t pos = hay.find(needle);
+Result<Value> BStrpos(const std::vector<Value>& args) {
+  StrArg hay(args[0]);
+  StrArg needle(args[1]);
+  size_t pos = hay.view().find(needle.view());
   if (pos == std::string::npos) {
     return Value::Int(-1);  // Deviation from PHP's `false`: documented in LANGUAGE.md.
   }
   return Value::Int(static_cast<int64_t>(pos));
 }
 
-Result<Value> BStrReplace(std::vector<Value>& args) {
-  std::string search = args[0].ToString();
-  std::string replace = args[1].ToString();
-  std::string subject = args[2].ToString();
-  if (search.empty()) {
-    return Value::Str(std::move(subject));
+Result<Value> BStrReplace(const std::vector<Value>& args) {
+  StrArg search_arg(args[0]);
+  StrArg replace_arg(args[1]);
+  StrArg subject_arg(args[2]);
+  std::string_view search = search_arg.view();
+  std::string_view replace = replace_arg.view();
+  std::string_view subject = subject_arg.view();
+  size_t pos = search.empty() ? std::string::npos : subject.find(search);
+  if (pos == std::string::npos || search == replace) {
+    return subject_arg.Unchanged();
   }
   std::string out;
   size_t start = 0;
-  while (true) {
-    size_t pos = subject.find(search, start);
-    if (pos == std::string::npos) {
-      out.append(subject, start, std::string::npos);
-      return Value::Str(std::move(out));
-    }
-    out.append(subject, start, pos - start);
+  while (pos != std::string::npos) {
+    out.append(subject.substr(start, pos - start));
     out.append(replace);
     start = pos + search.size();
+    pos = subject.find(search, start);
   }
+  out.append(subject.substr(start));
+  return Value::Str(std::move(out));
 }
 
-Result<Value> BStrtolower(std::vector<Value>& args) {
-  return Value::Str(AsciiLower(args[0].ToString()));
-}
-
-Result<Value> BStrtoupper(std::vector<Value>& args) {
-  std::string s = args[0].ToString();
-  for (char& c : s) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+// strtolower/strtoupper: maps each byte through `map` (std::tolower or std::toupper);
+// returns the argument itself when no byte changes.
+Result<Value> MapBytes(const Value& v, int (*map)(int)) {
+  StrArg arg(v);
+  std::string_view s = arg.view();
+  auto changes = [map](char c) {
+    return map(static_cast<unsigned char>(c)) != static_cast<unsigned char>(c);
+  };
+  size_t first = 0;
+  while (first < s.size() && !changes(s[first])) {
+    first++;
   }
-  return Value::Str(std::move(s));
+  if (first == s.size()) {
+    return arg.Unchanged();
+  }
+  std::string out(s);
+  for (size_t i = first; i < out.size(); i++) {
+    out[i] = static_cast<char>(map(static_cast<unsigned char>(out[i])));
+  }
+  return Value::Str(std::move(out));
 }
 
-Result<Value> BTrim(std::vector<Value>& args) {
-  std::string s = args[0].ToString();
+int ToLower(int c) { return std::tolower(c); }
+int ToUpper(int c) { return std::toupper(c); }
+
+Result<Value> BStrtolower(const std::vector<Value>& args) { return MapBytes(args[0], ToLower); }
+
+Result<Value> BStrtoupper(const std::vector<Value>& args) { return MapBytes(args[0], ToUpper); }
+
+Result<Value> BTrim(const std::vector<Value>& args) {
+  StrArg arg(args[0]);
+  std::string_view s = arg.view();
   size_t b = s.find_first_not_of(" \t\n\r\0\x0B", 0, 6);
   if (b == std::string::npos) {
     return Value::Str("");
   }
   size_t e = s.find_last_not_of(" \t\n\r\0\x0B", std::string::npos, 6);
-  return Value::Str(s.substr(b, e - b + 1));
+  if (b == 0 && e + 1 == s.size()) {
+    return arg.Unchanged();
+  }
+  return Value::Str(std::string(s.substr(b, e - b + 1)));
 }
 
-Result<Value> BStrRepeat(std::vector<Value>& args) {
+Result<Value> BStrRepeat(const std::vector<Value>& args) {
   std::string s = args[0].ToString();
   int64_t n = args[1].ToInt();
   if (n < 0) {
@@ -109,23 +160,47 @@ Result<Value> BStrRepeat(std::vector<Value>& args) {
   return Value::Str(std::move(out));
 }
 
-Result<Value> BHtmlspecialchars(std::vector<Value>& args) {
-  std::string s = args[0].ToString();
+// Replaces each byte that `entity` maps to a nonempty string, copying the runs between
+// them whole; returns the argument itself when no byte is replaced. `entity` is inlined
+// into the scan, which costs one switch per byte.
+template <typename EntityFn>
+Result<Value> EscapeBytes(const Value& v, EntityFn entity) {
+  StrArg arg(v);
+  std::string_view s = arg.view();
   std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c; break;
+  size_t start = 0;
+  for (size_t i = 0; i < s.size(); i++) {
+    std::string_view e = entity(s[i]);
+    if (e.empty()) {
+      continue;
     }
+    if (out.empty()) {
+      out.reserve(s.size() + s.size() / 8 + 8);
+    }
+    out.append(s.substr(start, i - start));
+    out.append(e);
+    start = i + 1;
   }
+  if (out.empty()) {
+    return arg.Unchanged();
+  }
+  out.append(s.substr(start));
   return Value::Str(std::move(out));
 }
 
-Result<Value> BImplode(std::vector<Value>& args) {
+Result<Value> BHtmlspecialchars(const std::vector<Value>& args) {
+  return EscapeBytes(args[0], [](char c) -> std::string_view {
+    switch (c) {
+      case '&': return "&amp;";
+      case '<': return "&lt;";
+      case '>': return "&gt;";
+      case '"': return "&quot;";
+      default: return {};
+    }
+  });
+}
+
+Result<Value> BImplode(const std::vector<Value>& args) {
   if (!args[1].is_array()) {
     return Err("implode: second argument must be an array");
   }
@@ -143,7 +218,7 @@ Result<Value> BImplode(std::vector<Value>& args) {
   return Value::Str(std::move(out));
 }
 
-Result<Value> BExplode(std::vector<Value>& args) {
+Result<Value> BExplode(const std::vector<Value>& args) {
   std::string sep = args[0].ToString();
   std::string s = args[1].ToString();
   if (sep.empty()) {
@@ -163,16 +238,16 @@ Result<Value> BExplode(std::vector<Value>& args) {
   }
 }
 
-Result<Value> BCount(std::vector<Value>& args) {
+Result<Value> BCount(const std::vector<Value>& args) {
   if (!args[0].is_array()) {
     return Err("count: argument must be an array");
   }
   return Value::Int(static_cast<int64_t>(args[0].array().size()));
 }
 
-Result<Value> BIsset(std::vector<Value>& args) { return Value::Bool(!args[0].is_null()); }
+Result<Value> BIsset(const std::vector<Value>& args) { return Value::Bool(!args[0].is_null()); }
 
-Result<Value> BInArray(std::vector<Value>& args) {
+Result<Value> BInArray(const std::vector<Value>& args) {
   if (!args[1].is_array()) {
     return Err("in_array: second argument must be an array");
   }
@@ -185,7 +260,7 @@ Result<Value> BInArray(std::vector<Value>& args) {
   return Value::Bool(false);
 }
 
-Result<Value> BArrayKeys(std::vector<Value>& args) {
+Result<Value> BArrayKeys(const std::vector<Value>& args) {
   if (!args[0].is_array()) {
     return Err("array_keys: argument must be an array");
   }
@@ -198,7 +273,7 @@ Result<Value> BArrayKeys(std::vector<Value>& args) {
   return out;
 }
 
-Result<Value> BArrayValues(std::vector<Value>& args) {
+Result<Value> BArrayValues(const std::vector<Value>& args) {
   if (!args[0].is_array()) {
     return Err("array_values: argument must be an array");
   }
@@ -211,7 +286,7 @@ Result<Value> BArrayValues(std::vector<Value>& args) {
   return out;
 }
 
-Result<Value> BArrayKeyExists(std::vector<Value>& args) {
+Result<Value> BArrayKeyExists(const std::vector<Value>& args) {
   if (!args[1].is_array()) {
     return Err("array_key_exists: second argument must be an array");
   }
@@ -219,10 +294,10 @@ Result<Value> BArrayKeyExists(std::vector<Value>& args) {
   return Value::Bool(args[1].array().Has(key));
 }
 
-Result<Value> BArrayMerge(std::vector<Value>& args) {
+Result<Value> BArrayMerge(const std::vector<Value>& args) {
   Value out = Value::Array();
   ArrayObject& arr = out.MutableArray();
-  for (Value& a : args) {
+  for (const Value& a : args) {
     if (!a.is_array()) {
       return Err("array_merge: arguments must be arrays");
     }
@@ -237,7 +312,7 @@ Result<Value> BArrayMerge(std::vector<Value>& args) {
   return out;
 }
 
-Result<Value> BArraySlice(std::vector<Value>& args) {
+Result<Value> BArraySlice(const std::vector<Value>& args) {
   if (!args[0].is_array()) {
     return Err("array_slice: first argument must be an array");
   }
@@ -267,7 +342,7 @@ Result<Value> BArraySlice(std::vector<Value>& args) {
   return out;
 }
 
-Result<Value> BArrayReverse(std::vector<Value>& args) {
+Result<Value> BArrayReverse(const std::vector<Value>& args) {
   if (!args[0].is_array()) {
     return Err("array_reverse: argument must be an array");
   }
@@ -328,7 +403,7 @@ int CompareForSort(const Value& a, const Value& b) {
 
 // Deviation from PHP: sort/ksort return a sorted copy (no by-reference parameters in
 // wscript); documented in LANGUAGE.md.
-Result<Value> BSort(std::vector<Value>& args) {
+Result<Value> BSort(const std::vector<Value>& args) {
   if (!args[0].is_array()) {
     return Err("sort: argument must be an array");
   }
@@ -347,7 +422,7 @@ Result<Value> BSort(std::vector<Value>& args) {
   return out;
 }
 
-Result<Value> BKsort(std::vector<Value>& args) {
+Result<Value> BKsort(const std::vector<Value>& args) {
   if (!args[0].is_array()) {
     return Err("ksort: argument must be an array");
   }
@@ -371,7 +446,7 @@ Result<Value> BKsort(std::vector<Value>& args) {
   return out;
 }
 
-Result<Value> BRange(std::vector<Value>& args) {
+Result<Value> BRange(const std::vector<Value>& args) {
   int64_t lo = args[0].ToInt();
   int64_t hi = args[1].ToInt();
   if (hi - lo > (1 << 22) || lo - hi > (1 << 22)) {
@@ -391,7 +466,7 @@ Result<Value> BRange(std::vector<Value>& args) {
   return out;
 }
 
-Result<Value> BMax(std::vector<Value>& args) {
+Result<Value> BMax(const std::vector<Value>& args) {
   const Value* best = nullptr;
   auto consider = [&best](const Value& v) {
     if (best == nullptr || CompareForSort(*best, v) < 0) {
@@ -414,7 +489,7 @@ Result<Value> BMax(std::vector<Value>& args) {
   return *best;
 }
 
-Result<Value> BMin(std::vector<Value>& args) {
+Result<Value> BMin(const std::vector<Value>& args) {
   const Value* best = nullptr;
   auto consider = [&best](const Value& v) {
     if (best == nullptr || CompareForSort(*best, v) > 0) {
@@ -437,7 +512,7 @@ Result<Value> BMin(std::vector<Value>& args) {
   return *best;
 }
 
-Result<Value> BAbs(std::vector<Value>& args) {
+Result<Value> BAbs(const std::vector<Value>& args) {
   if (args[0].is_float()) {
     return Value::Float(std::fabs(args[0].as_float()));
   }
@@ -445,11 +520,17 @@ Result<Value> BAbs(std::vector<Value>& args) {
   return Value::Int(v < 0 ? -v : v);
 }
 
-Result<Value> BFloor(std::vector<Value>& args) { return Value::Float(std::floor(args[0].ToFloat())); }
-Result<Value> BCeil(std::vector<Value>& args) { return Value::Float(std::ceil(args[0].ToFloat())); }
-Result<Value> BSqrt(std::vector<Value>& args) { return Value::Float(std::sqrt(args[0].ToFloat())); }
+Result<Value> BFloor(const std::vector<Value>& args) {
+  return Value::Float(std::floor(args[0].ToFloat()));
+}
+Result<Value> BCeil(const std::vector<Value>& args) {
+  return Value::Float(std::ceil(args[0].ToFloat()));
+}
+Result<Value> BSqrt(const std::vector<Value>& args) {
+  return Value::Float(std::sqrt(args[0].ToFloat()));
+}
 
-Result<Value> BPow(std::vector<Value>& args) {
+Result<Value> BPow(const std::vector<Value>& args) {
   if (args[0].is_int() && args[1].is_int() && args[1].as_int() >= 0 && args[1].as_int() < 63) {
     int64_t base = args[0].as_int();
     int64_t result = 1;
@@ -461,7 +542,7 @@ Result<Value> BPow(std::vector<Value>& args) {
   return Value::Float(std::pow(args[0].ToFloat(), args[1].ToFloat()));
 }
 
-Result<Value> BIntdiv(std::vector<Value>& args) {
+Result<Value> BIntdiv(const std::vector<Value>& args) {
   int64_t d = args[1].ToInt();
   if (d == 0) {
     return Err("intdiv: division by zero");
@@ -469,14 +550,14 @@ Result<Value> BIntdiv(std::vector<Value>& args) {
   return Value::Int(args[0].ToInt() / d);
 }
 
-Result<Value> BIntval(std::vector<Value>& args) { return Value::Int(args[0].ToInt()); }
-Result<Value> BFloatval(std::vector<Value>& args) { return Value::Float(args[0].ToFloat()); }
-Result<Value> BStrval(std::vector<Value>& args) { return Value::Str(args[0].ToString()); }
-Result<Value> BBoolval(std::vector<Value>& args) { return Value::Bool(args[0].Truthy()); }
-Result<Value> BIsArray(std::vector<Value>& args) { return Value::Bool(args[0].is_array()); }
-Result<Value> BIsString(std::vector<Value>& args) { return Value::Bool(args[0].is_string()); }
+Result<Value> BIntval(const std::vector<Value>& args) { return Value::Int(args[0].ToInt()); }
+Result<Value> BFloatval(const std::vector<Value>& args) { return Value::Float(args[0].ToFloat()); }
+Result<Value> BStrval(const std::vector<Value>& args) { return Value::Str(args[0].ToString()); }
+Result<Value> BBoolval(const std::vector<Value>& args) { return Value::Bool(args[0].Truthy()); }
+Result<Value> BIsArray(const std::vector<Value>& args) { return Value::Bool(args[0].is_array()); }
+Result<Value> BIsString(const std::vector<Value>& args) { return Value::Bool(args[0].is_string()); }
 
-Result<Value> BIsNumeric(std::vector<Value>& args) {
+Result<Value> BIsNumeric(const std::vector<Value>& args) {
   if (args[0].is_numeric()) {
     return Value::Bool(true);
   }
@@ -492,7 +573,7 @@ Result<Value> BIsNumeric(std::vector<Value>& args) {
   return Value::Bool(end == s.c_str() + s.size());
 }
 
-Result<Value> BNumberFormat(std::vector<Value>& args) {
+Result<Value> BNumberFormat(const std::vector<Value>& args) {
   double v = args[0].ToFloat();
   int decimals = args.size() >= 2 ? static_cast<int>(args[1].ToInt()) : 0;
   if (decimals < 0 || decimals > 18) {
@@ -518,28 +599,22 @@ Result<Value> BNumberFormat(std::vector<Value>& args) {
 }
 
 // SQL string-literal escaping for the engine's '' convention (the addslashes analog).
-Result<Value> BSqlEscape(std::vector<Value>& args) {
-  std::string s = args[0].ToString();
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\'') {
-      out += "''";
-    } else {
-      out += c;
-    }
+Result<Value> BSqlEscape(const std::vector<Value>& args) {
+  return EscapeBytes(args[0], [](char c) -> std::string_view {
+    return c == '\'' ? "''" : std::string_view();
+  });
+}
+
+Result<Value> BHash64(const std::vector<Value>& args) {
+  uint64_t h = FnvHash(StrArg(args[0]).view());
+  std::string hex(16, '0');  // Zero-padded lower-case hex, as printf's "%016llx".
+  for (size_t i = hex.size(); i-- > 0; h >>= 4) {
+    hex[i] = "0123456789abcdef"[h & 0xf];
   }
-  return Value::Str(std::move(out));
+  return Value::Str(std::move(hex));
 }
 
-Result<Value> BHash64(std::vector<Value>& args) {
-  uint64_t h = FnvHash(args[0].ToString());
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return Value::Str(buf);
-}
-
-Result<Value> BUnreachablePure(std::vector<Value>&) {
+Result<Value> BUnreachablePure(const std::vector<Value>&) {
   return Err("internal: non-pure builtin dispatched as pure");
 }
 

@@ -19,7 +19,9 @@ namespace orochi {
 
 enum class BuiltinKind : uint8_t { kPure, kInput, kStateOp, kNondet };
 
-using PureFn = Result<Value> (*)(std::vector<Value>& args);
+// Pure builtins only read their arguments: a grouped call binds a univalue argument once
+// and passes the same Value to every component call.
+using PureFn = Result<Value> (*)(const std::vector<Value>& args);
 
 struct BuiltinInfo {
   const char* name;

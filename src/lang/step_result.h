@@ -24,8 +24,6 @@ enum class StateOpType : uint8_t {
   kDbOp,
 };
 
-const char* StateOpTypeName(StateOpType t);
-
 // A state operation as produced by program logic. `target` identifies the object within its
 // kind: the register name for register ops; empty for the (single) KV store and database.
 struct StateOpRequest {

@@ -339,7 +339,7 @@ bool Value::DeepEquals(const Value& a, const Value& b) {
     case ValueType::kString:
       return &a.as_string() == &b.as_string() || a.as_string() == b.as_string();
     case ValueType::kArray: {
-      if (a.array_ptr() == b.array_ptr()) {
+      if (&a.array() == &b.array()) {
         return true;
       }
       const ArrayObject& x = a.array();
@@ -680,7 +680,7 @@ Value MakeMultiCollapsed(std::vector<Value> items) {
     return Value::Null();
   }
   if (AllDeepEqual(items)) {
-    return items[0];
+    return std::move(items[0]);
   }
   return Value::Multi(std::move(items));
 }

@@ -171,7 +171,6 @@ class Value {
   ArrayObject& MutableArray();
 
   const MultiValue& multi() const { return *std::get<MultiPtr>(rep_); }
-  MultiPtr multi_ptr() const { return std::get<MultiPtr>(rep_); }
   // Copy-on-write: returns a uniquely-owned MultiValue for in-place mutation.
   MultiValue& MutableMulti();
 

@@ -33,7 +33,8 @@ constexpr uint8_t kChunkRecord = 2;  // A task whose outputs all matched: order 
 // those written before the tag existed, whose meta record is the bare fingerprint) are
 // discarded wholesale, so a layout change can never misparse a prior run's records.
 // 3: chunk records carry no outputs; no compare watermark records.
-constexpr uint32_t kJournalLayout = 3;
+// 4: chunk stats carry component_steps after multivalent_instructions.
+constexpr uint32_t kJournalLayout = 4;
 
 void EncodeChunkRecord(size_t order, const AuditTaskRecord& rec, std::string* out) {
   out->clear();
@@ -41,6 +42,7 @@ void EncodeChunkRecord(size_t order, const AuditTaskRecord& rec, std::string* ou
   const AuditStats& s = rec.stats;
   PutU64(out, s.total_instructions);
   PutU64(out, s.multivalent_instructions);
+  PutU64(out, s.component_steps);
   PutU64(out, s.num_groups);
   PutU64(out, s.groups_multi);
   PutU64(out, s.fallback_groups);
@@ -66,10 +68,10 @@ bool DecodeChunkRecord(const std::string& payload, size_t* order, AuditTaskRecor
   *order = static_cast<size_t>(order64);
   AuditStats& s = rec->stats;
   if (!cur.TakeU64(&s.total_instructions) || !cur.TakeU64(&s.multivalent_instructions) ||
-      !cur.TakeU64(&s.num_groups) || !cur.TakeU64(&s.groups_multi) ||
-      !cur.TakeU64(&s.fallback_groups) || !cur.TakeU64(&s.ops_checked) ||
-      !cur.TakeU64(&s.db_selects_issued) || !cur.TakeU64(&s.db_selects_deduped) ||
-      !cur.TakeU64(&s.checkpoint_chunks_reused)) {
+      !cur.TakeU64(&s.component_steps) || !cur.TakeU64(&s.num_groups) ||
+      !cur.TakeU64(&s.groups_multi) || !cur.TakeU64(&s.fallback_groups) ||
+      !cur.TakeU64(&s.ops_checked) || !cur.TakeU64(&s.db_selects_issued) ||
+      !cur.TakeU64(&s.db_selects_deduped) || !cur.TakeU64(&s.checkpoint_chunks_reused)) {
     return false;
   }
   uint64_t num_groups;

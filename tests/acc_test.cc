@@ -8,12 +8,34 @@
 #include "src/lang/acc_interpreter.h"
 #include "src/lang/compiler.h"
 #include "src/lang/interpreter.h"
+#include "tests/test_util.h"
 
 namespace orochi {
 namespace {
 
-// Drives a scalar interpreter with null state results and a fixed nondet counter.
-std::string RunScalar(const Program& prog, const RequestParams& params) {
+// One line per state op / nondet call, with every operand, so a group run's per-request
+// requests can be compared with a scalar run's.
+std::string DescribeOp(const StateOpRequest& op) {
+  std::string out = std::to_string(static_cast<int>(op.type));
+  out += "|" + op.target + "|" + op.key + "|" + op.value.Serialize();
+  for (const std::string& sql : op.sql) {
+    out += "|" + sql;
+  }
+  return out + "\n";
+}
+
+std::string DescribeNondet(const NondetRequest& call) {
+  std::string out = call.name;
+  for (const Value& arg : call.args) {
+    out += "|" + arg.Serialize();
+  }
+  return out + "\n";
+}
+
+// Drives a scalar interpreter with a fixed stand-in state result and a nondet counter.
+// When `ops` is set, every state op and nondet call is appended to it (DescribeOp).
+std::string RunScalar(const Program& prog, const RequestParams& params,
+                      std::string* ops = nullptr) {
   Interpreter interp(&prog, &params);
   int64_t clock = 7;
   while (true) {
@@ -25,8 +47,14 @@ std::string RunScalar(const Program& prog, const RequestParams& params) {
       return "<trap>" + interp.output();
     }
     if (step.kind == StepResult::Kind::kStateOp) {
+      if (ops != nullptr) {
+        *ops += DescribeOp(step.op);
+      }
       interp.ProvideValue(Value::Int(clock));  // Deterministic stand-in result.
       continue;
+    }
+    if (ops != nullptr) {
+      *ops += DescribeNondet(step.nondet);
     }
     interp.ProvideValue(Value::Int(clock++));
   }
@@ -34,6 +62,7 @@ std::string RunScalar(const Program& prog, const RequestParams& params) {
 
 struct AccRun {
   std::vector<std::string> outputs;
+  std::vector<std::string> ops;  // Per request, as RunScalar records them.
   uint64_t total = 0;
   uint64_t multivalent = 0;
   AccStepResult::Kind final_kind;
@@ -47,6 +76,7 @@ AccRun RunAcc(const Program& prog, const std::vector<RequestParams>& params) {
   AccInterpreter acc(&prog, ptrs);
   int64_t clock = 7;
   AccRun out;
+  out.ops.resize(params.size());
   while (true) {
     AccStepResult step = acc.Run();
     out.final_kind = step.kind;
@@ -60,11 +90,17 @@ AccRun RunAcc(const Program& prog, const std::vector<RequestParams>& params) {
         out.multivalent = acc.multivalent_instructions();
         return out;
       case AccStepResult::Kind::kStateOp: {
+        for (size_t j = 0; j < params.size(); j++) {
+          out.ops[j] += DescribeOp(step.ops[j]);
+        }
         std::vector<Value> results(params.size(), Value::Int(clock));
         acc.ProvideValues(std::move(results));
         break;
       }
       case AccStepResult::Kind::kNondet: {
+        for (size_t j = 0; j < params.size(); j++) {
+          out.ops[j] += DescribeNondet(step.nondets[j]);
+        }
         std::vector<Value> results(params.size(), Value::Int(clock));
         clock++;
         acc.ProvideValues(std::move(results));
@@ -242,7 +278,8 @@ echo $v;
 }
 
 // Property: acc group execution == per-request scalar execution, across scripts x random
-// input sets (with state/nondet fed identically).
+// input sets (with state/nondet fed identically): the same outputs and the same state-op
+// and nondet requests. Seeds are OROCHI_TEST_SEED (default 1234) plus the test parameter.
 class AccEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(AccEquivalence, MatchesScalarExecution) {
@@ -302,8 +339,82 @@ $cells = array("k" => input("x"));
 $cells .= "|";
 echo $html . $same . $cells;
 )WS",
+      // Every multivalent opcode over each operand kind: a univalue ($u, $s), a
+      // multivalue ($n, $x, $rows) and a univalue array holding multivalue cells
+      // ($cells, $list). Control flow never depends on a multivalue.
+      R"WS(
+$n = intval(input("n"));
+$x = intval(input("x"));
+$u = 7;
+$s = "a<b&c";
+$cells = array("n" => $n, "u" => $u);
+$list = array($x, $u, "w");
+$rows = explode(",", "r," . $n);
+// Binary.
+echo ($u + $n) . ";" . ($n * $x) . ";" . ($x / $n) . ";" . ($x % 2) . ";" . ($n < $x);
+echo ";" . ($cells . "|") . ($n . $cells) . ($u . $s) . ($list == $cells) . ($n == $u);
+// Unary.
+echo ";" . -$n . ";" . !$x . ";" . !$cells . ";" . -$u . "\n";
+// Index get: multi container, multi key, array with multivalue cells.
+echo $rows[1] . ";" . $rows[$x % 2] . ";" . $cells["n"] . ";" . $list[$x % 2] . ";";
+echo $s[$x] . ";" . $list[0] . "\n";
+// Array literals: append and insert into univalue and multivalue targets.
+$lit = array($n => "a", "b", $x, $cells);
+$lit2 = array("k" => $cells, $x => $list, "m" => $n);
+$lit3 = array($u, $x, $cells);
+echo $lit . ";" . $lit2 . ";" . $lit3 . "\n";
+// Index set through paths, with each kind of root, key and value.
+$cells["z"] = $x;
+$cells[$x] = "v";
+$rows[] = $cells;
+$rows[0] = $n;
+$t = array();
+$t["a"]["b"] = $n;
+$t["a"][$x] = $cells;
+$t2 = array("a" => $rows, "b" => $u);
+$t2["a"][0] = "q";
+$t2["c"][] = $list;
+echo $cells . ";" . $rows . ";" . $t . ";" . $t2 . "\n";
+// Iteration over a multivalue and over an array with multivalue cells.
+foreach ($rows as $k => $v) { echo $k . "=" . $v . ","; }
+foreach ($cells as $k => $v) { echo $k . "=" . $v . ","; }
+// Echo of each kind.
+echo $n; echo $cells; echo $u; echo "\n";
+// Input names.
+echo input("p" . $x) . input("mode") . input($x) . input($cells) . "\n";
+// State-op and nondet arguments.
+kv_set("k" . $x, $cells);
+kv_get("k" . $n);
+reg_write("r", $list);
+reg_write("r" . $n, $u);
+reg_read("r" . $x);
+db_query("SELECT " . $n);
+db_txn(array("UPDATE t SET v = " . $x, "DELETE FROM t"));
+echo rand($n, $x) . rand($u, 9) . rand($cells, 2) . "\n";
+// Pure builtins: univalue arguments bound once, the others per component.
+echo substr($s, $x) . ";" . str_replace("a", $n, "banana") . ";" . implode(",", $cells);
+echo ";" . count($rows) . ";" . htmlspecialchars("<" . $n . ">") . ";" . max($n, $x, $u);
+echo ";" . strtoupper("x" . $n) . ";" . strtolower($s) . ";" . implode("/", $list) . "\n";
+// Appends: each kind of slot and suffix, and a suffix aliasing the slot.
+$p = "S";
+$p .= $n;
+$q = "p" . $x;
+$q .= "!";
+$c2 = array("v" => $n);
+$c2 .= "!";
+$w = "W";
+$w .= $cells;
+$a = "p" . $n;
+$b = $a;
+$a .= $b;
+$arr2 = array($a);
+$a .= $arr2;
+echo $p . ";" . $q . ";" . $c2 . ";" . $w . ";" . $a . ";" . $b;
+)WS",
   };
-  Rng rng(1234 + static_cast<uint64_t>(GetParam()));
+  const uint64_t base_seed = TestBaseSeed(1234);
+  SCOPED_TRACE(SeedTraceMessage(base_seed));
+  Rng rng(base_seed + static_cast<uint64_t>(GetParam()));
   for (const char* src : kScripts) {
     Program prog = Compile(src);
     // Build a group with the same control flow: vary only magnitudes, not branches.
@@ -315,13 +426,18 @@ echo $html . $same . $cells;
       p["mode"] = mode;
       p["text"] = "alpha beta gamma";  // Same token count keeps control flow shared.
       p["x"] = std::to_string(rng.UniformInt(1, 5));
+      for (int k = 1; k <= 5; k++) {
+        p["p" + std::to_string(k)] = "in" + std::to_string(k);
+      }
       params.push_back(std::move(p));
     }
     AccRun group = RunAcc(prog, params);
     ASSERT_EQ(group.final_kind, AccStepResult::Kind::kFinished);
     for (size_t j = 0; j < params.size(); j++) {
-      EXPECT_EQ(group.outputs[j], RunScalar(prog, params[j]))
+      std::string ops;
+      EXPECT_EQ(group.outputs[j], RunScalar(prog, params[j], &ops))
           << "script mismatch at member " << j;
+      EXPECT_EQ(group.ops[j], ops) << "op mismatch at member " << j;
     }
   }
 }

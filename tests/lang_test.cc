@@ -1,6 +1,7 @@
 // Lexer, parser, compiler, and scalar-interpreter tests for wscript.
 #include <gtest/gtest.h>
 
+#include "src/lang/builtins.h"
 #include "src/lang/compiler.h"
 #include "src/lang/interpreter.h"
 #include "src/lang/lexer.h"
@@ -173,6 +174,101 @@ INSTANTIATE_TEST_SUITE_P(
                       ExprCase{"implode(\",\", array_slice(array(1, 2, 3, 4), 1, 2))", "2,3"},
                       ExprCase{"implode(\",\", range(1, 4))", "1,2,3,4"},
                       ExprCase{"implode(\",\", array_merge(array(1), array(2, 3)))", "1,2,3"}));
+
+// Edge cases of the string builtins that read their argument in place. Brackets make an
+// empty result visible.
+INSTANTIATE_TEST_SUITE_P(
+    StringBuiltinEdges, ExprEval,
+    ::testing::Values(
+        ExprCase{"\"[\" . htmlspecialchars(\"\") . \"]\"", "[]"},
+        ExprCase{"htmlspecialchars(\"plain text\")", "plain text"},
+        ExprCase{"htmlspecialchars(\"&<>\\\"\")", "&amp;&lt;&gt;&quot;"},
+        ExprCase{"htmlspecialchars(\"a&&b<\")", "a&amp;&amp;b&lt;"},
+        ExprCase{"htmlspecialchars(42)", "42"}, ExprCase{"htmlspecialchars(1.5)", "1.5"},
+        ExprCase{"\"[\" . htmlspecialchars(null) . \"]\"", "[]"},
+        ExprCase{"htmlspecialchars(array(1, \"<\"))", "Array(0=&gt;1,1=&gt;&lt;)"},
+        ExprCase{"\"[\" . str_replace(\"\", \"x\", \"abc\") . \"]\"", "[abc]"},
+        ExprCase{"str_replace(\"z\", \"x\", \"abc\")", "abc"},
+        ExprCase{"str_replace(\"ab\", \"X\", \"ababab\")", "XXX"},
+        ExprCase{"str_replace(\"aa\", \"b\", \"aaaaa\")", "bba"},
+        ExprCase{"str_replace(\"a\", \"a\", \"banana\")", "banana"},
+        ExprCase{"str_replace(1, 2, 1213)", "2223"},
+        ExprCase{"\"[\" . str_replace(\"a\", \"b\", \"\") . \"]\"", "[]"},
+        ExprCase{"substr(\"hello\", 0)", "hello"}, ExprCase{"substr(\"hello\", -5)", "hello"},
+        ExprCase{"substr(\"hello\", -9, 9)", "hello"},
+        ExprCase{"substr(\"hello\", -3, -1)", "ll"}, ExprCase{"substr(\"hello\", 1, -1)", "ell"},
+        ExprCase{"\"[\" . substr(\"hello\", 2, -5) . \"]\"", "[]"},
+        ExprCase{"\"[\" . substr(\"hello\", 5) . \"]\"", "[]"},
+        ExprCase{"substr(12345, 1, 2)", "23"},
+        ExprCase{"strtolower(\"MiXeD 9\")", "mixed 9"}, ExprCase{"strtolower(\"low\")", "low"},
+        ExprCase{"strtoupper(\"up 1.5\")", "UP 1.5"}, ExprCase{"strtoupper(2.5)", "2.5"},
+        ExprCase{"\"[\" . strtoupper(null) . \"]\"", "[]"},
+        ExprCase{"strtoupper(array(\"a\"))", "ARRAY(0=>A)"},
+        ExprCase{"\"[\" . trim(\" \\t \") . \"]\"", "[]"},
+        ExprCase{"\"[\" . trim(\"x y\") . \"]\"", "[x y]"},
+        ExprCase{"sql_escape(\"''\")", "''''"}, ExprCase{"sql_escape(\"none\")", "none"},
+        ExprCase{"strlen(12345)", "5"}, ExprCase{"strpos(\"a1b\", 1)", "1"}));
+
+Result<Value> CallBuiltin(const char* name, std::vector<Value> args) {
+  int id = BuiltinIdByName(name);
+  EXPECT_GE(id, 0) << name;
+  return BuiltinById(id).fn(args);
+}
+
+TEST(StringBuiltins, UnchangedResultSharesItsArgumentsStorage) {
+  const Value text = Value::Str("plain text here");
+  const Value lower = Value::Str("lower");
+  const Value upper = Value::Str("UPPER");
+  struct Case {
+    const char* name;
+    std::vector<Value> args;
+    const Value* shared;  // The argument whose storage the result must share.
+  };
+  const Case cases[] = {
+      {"htmlspecialchars", {text}, &text},
+      {"str_replace", {Value::Str("zz"), Value::Str("x"), text}, &text},
+      {"str_replace", {Value::Str(""), Value::Str("x"), text}, &text},
+      {"str_replace", {Value::Str("e"), Value::Str("e"), text}, &text},
+      {"substr", {text, Value::Int(0)}, &text},
+      {"substr", {text, Value::Int(-100), Value::Int(100)}, &text},
+      {"strtolower", {lower}, &lower},
+      {"strtoupper", {upper}, &upper},
+      {"trim", {text}, &text},
+      {"sql_escape", {text}, &text},
+  };
+  for (const Case& c : cases) {
+    Result<Value> r = CallBuiltin(c.name, c.args);
+    ASSERT_TRUE(r.ok()) << c.name;
+    ASSERT_TRUE(r.value().is_string()) << c.name;
+    EXPECT_EQ(&r.value().as_string(), &c.shared->as_string()) << c.name;
+  }
+}
+
+TEST(StringBuiltins, ChangedOrRenderedResultIsAFreshString) {
+  const Value text = Value::Str("a<b");
+  struct Case {
+    const char* name;
+    std::vector<Value> args;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {"htmlspecialchars", {text}, "a&lt;b"},
+      {"str_replace", {Value::Str("<"), Value::Str("-"), text}, "a-b"},
+      {"substr", {text, Value::Int(1)}, "<b"},
+      {"strtoupper", {text}, "A<B"},
+      {"htmlspecialchars", {Value::Int(7)}, "7"},
+      {"strtolower", {Value::Float(2.5)}, "2.5"},
+      {"trim", {Value::Null()}, ""},
+  };
+  for (const Case& c : cases) {
+    Result<Value> r = CallBuiltin(c.name, c.args);
+    ASSERT_TRUE(r.ok()) << c.name;
+    ASSERT_TRUE(r.value().is_string()) << c.name;
+    EXPECT_EQ(r.value().as_string(), c.expected) << c.name;
+    EXPECT_NE(&r.value().as_string(), &text.as_string()) << c.name;
+  }
+  EXPECT_EQ(text.as_string(), "a<b");  // Arguments are never written.
+}
 
 // --- Statements and control flow ---
 

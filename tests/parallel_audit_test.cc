@@ -67,6 +67,7 @@ void ExpectSameVerdictAcrossThreadCounts(const Workload& w, const ServedWorkload
       EXPECT_EQ(r.stats.total_instructions, base.stats.total_instructions) << w.name;
       EXPECT_EQ(r.stats.multivalent_instructions, base.stats.multivalent_instructions)
           << w.name;
+      EXPECT_EQ(r.stats.component_steps, base.stats.component_steps) << w.name;
       EXPECT_EQ(r.stats.ops_checked, base.stats.ops_checked) << w.name;
       EXPECT_EQ(r.stats.num_groups, base.stats.num_groups) << w.name;
       EXPECT_EQ(r.stats.groups_multi, base.stats.groups_multi) << w.name;
